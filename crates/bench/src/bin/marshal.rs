@@ -27,6 +27,7 @@ use mpart_bench::table::{arg_usize, f2, Table};
 use mpart_bench::Report;
 use mpart_ir::marshal::Marshalled;
 use mpart_jecho::envelope::{Frame, ModulatedEvent, ZERO_COPY_MIN_BYTES};
+use mpart_jecho::link::data_frame;
 
 /// One synthetic modulated event with a deterministic payload of `size`
 /// bytes (patterned, so corruption of the comparison would be caught).
@@ -50,13 +51,8 @@ fn event(seq: u64, size: usize) -> ModulatedEvent {
 }
 
 fn frame_for(size: usize, batch: usize) -> Frame {
-    if batch == 1 {
-        Frame::Event { event: event(1, size), t_mod_nanos: 1_000 }
-    } else {
-        Frame::Batch {
-            events: (0..batch as u64).map(|i| (event(i + 1, size), 1_000 + i)).collect(),
-        }
-    }
+    let events: Vec<_> = (0..batch as u64).map(|i| (event(i + 1, size), 1_000 + i)).collect();
+    data_frame(events.iter())
 }
 
 /// Minimum per-call nanoseconds of `f` over `samples` samples of `reps`

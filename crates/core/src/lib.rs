@@ -34,6 +34,10 @@
 //!   sharded over a fixed worker pool, sharing static analyses through the
 //!   `mpart-analysis` cache while keeping plans and epochs per-session
 //!   (see `ARCHITECTURE.md` §"Throughput layer").
+//! * [`subscriber`] — [`subscriber::Subscriber`]: the one receiver-side
+//!   step every transport runs per envelope — demodulate in isolation,
+//!   feed the Reconfiguration Unit, gate the re-selection — leaving the
+//!   transport to decide only *when* a validated proposal installs.
 //! * [`failure`] — the session failure domain: `catch_unwind` panic
 //!   isolation, per-envelope retry budgets, and the bounded dead-letter
 //!   ring for poison-envelope quarantine.
@@ -99,6 +103,7 @@ pub mod profile;
 pub mod reconfig;
 pub mod router;
 pub mod session;
+pub mod subscriber;
 
 /// Index of a Potential Split Edge within a handler's analysis results.
 pub type PseId = usize;

@@ -70,17 +70,17 @@ use mpart_ir::{IrError, Program, Value};
 pub use mpart_ir::engine::EngineChoice;
 use mpart_obs::{Counter, Gauge, ObsHub, PlanReason, TraceEvent};
 
-use crate::demodulator::Demodulator;
 use crate::failure::{self, DeadLetter, DeadLetterRing, FailureConfig, FailureKind};
 use crate::health::DegradationController;
 use crate::journal::{JournalRecord, SessionJournal, SessionSnapshot};
 use crate::modulator::Modulator;
 use crate::plan::PartitionPlan;
-use crate::profile::{DemodMessageProfile, ModMessageProfile, TriggerPolicy};
+use crate::profile::TriggerPolicy;
 use crate::reconfig::{
     GuardConfig, GuardVerdict, ModelChoice, ModelSelector, ModelSelectorConfig, PlanGuard,
     QuarantineList, ReconfigUnit,
 };
+use crate::subscriber::{Proposal, Subscriber, Timing};
 use crate::{PartitionedHandler, PseId};
 use mpart_obs::pse_mask;
 
@@ -401,8 +401,8 @@ impl ShardQueue {
 struct SessionState {
     handler: Arc<PartitionedHandler>,
     modulator: Modulator,
-    demodulator: Demodulator,
-    reconfig: ReconfigUnit,
+    /// Demodulator + Reconfiguration Unit: the receiver-side step.
+    subscriber: Subscriber,
     sender_builtins: BuiltinRegistry,
     receiver_ctx: ExecCtx,
     seq: u64,
@@ -588,50 +588,47 @@ impl SessionState {
         if plan.active_eq(active) {
             return Ok(plan.epoch());
         }
-        let prior_epoch = plan.epoch();
-        let prior_active = plan.active();
-        let epoch = self.handler.install_plan_reason(active, PlanReason::Install);
-        self.reconfig.acknowledge_epoch(epoch);
+        let epoch = self.install_guarded(active, PlanReason::Install);
         self.checkpoint_plan();
-        if let Some(guard) = &mut self.guard {
-            guard.begin_canary(prior_epoch, prior_active, epoch, active.to_vec());
-        }
         self.journal_guard_state();
         Ok(epoch)
     }
 
+    /// Installs `active` over the serving plan, tells the Reconfiguration
+    /// Unit the epoch bump is expected, and opens the canary window.
+    fn install_guarded(&mut self, active: &[PseId], reason: PlanReason) -> u64 {
+        let plan = self.handler.plan();
+        let (prior_epoch, prior_active) = (plan.epoch(), plan.active());
+        let epoch = self.handler.install_plan_reason(active, reason);
+        self.subscriber.acknowledge_epoch(epoch);
+        if let Some(guard) = &mut self.guard {
+            guard.begin_canary(prior_epoch, prior_active, epoch, active.to_vec());
+        }
+        epoch
+    }
+
     /// The single chokepoint for reconfiguration-driven plan switches
-    /// (auto-model and feedback paths): runs the local prepare checks
-    /// (quarantine, cut validation), suppresses switches while a canary
-    /// window is still being judged, installs, and opens the canary.
-    /// Returns whether a switch happened.
-    fn try_switch_plan(&mut self, active: &[PseId], reason: PlanReason) -> bool {
+    /// (auto-model and feedback paths). The subscriber step has already
+    /// dropped a re-selection equal to the serving plan and validated the
+    /// cut; what remains is this session's policy — a quarantined cut is
+    /// refused, and nothing switches while a canary window is still being
+    /// judged — then the install and the new canary. Returns whether a
+    /// switch happened.
+    fn try_switch_plan(&mut self, proposal: Option<Proposal>, reason: PlanReason) -> bool {
         // One candidate evaluation ages the quarantine blacklist a step.
         self.decay_quarantine();
+        let Some(proposal) = proposal else {
+            return false;
+        };
         if self.guard.as_ref().is_some_and(|g| g.in_canary()) {
             return false;
         }
-        if self.handler.plan().active_eq(active) {
+        if self.quarantine.contains(proposal.active()) {
+            self.handler.metrics().note_prepare("quarantined");
             return false;
         }
-        let metrics = self.handler.metrics();
-        if self.quarantine.contains(active) {
-            metrics.note_prepare("quarantined");
-            return false;
-        }
-        if self.handler.validate_candidate(active).is_err() {
-            metrics.note_prepare("rejected");
-            return false;
-        }
-        metrics.note_prepare("ready");
-        let prior_epoch = self.handler.plan().epoch();
-        let prior_active = self.handler.plan().active();
-        let epoch = self.handler.install_plan_reason(active, reason);
-        self.reconfig.acknowledge_epoch(epoch);
-        if let Some(guard) = &mut self.guard {
-            guard.begin_canary(prior_epoch, prior_active, epoch, active.to_vec());
-            self.journal_guard_state();
-        }
+        self.install_guarded(proposal.active(), reason);
+        self.journal_guard_state();
         true
     }
 
@@ -688,7 +685,7 @@ impl SessionState {
     ) {
         let target = self.handler.plan_of_epoch(prior_epoch).unwrap_or(prior_active);
         let to_epoch = self.handler.install_plan_reason(&target, PlanReason::Rollback);
-        self.reconfig.acknowledge_epoch(to_epoch);
+        self.subscriber.acknowledge_epoch(to_epoch);
         let ttl = self.guard.as_ref().map(|g| g.config().quarantine_decay).unwrap_or(0);
         self.quarantine.quarantine(&active, ttl);
         let metrics = self.handler.metrics();
@@ -706,6 +703,15 @@ impl SessionState {
         self.checkpoint_plan();
     }
 
+    /// Counts and traces a handler half's failure if it was a panic.
+    fn note_panic(&self, side: &Counter, e: IrError) -> IrError {
+        if matches!(e, IrError::HandlerPanic(_)) {
+            side.inc();
+            self.handler.obs().record(TraceEvent::HandlerPanic { seq: self.seq });
+        }
+        e
+    }
+
     fn deliver_inner(&mut self, make_event: EventFn) -> Result<SessionOutcome, IrError> {
         let mut sender_ctx =
             ExecCtx::with_builtins(self.handler.program(), self.sender_builtins.clone());
@@ -715,61 +721,41 @@ impl SessionState {
             let modulator = &self.modulator;
             match failure::isolate(|| modulator.handle(&mut sender_ctx, args)) {
                 Ok(run) => run,
-                Err(e) => {
-                    if matches!(e, IrError::HandlerPanic(_)) {
-                        self.panics_modulator.inc();
-                        self.handler.obs().record(TraceEvent::HandlerPanic { seq: self.seq });
-                    }
-                    return Err(e);
-                }
+                Err(e) => return Err(self.note_panic(&self.panics_modulator, e)),
             }
         };
         let wire_bytes = run.message.wire_size();
         let epoch = run.message.epoch;
         let split_pse = run.message.pse;
-        let demod = {
-            let demodulator = &self.demodulator;
-            let receiver_ctx = &mut self.receiver_ctx;
-            match failure::isolate(|| demodulator.handle(receiver_ctx, &run.message)) {
-                Ok(demod) => demod,
-                Err(e) => {
-                    if matches!(e, IrError::HandlerPanic(_)) {
-                        self.panics_demodulator.inc();
-                        self.handler.obs().record(TraceEvent::HandlerPanic { seq: self.seq });
-                    }
-                    return Err(e);
-                }
-            }
+        let mod_work = run.mod_work;
+        let applied = match self.subscriber.apply(
+            &mut self.receiver_ctx,
+            &run.message,
+            run.samples,
+            |demod| Timing::work(mod_work, demod),
+        ) {
+            Ok(applied) => applied,
+            Err(e) => return Err(self.note_panic(&self.panics_demodulator, e)),
         };
+        let demod = applied.demod;
+        let proposal = applied.proposal?;
 
-        self.reconfig.record_mod(ModMessageProfile {
-            samples: run.samples,
-            split: split_pse,
-            mod_work: run.mod_work,
-            t_mod: None,
-        });
-        self.reconfig.record_samples(&demod.samples);
-        self.reconfig.record_demod(DemodMessageProfile {
-            pse: demod.pse,
-            demod_work: demod.demod_work,
-            t_demod: None,
-        });
         let mut reconfigured = false;
         let mut model_switched = false;
         if let Some(auto) = self.auto.as_mut() {
             let from = auto.selector.current();
-            let snapshot = self.reconfig.profiling().snapshot();
+            let snapshot = self.subscriber.reconfig().profiling().snapshot();
             if let Some(choice) = auto.selector.observe(wire_bytes as u64, &snapshot) {
                 // Commit the switch: re-price the PSE set through the
                 // shared cache (a second entry keyed by the model pair —
                 // no re-analysis), swap the Reconfiguration Unit onto the
                 // re-priced analysis, and re-select the plan under the
-                // new pricing.
+                // new pricing, which supersedes a re-selection made under
+                // the old pricing on this same envelope.
                 let analysis =
                     self.handler.reprice(choice.instantiate(), &auto.cache, auto.limits)?;
-                self.reconfig.switch_model(analysis, choice.kind());
-                let update = self.reconfig.force_reconfigure()?;
-                reconfigured = self.try_switch_plan(&update.active, PlanReason::Reconfig);
+                let repriced = self.subscriber.switch_model(analysis, choice.kind())?;
+                reconfigured = self.try_switch_plan(repriced, PlanReason::Reconfig);
                 let obs = self.handler.obs();
                 obs.registry()
                     .counter(
@@ -779,19 +765,14 @@ impl SessionState {
                     .inc();
                 obs.record(TraceEvent::ModelSwitch { from: from.tag(), to: choice.tag() });
                 self.journal_model(choice.label());
-                if reconfigured {
-                    self.checkpoint_plan();
-                }
                 model_switched = true;
             }
         }
-        if !model_switched {
-            if let Some(update) = self.reconfig.maybe_reconfigure()? {
-                reconfigured = self.try_switch_plan(&update.active, PlanReason::Reconfig);
-                if reconfigured {
-                    self.checkpoint_plan();
-                }
-            }
+        if !model_switched && applied.reselected {
+            reconfigured = self.try_switch_plan(proposal, PlanReason::Reconfig);
+        }
+        if reconfigured {
+            self.checkpoint_plan();
         }
         Ok(SessionOutcome {
             seq: self.seq,
@@ -1287,8 +1268,7 @@ impl SessionManager {
         }
         let state = SessionState {
             modulator: handler.modulator(),
-            demodulator: handler.demodulator(),
-            reconfig,
+            subscriber: Subscriber::new(Arc::clone(&handler), reconfig),
             sender_builtins,
             receiver_ctx,
             seq,

@@ -14,14 +14,15 @@
 
 use std::sync::Arc;
 
-use mpart::demodulator::Demodulator;
 use mpart::modulator::Modulator;
-use mpart::profile::{DemodMessageProfile, ModMessageProfile, TriggerPolicy};
+use mpart::profile::TriggerPolicy;
 use mpart::reconfig::ReconfigUnit;
+use mpart::subscriber::{Subscriber, Timing};
 use mpart::{PartitionedHandler, PseId};
 use mpart_cost::CostModel;
 use mpart_ir::interp::{BuiltinRegistry, ExecCtx};
 use mpart_ir::{IrError, Program, Value};
+use mpart_obs::PlanReason;
 
 use crate::envelope::ModulatedEvent;
 
@@ -48,11 +49,9 @@ pub struct DeliveryReport {
 }
 
 struct SubscriberState {
-    handler: Arc<PartitionedHandler>,
     modulator: Modulator,
-    demodulator: Demodulator,
+    subscriber: Subscriber,
     ctx: ExecCtx,
-    reconfig: ReconfigUnit,
 }
 
 /// An in-process event channel with synchronous delivery.
@@ -102,10 +101,8 @@ impl EventChannel {
         let id = self.subscribers.len();
         self.subscribers.push(SubscriberState {
             modulator: handler.modulator(),
-            demodulator: handler.demodulator(),
-            handler,
+            subscriber: Subscriber::new(handler, reconfig),
             ctx,
-            reconfig,
         });
         Ok(id)
     }
@@ -122,7 +119,7 @@ impl EventChannel {
 
     /// The analyzed handler of a subscriber.
     pub fn handler(&self, id: SubscriberId) -> &Arc<PartitionedHandler> {
-        &self.subscribers[id].handler
+        self.subscribers[id].subscriber.handler()
     }
 
     /// The subscriber's execution context (its heap, globals, trace).
@@ -132,7 +129,7 @@ impl EventChannel {
 
     /// The subscriber's Reconfiguration Unit.
     pub fn reconfig(&self, id: SubscriberId) -> &ReconfigUnit {
-        &self.subscribers[id].reconfig
+        self.subscribers[id].subscriber.reconfig()
     }
 
     /// Publishes one event: for every subscriber, builds the event inside
@@ -162,34 +159,25 @@ impl EventChannel {
             let event = ModulatedEvent { seq, continuation: run.message, samples: run.samples };
             let wire_bytes = event.wire_size();
 
-            let demod = sub.demodulator.handle(&mut sub.ctx, &event.continuation)?;
-
-            sub.reconfig.record_mod(ModMessageProfile {
-                samples: event.samples.clone(),
-                split: event.continuation.pse,
-                mod_work: run.mod_work,
-                t_mod: None,
-            });
-            sub.reconfig.record_samples(&demod.samples);
-            sub.reconfig.record_demod(DemodMessageProfile {
-                pse: demod.pse,
-                demod_work: demod.demod_work,
-                t_demod: None,
-            });
-            let mut reconfigured = false;
-            if let Some(update) = sub.reconfig.maybe_reconfigure()? {
-                sub.handler.plan().install(&update.active);
-                sub.handler.plan().validate_cut(sub.handler.analysis())?;
-                reconfigured = true;
-            }
+            let split_pse = event.continuation.pse;
+            let applied = sub.subscriber.apply(
+                &mut sub.ctx,
+                &event.continuation,
+                event.samples,
+                |demod| Timing::work(run.mod_work, demod),
+            )?;
+            // Same process, no latency: a validated proposal installs now.
+            let reconfigured = applied
+                .proposal?
+                .is_some_and(|p| sub.subscriber.install(p, PlanReason::Reconfig).is_some());
             reports.push(DeliveryReport {
                 subscriber: id,
-                split_pse: event.continuation.pse,
+                split_pse,
                 wire_bytes,
-                ret: demod.ret,
+                ret: applied.demod.ret,
                 reconfigured,
                 mod_work: run.mod_work,
-                demod_work: demod.demod_work,
+                demod_work: applied.demod.demod_work,
             });
         }
         Ok(reports)

@@ -3,38 +3,57 @@
 //! The paper hosts Method Partitioning inside JECho, a Java distributed
 //! event system: receivers *subscribe* handlers to channels, the system
 //! analyzes each handler, ships the generated modulator to the event
-//! source, and keeps the demodulator with the subscriber. This crate
-//! re-creates those roles on top of the `mpart` runtime with three
-//! transports:
+//! source, and keeps the demodulator with the subscriber. The paper says
+//! nothing about which wire carries the continuation, and neither does
+//! this crate's core: there is **one link machine and N drivers**.
+//!
+//! * What the receiver does with a continuation is
+//!   [`mpart::subscriber::Subscriber::apply`] — every transport below
+//!   calls it and only decides *when* the plan proposal it returns is
+//!   installed.
+//! * What makes a lossy wire reliable — sequence numbers, the unacked
+//!   window, `Frame::Batch` coalescing with a flush deadline,
+//!   acknowledgement folding, replay, dedup, retry budgets, quarantine —
+//!   is [`link`]: a [`link::SenderHalf`] and a [`link::ReceiverHalf`]
+//!   with no clock, socket, thread or sleep inside. Inputs are envelopes,
+//!   decoded [`Frame`]s and the caller's time; outputs are frames to
+//!   write and what was settled.
+//!
+//! Drivers of the link machine (they own the I/O and the clock):
+//!
+//! * [`sim::SimSession`] — virtual time through the `mpart-simnet`
+//!   pipeline, feedback-delayed plan updates, and, when the link carries
+//!   a fault plan, the seeded fault injector between the machine's two
+//!   halves; this is what the benchmark harness uses;
+//! * [`supervisor::Supervisor`] / [`tcp::TcpReceiver`] — real TCP
+//!   sockets, a reader thread, the wall clock, reconnection with capped
+//!   exponential backoff and jitter ([`tcp::TcpSender`] is the bare,
+//!   unsupervised connection).
+//!
+//! Transports that need no link machine because nothing can be lost —
+//! they are the subscriber step behind a different hand-off:
 //!
 //! * [`channel::EventChannel`] — synchronous in-process delivery with
 //!   fan-out to multiple subscribers (Figure 1); the reference semantics;
-//! * [`sim::SimSession`] — virtual-time delivery through the
-//!   `mpart-simnet` pipeline, with feedback-delayed plan updates; this is
-//!   what the benchmark harness uses;
 //! * [`local::LocalPair`] — real OS threads and channels with wall-clock
 //!   profiling, demonstrating the machinery under true concurrency;
 //! * [`proxy::ProxySession`] — §7's third-party modulator placement: the
-//!   modulator runs inside a broker between source and receiver;
-//! * [`tcp::TcpSender`] / [`tcp::TcpReceiver`] — real TCP sockets:
-//!   continuations and plan updates cross as checksummed frames;
-//! * [`supervisor::Supervisor`] — a fault-tolerant wrapper around the TCP
-//!   sender: reconnection with capped exponential backoff and jitter, and
-//!   retransmission of the unacknowledged event window;
-//! * [`node::NodeServer`] / [`node::TcpNode`] — loopback-TCP cluster
-//!   nodes for the multi-host router (`mpart route`): a session manager
-//!   behind a line protocol, and the client endpoint the router dials
-//!   with the supervisor's backoff and per-instance jitter spread.
+//!   modulator runs inside a broker between source and receiver.
 //!
-//! The supervised transports (TCP supervisor and the sim's faulty wire)
-//! can additionally *batch*: up to K continuation envelopes are coalesced
-//! into one checksummed frame with a flush deadline
-//! ([`supervisor::Supervisor::with_batching`],
+//! Beside them, [`node::NodeServer`] / [`node::TcpNode`] are the
+//! loopback-TCP cluster nodes of the multi-host router (`mpart route`): a
+//! session manager behind a line protocol, and the client endpoint the
+//! router dials with the supervisor's backoff and per-instance jitter
+//! spread.
+//!
+//! Batching is the machine's, so both of its drivers have it: up to K
+//! continuation envelopes are coalesced into one checksummed frame with a
+//! flush deadline ([`supervisor::Supervisor::with_batching`],
 //! [`sim::SimConfig::with_batching`]), amortizing framing overhead while
 //! preserving per-session ordering and retransmission semantics — the
 //! frame is the unit of loss. See the repository's `ARCHITECTURE.md`
-//! ("Throughput layer") for how the transports fit into the full
-//! paper-to-code map.
+//! ("Throughput layer", "Where to add X") for how the pieces fit into
+//! the full paper-to-code map.
 //!
 //! ## Example: a virtual-time session end to end
 //!
@@ -81,6 +100,7 @@
 
 pub mod channel;
 pub mod envelope;
+pub mod link;
 pub mod local;
 pub mod node;
 pub mod proxy;
@@ -90,6 +110,7 @@ pub mod tcp;
 
 pub use channel::{DeliveryReport, EventChannel, SubscriberId};
 pub use envelope::{EncodedFrame, Frame, ModulatedEvent, PlanEnvelope};
+pub use link::LinkMachine;
 pub use local::LocalPair;
 pub use proxy::{ProxyConfig, ProxyReport, ProxySession};
 pub use sim::{SimConfig, SimReport, SimSession};

@@ -13,12 +13,15 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use crossbeam::channel::{bounded, Receiver, Sender};
-use mpart::profile::{DemodMessageProfile, ModMessageProfile, TriggerPolicy};
+use mpart::modulator::{ModRun, Modulator};
+use mpart::profile::TriggerPolicy;
 use mpart::reconfig::ReconfigUnit;
+use mpart::subscriber::{Subscriber, Timing};
 use mpart::PartitionedHandler;
 use mpart_cost::CostModel;
 use mpart_ir::interp::{BuiltinRegistry, ExecCtx};
 use mpart_ir::{IrError, Program, Value};
+use mpart_obs::PlanReason;
 
 use crate::envelope::ModulatedEvent;
 
@@ -42,12 +45,41 @@ pub struct LocalOutcome {
     pub reconfigured: bool,
 }
 
+/// The source-side roles of a wall-clock session: the program, the shared
+/// handler's modulator, and the builtins event construction may call.
+pub(crate) struct Source {
+    program: Arc<Program>,
+    pub(crate) handler: Arc<PartitionedHandler>,
+    modulator: Modulator,
+    sender_builtins: BuiltinRegistry,
+}
+
+impl Source {
+    pub(crate) fn new(
+        program: Arc<Program>,
+        handler: Arc<PartitionedHandler>,
+        sender_builtins: BuiltinRegistry,
+    ) -> Self {
+        Source { modulator: handler.modulator(), program, handler, sender_builtins }
+    }
+
+    /// Builds one event in a fresh context and runs the modulator on it;
+    /// returns the run and the modulator's wall-clock nanoseconds.
+    pub(crate) fn modulate(
+        &self,
+        make_event: impl FnOnce(&mut ExecCtx) -> Result<Vec<Value>, IrError>,
+    ) -> Result<(ModRun, u64), IrError> {
+        let mut ctx = ExecCtx::with_builtins(&self.program, self.sender_builtins.clone());
+        let args = make_event(&mut ctx)?;
+        let started = Instant::now();
+        let run = self.modulator.handle(&mut ctx, args)?;
+        Ok((run, started.elapsed().as_nanos() as u64))
+    }
+}
+
 /// A live sender↔receiver pair over OS threads.
 pub struct LocalPair {
-    program: Arc<Program>,
-    handler: Arc<PartitionedHandler>,
-    modulator: mpart::modulator::Modulator,
-    sender_builtins: BuiltinRegistry,
+    source: Source,
     to_receiver: Sender<ToReceiver>,
     outcomes: Receiver<LocalOutcome>,
     receiver_thread: Option<JoinHandle<Result<(), IrError>>>,
@@ -57,7 +89,7 @@ pub struct LocalPair {
 impl std::fmt::Debug for LocalPair {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LocalPair")
-            .field("handler", &self.handler.func_name())
+            .field("handler", &self.source.handler.func_name())
             .field("sent", &self.seq)
             .finish()
     }
@@ -86,46 +118,40 @@ impl LocalPair {
         let recv_handler = Arc::clone(&handler);
         let recv_program = Arc::clone(&program);
         let receiver_thread = std::thread::spawn(move || -> Result<(), IrError> {
-            let demodulator = recv_handler.demodulator();
             let mut ctx = ExecCtx::with_builtins(&recv_program, receiver_builtins);
-            let mut reconfig =
-                ReconfigUnit::new(Arc::clone(recv_handler.analysis()), kind, trigger);
+            let reconfig = ReconfigUnit::new(Arc::clone(recv_handler.analysis()), kind, trigger);
+            let mut subscriber = Subscriber::new(recv_handler, reconfig);
             while let Ok(msg) = from_sender.recv() {
                 match msg {
                     ToReceiver::Shutdown => break,
                     ToReceiver::Event(event, t_mod, mod_work) => {
+                        let wire_bytes = event.wire_size();
                         let started = Instant::now();
-                        let demod = demodulator.handle(&mut ctx, &event.continuation)?;
-                        let t_demod = started.elapsed().as_secs_f64();
-
-                        reconfig.record_mod(ModMessageProfile {
-                            samples: event.samples.clone(),
-                            split: event.continuation.pse,
-                            mod_work,
-                            t_mod: Some(t_mod),
-                        });
-                        reconfig.record_samples(&demod.samples);
-                        reconfig.record_demod(DemodMessageProfile {
-                            pse: demod.pse,
-                            demod_work: demod.demod_work,
-                            t_demod: Some(t_demod),
-                        });
-                        let mut reconfigured = false;
-                        if let Some(update) = reconfig.maybe_reconfigure()? {
-                            // The plan flags are shared atomics: installing
-                            // here is the "send a new partitioning plan to
-                            // the modulator side" step.
-                            recv_handler.plan().install(&update.active);
-                            reconfigured = true;
-                        }
+                        let applied = subscriber.apply(
+                            &mut ctx,
+                            &event.continuation,
+                            event.samples,
+                            |demod| Timing {
+                                mod_work,
+                                t_mod: Some(t_mod),
+                                demod_work: demod.demod_work,
+                                t_demod: Some(started.elapsed().as_secs_f64()),
+                            },
+                        )?;
+                        // The plan flags are shared atomics: installing
+                        // here is the "send a new partitioning plan to
+                        // the modulator side" step.
+                        let reconfigured = applied
+                            .proposal?
+                            .is_some_and(|p| subscriber.install(p, PlanReason::Reconfig).is_some());
                         // Non-blocking for the same reason as the TCP
                         // transport: a full outcome channel must not wedge
                         // shutdown.
                         let _ = outcome_tx.try_send(LocalOutcome {
                             seq: event.seq,
-                            ret: demod.ret,
+                            ret: applied.demod.ret,
                             split_pse: event.continuation.pse,
-                            wire_bytes: event.wire_size(),
+                            wire_bytes,
                             reconfigured,
                         });
                     }
@@ -135,10 +161,7 @@ impl LocalPair {
         });
 
         Ok(LocalPair {
-            modulator: handler.modulator(),
-            handler,
-            program,
-            sender_builtins,
+            source: Source::new(program, handler, sender_builtins),
             to_receiver,
             outcomes,
             receiver_thread: Some(receiver_thread),
@@ -148,7 +171,7 @@ impl LocalPair {
 
     /// The analyzed handler (shared with the receiver thread).
     pub fn handler(&self) -> &Arc<PartitionedHandler> {
-        &self.handler
+        &self.source.handler
     }
 
     /// Publishes one event; the modulator runs in the calling thread.
@@ -162,11 +185,8 @@ impl LocalPair {
         make_event: impl FnOnce(&mut ExecCtx) -> Result<Vec<Value>, IrError>,
     ) -> Result<(), IrError> {
         self.seq += 1;
-        let mut ctx = ExecCtx::with_builtins(&self.program, self.sender_builtins.clone());
-        let args = make_event(&mut ctx)?;
-        let started = Instant::now();
-        let run = self.modulator.handle(&mut ctx, args)?;
-        let t_mod = started.elapsed().as_secs_f64();
+        let (run, t_mod_nanos) = self.source.modulate(make_event)?;
+        let t_mod = t_mod_nanos as f64 / 1e9;
         let event =
             ModulatedEvent { seq: self.seq, continuation: run.message, samples: run.samples };
         self.to_receiver

@@ -12,16 +12,17 @@
 
 use std::sync::Arc;
 
-use mpart::demodulator::Demodulator;
 use mpart::modulator::Modulator;
-use mpart::profile::{DemodMessageProfile, ModMessageProfile, TriggerPolicy};
+use mpart::profile::TriggerPolicy;
 use mpart::reconfig::ReconfigUnit;
+use mpart::subscriber::{Subscriber, Timing};
 use mpart::{PartitionedHandler, PseId};
 use mpart_cost::CostModel;
 use mpart_ir::interp::{BuiltinRegistry, ExecCtx};
 use mpart_ir::marshal::{marshal_values, unmarshal_values};
 use mpart_ir::{IrError, Program, Value};
-use mpart_simnet::{EventQueue, Host, Link, SimTime};
+use mpart_obs::PlanReason;
+use mpart_simnet::{Host, Link, SimTime};
 
 use crate::envelope::ModulatedEvent;
 
@@ -67,7 +68,7 @@ pub struct ProxySession {
     program: Arc<Program>,
     handler: Arc<PartitionedHandler>,
     modulator: Modulator,
-    demodulator: Demodulator,
+    subscriber: Subscriber,
     proxy_builtins: BuiltinRegistry,
     receiver_ctx: ExecCtx,
     source: Host,
@@ -75,8 +76,6 @@ pub struct ProxySession {
     proxy: Host,
     downlink: Link,
     receiver: Host,
-    reconfig: ReconfigUnit,
-    pending_plans: EventQueue<Vec<PseId>>,
     serialize_work_per_byte: f64,
     reports: Vec<ProxyReport>,
     seq: u64,
@@ -114,7 +113,7 @@ impl ProxySession {
             .with_placement(mpart::reconfig::ReconfigPlacement::ThirdParty);
         Ok(ProxySession {
             modulator: handler.modulator(),
-            demodulator: handler.demodulator(),
+            subscriber: Subscriber::new(Arc::clone(&handler), reconfig),
             receiver_ctx: ExecCtx::with_builtins(&program, receiver_builtins),
             proxy_builtins,
             handler,
@@ -124,8 +123,6 @@ impl ProxySession {
             proxy: config.proxy,
             downlink: config.downlink,
             receiver: config.receiver,
-            reconfig,
-            pending_plans: EventQueue::new(),
             serialize_work_per_byte: config.serialize_work_per_byte,
             reports: Vec::new(),
             seq: 0,
@@ -172,10 +169,8 @@ impl ProxySession {
 
         // Proxy: plan updates that have arrived take effect, then the
         // modulator runs here.
-        for (_, active) in self.pending_plans.drain_until(at_proxy) {
-            self.handler.plan().install(&active);
-            self.plan_installs += 1;
-        }
+        self.plan_installs +=
+            self.subscriber.install_due(at_proxy.as_nanos(), PlanReason::Reconfig);
         let mut proxy_ctx = ExecCtx::with_builtins(&self.program, self.proxy_builtins.clone());
         let restored = unmarshal_values(&mut proxy_ctx.heap, &self.program.classes, &raw)?;
         let run = self.modulator.handle(&mut proxy_ctx, restored)?;
@@ -186,27 +181,29 @@ impl ProxySession {
         let (proxy_start, proxy_done) = self.proxy.run(at_proxy, proxy_work);
         let (_, at_receiver) = self.downlink.transfer(proxy_done, downlink_bytes as u64);
 
-        // Receiver: demodulate.
-        let demod = self.demodulator.handle(&mut self.receiver_ctx, &event.continuation)?;
-        let (recv_start, recv_done) =
-            self.receiver.run(at_receiver, demod.demod_work + ser(downlink_bytes));
-
-        // Profiling feedback: the third-party reconfiguration unit sees
-        // both halves; its plan updates flow back to the proxy.
-        self.reconfig.record_mod(ModMessageProfile {
-            samples: event.samples.clone(),
-            split: event.continuation.pse,
-            mod_work: proxy_work,
-            t_mod: Some((proxy_done - proxy_start).as_secs_f64()),
-        });
-        self.reconfig.record_samples(&demod.samples);
-        self.reconfig.record_demod(DemodMessageProfile {
-            pse: demod.pse,
-            demod_work: demod.demod_work,
-            t_demod: Some((recv_done - recv_start).as_secs_f64()),
-        });
-        if let Some(update) = self.reconfig.maybe_reconfigure()? {
-            self.pending_plans.push(recv_done + self.downlink.alpha, update.active);
+        // Receiver: demodulate. The third-party reconfiguration unit sees
+        // both halves of the profile; its plan updates flow back to the
+        // proxy over the downlink.
+        let receiver = &mut self.receiver;
+        let mut recv_done = at_receiver;
+        let applied = self.subscriber.apply(
+            &mut self.receiver_ctx,
+            &event.continuation,
+            event.samples,
+            |demod| {
+                let (recv_start, done) =
+                    receiver.run(at_receiver, demod.demod_work + ser(downlink_bytes));
+                recv_done = done;
+                Timing {
+                    mod_work: proxy_work,
+                    t_mod: Some((proxy_done - proxy_start).as_secs_f64()),
+                    demod_work: demod.demod_work,
+                    t_demod: Some((done - recv_start).as_secs_f64()),
+                }
+            },
+        )?;
+        if let Some(proposal) = applied.proposal? {
+            self.subscriber.defer(proposal, (recv_done + self.downlink.alpha).as_nanos());
         }
 
         let report = ProxyReport {
@@ -215,7 +212,7 @@ impl ProxySession {
             downlink_bytes,
             split_pse: event.continuation.pse,
             done: recv_done,
-            ret: demod.ret,
+            ret: applied.demod.ret,
         };
         self.reports.push(report.clone());
         Ok(report)
@@ -358,6 +355,9 @@ mod tests {
             config(),
         )
         .unwrap();
-        assert_eq!(session.reconfig.placement(), mpart::reconfig::ReconfigPlacement::ThirdParty);
+        assert_eq!(
+            session.subscriber.reconfig().placement(),
+            mpart::reconfig::ReconfigPlacement::ThirdParty
+        );
     }
 }

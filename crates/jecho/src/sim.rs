@@ -10,35 +10,38 @@
 //! faithfully.
 //!
 //! When the configured [`Link`] carries a
-//! [`FaultPlan`](mpart_simnet::FaultPlan), the session switches to a
-//! *supervised wire*: every event is encoded to checksummed frame bytes,
-//! run through the link's seeded fault injector (drop / duplicate /
-//! reorder / corrupt / scheduled partitions), and decoded on the far side.
-//! Undelivered frames stay in an unacknowledged window and are
-//! retransmitted; the receiver deduplicates by sequence number; and a
-//! [`DegradationController`] walks the degradation ladder — after enough
+//! [`FaultPlan`](mpart_simnet::FaultPlan), the session becomes a driver of
+//! the supervised [`LinkMachine`]: every frame
+//! the machine's sender half produces is encoded to checksummed bytes, run
+//! through the link's seeded fault injector (drop / duplicate / reorder /
+//! corrupt / scheduled partitions), decoded, and fed to the receiver half;
+//! acknowledgements are handed back reliably. Sequencing, the unacked
+//! window, batching, dedup, retry budgets and quarantine are the
+//! machine's; what is this driver's own is the fault injector, the
+//! virtual clock, and the [`DegradationController`] — after enough
 //! consecutive failures the modulator falls back to the trivial entry cut
-//! (ship the raw event, run everything at the receiver), and once the link
-//! recovers the optimized plan is re-promoted.
+//! (ship the raw event, run everything at the receiver), and once the
+//! link recovers the optimized plan is re-promoted.
 
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use mpart::demodulator::Demodulator;
-use mpart::failure::{self, DeadLetter, DeadLetterRing, FailureConfig, FailureKind, RetryBudget};
+use mpart::failure::{DeadLetter, DeadLetterRing, FailureConfig};
 use mpart::health::DegradationController;
-use mpart::modulator::Modulator;
-use mpart::profile::{DemodMessageProfile, ModMessageProfile, TriggerPolicy};
+use mpart::modulator::{ModRun, Modulator};
+use mpart::profile::TriggerPolicy;
 use mpart::reconfig::ReconfigUnit;
+use mpart::subscriber::{Subscriber, Timing};
 use mpart::{PartitionedHandler, PseId};
 use mpart_cost::CostModel;
 use mpart_ir::interp::{BuiltinRegistry, ExecCtx};
 use mpart_ir::{IrError, Program, Value};
-use mpart_obs::{Counter, ObsHub, PlanReason, Registry, TraceEvent};
-use mpart_simnet::{EventQueue, Host, Link, MessageDemand, MessageTiming, Pipeline, SimTime};
+use mpart_obs::{Counter, ObsHub, PlanReason, TraceEvent};
+use mpart_simnet::{Host, Link, MessageDemand, MessageTiming, Pipeline, SimTime};
 use rand::prelude::*;
 
 use crate::envelope::{Frame, ModulatedEvent};
+use crate::link::{Encoder, LinkMachine, Received, ReceiverHalf, SenderHalf, Verdict};
 
 /// Hosts, link, and adaptation policy of a simulated session.
 #[derive(Debug)]
@@ -202,45 +205,97 @@ impl SimConfig {
     }
 }
 
-/// Wire-level counters mirrored into the handler's metrics registry, so a
-/// metrics snapshot after a chaos run shows the transport's behavior next
-/// to the partitioning-layer instruments.
-#[derive(Debug, Clone)]
-struct WireMetrics {
-    retransmissions: Counter,
-    frames_lost: Counter,
-    frames_corrupted: Counter,
-    duplicates_suppressed: Counter,
+/// The subscriber end of the session in virtual time: applies envelopes
+/// — on either wire — prices them through the pipeline model, and owns
+/// the feedback channel that carries plan proposals back to the source.
+struct Endpoint {
+    subscriber: Subscriber,
+    ctx: ExecCtx,
+    pipeline: Pipeline,
+    feedback_latency: SimTime,
+    serialize_work_per_byte: f64,
+    control_loss: f64,
+    control_rng: StdRng,
     plan_updates_dropped: Counter,
-    batches: Counter,
-    batched_events: Counter,
-    batch_member_acks: Counter,
-    handler_panics: Counter,
-    quarantined: Counter,
-    shed: Counter,
-    deadline_timeouts: Counter,
-    marshal_copied: Counter,
-    marshal_borrowed: Counter,
+    plan_installs: u64,
+    reports: Vec<SimReport>,
 }
 
-impl WireMetrics {
-    fn register(registry: &Registry) -> Self {
-        WireMetrics {
-            retransmissions: registry.counter("retransmissions_total", &[]),
-            frames_lost: registry.counter("frames_lost_total", &[]),
-            frames_corrupted: registry.counter("frames_corrupted_total", &[]),
-            duplicates_suppressed: registry.counter("duplicates_suppressed_total", &[]),
-            plan_updates_dropped: registry.counter("plan_updates_dropped_total", &[]),
-            batches: registry.counter("envelope_batches_total", &[]),
-            batched_events: registry.counter("batched_events_total", &[]),
-            batch_member_acks: registry.counter("batch_member_acks_total", &[]),
-            handler_panics: registry.counter("handler_panics_total", &[("side", "demodulator")]),
-            quarantined: registry.counter("quarantined_total", &[]),
-            shed: registry.counter("shed_total", &[("reason", "overload")]),
-            deadline_timeouts: registry.counter("deadline_timeouts_total", &[]),
-            marshal_copied: registry.counter("marshal_copied_bytes_total", &[]),
-            marshal_borrowed: registry.counter("marshal_borrowed_bytes_total", &[]),
+impl Endpoint {
+    /// Applies one envelope generated at `now`, charging `mod_work` to the
+    /// source. While `pinned` (degraded to the entry cut) optimized plans
+    /// are only re-promoted by the recovery streak, not by feedback. The
+    /// inner `Err` is the demodulator's: nothing was applied.
+    fn apply(
+        &mut self,
+        event: ModulatedEvent,
+        mod_work: u64,
+        now: SimTime,
+        pinned: bool,
+    ) -> Result<Result<SimReport, IrError>, IrError> {
+        let wire_bytes = event.wire_size();
+        // Marshalling costs CPU on both sides, proportional to the wire
+        // size (Table 1's serialization costs).
+        let ser_work = (self.serialize_work_per_byte * wire_bytes as f64).round() as u64;
+        let pipeline = &mut self.pipeline;
+        let mut timeline = None;
+        let applied =
+            self.subscriber.apply(&mut self.ctx, &event.continuation, event.samples, |demod| {
+                let mod_work = mod_work + ser_work;
+                let demod_work = demod.demod_work + ser_work + demod.profile_work;
+                let demand = MessageDemand { mod_work, bytes: wire_bytes as u64, demod_work };
+                let timing = *timeline.insert(pipeline.submit(now, demand));
+                Timing {
+                    mod_work,
+                    t_mod: Some((timing.mod_end - timing.mod_start).as_secs_f64()),
+                    demod_work,
+                    t_demod: Some((timing.demod_end - timing.demod_start).as_secs_f64()),
+                }
+            });
+        let (applied, timing) = match (applied, timeline) {
+            (Ok(applied), Some(timing)) => (applied, timing),
+            (Ok(_), None) => {
+                return Err(IrError::Invalid("applied envelope was not priced".into()))
+            }
+            (Err(e), _) => return Ok(Err(e)),
+        };
+        let mut reconfigured = false;
+        match applied.proposal? {
+            // No control message is sent while pinned, and one lost in
+            // transit leaves the stale plan active until a later update
+            // gets through.
+            Some(_) if pinned => {}
+            Some(_)
+                if self.control_loss > 0.0 && self.control_rng.random_bool(self.control_loss) =>
+            {
+                self.plan_updates_dropped.inc();
+            }
+            // The new plan reaches the source after the feedback latency.
+            Some(proposal) => {
+                let due = timing.demod_end + self.feedback_latency;
+                self.subscriber.defer(proposal, due.as_nanos());
+                reconfigured = true;
+            }
+            None => {}
         }
+        let report = SimReport {
+            seq: event.seq,
+            split_pse: event.continuation.pse,
+            wire_bytes,
+            timing,
+            ret: applied.demod.ret,
+            reconfigured,
+            delivered: true,
+        };
+        self.reports.push(report.clone());
+        Ok(Ok(report))
+    }
+
+    /// Installs every proposal whose feedback latency has elapsed by
+    /// `until` (recorded in the plan history so in-flight continuations
+    /// from superseded generations keep demodulating).
+    fn install_landed(&mut self, until: SimTime) {
+        self.plan_installs += self.subscriber.install_due(until.as_nanos(), PlanReason::Reconfig);
     }
 }
 
@@ -270,42 +325,21 @@ pub struct SimSession {
     program: Arc<Program>,
     handler: Arc<PartitionedHandler>,
     modulator: Modulator,
-    demodulator: Demodulator,
     sender_builtins: BuiltinRegistry,
-    receiver_ctx: ExecCtx,
-    pipeline: Pipeline,
-    reconfig: ReconfigUnit,
-    pending_plans: EventQueue<Vec<PseId>>,
-    feedback_latency: SimTime,
-    serialize_work_per_byte: f64,
+    end: Endpoint,
     profile_sample_period: u64,
     max_in_flight: usize,
-    control_loss: f64,
-    control_rng: StdRng,
-    plans_dropped: u64,
-    reports: Vec<SimReport>,
+    /// Messages generated so far.
     seq: u64,
-    plan_installs: u64,
-    /// Supervised-wire state (present when the link carries a fault plan).
+    /// Degradation ladder (present when the link carries a fault plan).
     degradation: Option<DegradationController>,
-    /// Events awaiting acknowledgement, in seq order; re-encoded (and
-    /// possibly re-batched) on every transmission round.
-    unacked: VecDeque<(u64, ModulatedEvent)>,
-    /// Seqs already applied at the subscriber (duplicate suppression).
-    applied: HashSet<u64>,
-    /// Seqs quarantined to the dead-letter ring; retransmitted copies are
-    /// acked-and-ignored so the watermark stays advanced past them.
-    quarantined_seqs: HashSet<u64>,
-    /// Per-envelope failure accounting toward quarantine.
-    retry: RetryBudget,
-    /// Quarantined-envelope metadata for `mpart deadletter` inspection.
-    deadletter: DeadLetterRing,
+    /// The supervised link; idle on a fault-free link.
+    link: LinkMachine,
+    encoder: Encoder,
+    received: Received,
     /// Envelope sequence numbers whose demodulation deterministically
     /// panics (from the fault plan's poison list).
     poison_seqs: Vec<u64>,
-    handler_panics: u64,
-    sheds: u64,
-    deadline_timeouts: u64,
     /// Remaining drain rounds to skip before retrying after a stall
     /// (deadline-timeout backoff).
     stall_cooldown: u64,
@@ -314,19 +348,12 @@ pub struct SimSession {
     stall_backoff: u64,
     /// Per-seq handler results, for oracle comparison.
     applied_results: BTreeMap<u64, Option<Value>>,
-    retransmissions: u64,
-    frames_lost: u64,
-    frames_corrupted: u64,
-    duplicates_suppressed: u64,
-    envelope_batches: u64,
-    batched_events: u64,
-    batch_member_acks: u64,
-    batch_max: usize,
-    batch_deadline: SimTime,
-    /// Virtual time at which the oldest pending envelope entered the
-    /// (partial) batch; drives the flush deadline.
-    batch_pending_since: Option<SimTime>,
-    wire_metrics: WireMetrics,
+    // The fault injector's work, on the handler's metrics registry next to
+    // the link machine's and the partitioning layer's instruments.
+    frames_lost: Counter,
+    frames_corrupted: Counter,
+    shed: Counter,
+    deadline_timeouts: Counter,
 }
 
 impl std::fmt::Debug for SimSession {
@@ -385,7 +412,8 @@ impl SimSession {
             // Watch the shared plan so installs this unit did not produce
             // (degradation, re-promotion) reset its feedback window.
             .with_plan_watch(handler.plan().clone());
-        let wire_metrics = WireMetrics::register(handler.obs().registry());
+        let registry = handler.obs().registry();
+        let plan_updates_dropped = registry.counter("plan_updates_dropped_total", &[]);
         let poison_seqs =
             config.link.fault_mut().map(|inj| inj.plan().poison_seqs.clone()).unwrap_or_default();
         let degradation = config.link.has_faults().then(|| {
@@ -399,56 +427,51 @@ impl SimSession {
                 config.promote_after,
             )
         });
+        // The sim never asks the sender half for a stall verdict: its
+        // retransmission cadence is the drain loop's.
+        let mut sender = SenderHalf::new(registry, u64::MAX);
+        sender.set_batching(config.batch_max, config.batch_deadline.as_nanos());
+        let receiver = ReceiverHalf::new(
+            Arc::clone(handler.obs()),
+            config.failure.retry_budget,
+            Arc::new(DeadLetterRing::new(config.failure.deadletter_capacity)),
+        );
+        let mut ctx = ExecCtx::with_builtins(&program, receiver_builtins);
+        // Virtual-time sessions never compare traces; skip the per-native
+        // deep-digest cost.
+        ctx.trace_digests = false;
         Ok(SimSession {
             modulator: handler.modulator(),
-            demodulator: handler.demodulator(),
-            receiver_ctx: {
-                let mut ctx = ExecCtx::with_builtins(&program, receiver_builtins);
-                // Virtual-time sessions never compare traces; skip the
-                // per-native deep-digest cost.
-                ctx.trace_digests = false;
-                ctx
+            encoder: Encoder::new(registry),
+            end: Endpoint {
+                subscriber: Subscriber::new(Arc::clone(&handler), reconfig),
+                ctx,
+                pipeline: Pipeline::new(config.sender, config.link, config.receiver),
+                feedback_latency: config.feedback_latency,
+                serialize_work_per_byte: config.serialize_work_per_byte,
+                control_loss: config.control_loss,
+                control_rng: StdRng::seed_from_u64(config.control_loss_seed),
+                plan_updates_dropped,
+                plan_installs: 0,
+                reports: Vec::new(),
             },
             sender_builtins,
-            handler,
-            program,
-            pipeline: Pipeline::new(config.sender, config.link, config.receiver),
-            reconfig,
-            pending_plans: EventQueue::new(),
-            feedback_latency: config.feedback_latency,
-            serialize_work_per_byte: config.serialize_work_per_byte,
             profile_sample_period: config.profile_sample_period.max(1),
             max_in_flight: config.max_in_flight.max(1),
-            control_loss: config.control_loss,
-            control_rng: StdRng::seed_from_u64(config.control_loss_seed),
-            plans_dropped: 0,
-            reports: Vec::new(),
             seq: 0,
-            plan_installs: 0,
             degradation,
-            unacked: VecDeque::new(),
-            applied: HashSet::new(),
-            quarantined_seqs: HashSet::new(),
-            retry: RetryBudget::new(config.failure.retry_budget),
-            deadletter: DeadLetterRing::new(config.failure.deadletter_capacity),
+            link: LinkMachine { sender, receiver },
+            received: Received::default(),
             poison_seqs,
-            handler_panics: 0,
-            sheds: 0,
-            deadline_timeouts: 0,
             stall_cooldown: 0,
             stall_backoff: 1,
             applied_results: BTreeMap::new(),
-            retransmissions: 0,
-            frames_lost: 0,
-            frames_corrupted: 0,
-            duplicates_suppressed: 0,
-            envelope_batches: 0,
-            batched_events: 0,
-            batch_member_acks: 0,
-            batch_max: config.batch_max.max(1),
-            batch_deadline: config.batch_deadline,
-            batch_pending_since: None,
-            wire_metrics,
+            frames_lost: registry.counter("frames_lost_total", &[]),
+            frames_corrupted: registry.counter("frames_corrupted_total", &[]),
+            shed: registry.counter("shed_total", &[("reason", "overload")]),
+            deadline_timeouts: registry.counter("deadline_timeouts_total", &[]),
+            handler,
+            program,
         })
     }
 
@@ -474,8 +497,8 @@ impl SimSession {
         config.profile_sample_period = 1;
         let session =
             Self::adaptive(program, handler_fn, model, sender_builtins, receiver_builtins, config)?;
+        session.handler.validate_candidate(active)?;
         session.handler.plan().install(active);
-        session.handler.plan().validate_cut(session.handler.analysis())?;
         // Baselines do not profile either.
         for pse in 0..session.handler.analysis().pses().len() {
             session.handler.plan().set_profiled(pse, false);
@@ -490,17 +513,17 @@ impl SimSession {
 
     /// The subscriber-side execution context.
     pub fn receiver_ctx(&self) -> &ExecCtx {
-        &self.receiver_ctx
+        &self.end.ctx
     }
 
     /// Number of plan installations applied at the source so far.
     pub fn plan_installs(&self) -> u64 {
-        self.plan_installs
+        self.end.plan_installs
     }
 
     /// Number of plan updates lost to control-channel failure injection.
     pub fn plans_dropped(&self) -> u64 {
-        self.plans_dropped
+        self.end.plan_updates_dropped.get()
     }
 
     /// Whether the session is currently degraded to the trivial entry cut.
@@ -518,76 +541,77 @@ impl SimSession {
         self.degradation.as_ref().map_or(0, |c| c.promotions())
     }
 
-    /// Transmission attempts of frames older than the newest (supervised
-    /// wire only).
+    /// Envelopes put on the wire again after their first transmission
+    /// (supervised wire only).
     pub fn retransmissions(&self) -> u64 {
-        self.retransmissions
+        self.link.sender.retransmissions()
     }
 
     /// Frames lost to drops or partitions (supervised wire only).
     pub fn frames_lost(&self) -> u64 {
-        self.frames_lost
+        self.frames_lost.get()
     }
 
     /// Frames damaged in transit and rejected by the checksum.
     pub fn frames_corrupted(&self) -> u64 {
-        self.frames_corrupted
+        self.frames_corrupted.get()
     }
 
     /// Duplicate arrivals suppressed at the subscriber.
     pub fn duplicates_suppressed(&self) -> u64 {
-        self.duplicates_suppressed
+        self.link.receiver.duplicates_suppressed()
     }
 
-    /// Multi-event batch frames put on the wire (supervised wire only;
-    /// singleton flushes encode as plain event frames and do not count).
+    /// Multi-event batch frames that crossed the wire intact (supervised
+    /// wire only; singleton flushes encode as plain event frames and do
+    /// not count).
     pub fn envelope_batches(&self) -> u64 {
-        self.envelope_batches
+        self.link.receiver.batches()
     }
 
     /// Events that crossed the wire inside multi-event batch frames.
     pub fn batched_events(&self) -> u64 {
-        self.batched_events
+        self.link.receiver.batched_events()
     }
 
     /// Batch members acknowledged at their member boundary — i.e.
     /// standalone ack frames the batch-ack piggyback saved.
     pub fn batch_member_acks(&self) -> u64 {
-        self.batch_member_acks
+        self.link.receiver.batch_member_acks()
     }
 
     /// Frames still awaiting acknowledgement.
     pub fn unacked(&self) -> usize {
-        self.unacked.len()
+        self.link.sender.in_flight()
     }
 
     /// Demodulator panics caught by the isolation boundary (injected or
     /// poison; supervised wire only).
     pub fn handler_panics(&self) -> u64 {
-        self.handler_panics
+        self.link.receiver.handler_panics()
     }
 
     /// Envelopes quarantined to the dead-letter ring after exhausting
     /// their retry budget.
     pub fn quarantined(&self) -> u64 {
-        self.deadletter.quarantined()
+        self.link.receiver.deadletter().quarantined()
     }
 
     /// The quarantined envelopes currently retained, oldest first.
     pub fn dead_letters(&self) -> Vec<DeadLetter> {
-        self.deadletter.snapshot()
+        self.link.receiver.deadletter().snapshot()
     }
 
     /// Frames shed at the receiver's ingress under injected overload
     /// (never acked; they retransmit).
     pub fn sheds(&self) -> u64 {
-        self.sheds
+        self.shed.get()
     }
 
     /// Envelope deadline budgets expired on injected demodulator stalls;
     /// each timeout backs the retry cadence off exponentially.
     pub fn deadline_timeouts(&self) -> u64 {
-        self.deadline_timeouts
+        self.deadline_timeouts.get()
     }
 
     /// Per-seq handler results applied at the subscriber, in seq order
@@ -598,7 +622,7 @@ impl SimSession {
 
     /// The Reconfiguration Unit.
     pub fn reconfig(&self) -> &ReconfigUnit {
-        &self.reconfig
+        self.end.subscriber.reconfig()
     }
 
     /// The session's observability hub (the handler's shared metrics
@@ -607,32 +631,24 @@ impl SimSession {
         self.handler.obs()
     }
 
-    /// Two-phase gate for simulator plan updates: a candidate is
-    /// prepared (validated against the handler's analysis) before it is
-    /// queued; a rejected candidate never reaches `pending_plans`, so
-    /// the serving plan is untouched.
-    fn prepare_candidate(&mut self, active: &[PseId]) -> bool {
-        match self.handler.validate_candidate(active) {
-            Ok(()) => {
-                self.handler.metrics().note_prepare("ready");
-                true
-            }
-            Err(_) => {
-                self.handler.metrics().note_prepare("rejected");
-                false
-            }
-        }
-    }
-
-    /// Installs every plan update whose feedback latency has elapsed by
-    /// `until`, acknowledging each install to the Reconfiguration Unit so
-    /// its own plans do not reset its feedback window.
-    fn apply_pending_plans(&mut self, until: SimTime) {
-        for (_, active) in self.pending_plans.drain_until(until) {
-            let epoch = self.handler.install_plan_reason(&active, PlanReason::Reconfig);
-            self.reconfig.acknowledge_epoch(epoch);
-            self.plan_installs += 1;
-        }
+    /// Starts one delivery: the source emits as soon as its CPU is free
+    /// and the previous message has drained into the link (a sender
+    /// blocks on the socket send) — and no earlier than `not_before`;
+    /// plan updates that have reached it by then take effect; then the
+    /// modulator runs on the event built inside a fresh source-side
+    /// context.
+    fn generate(
+        &mut self,
+        not_before: SimTime,
+        make_event: impl FnOnce(&mut ExecCtx) -> Result<Vec<Value>, IrError>,
+    ) -> Result<(SimTime, ModRun), IrError> {
+        let pipeline = &self.end.pipeline;
+        let gen_time = pipeline.sender.busy_until().max(pipeline.link.busy_until()).max(not_before);
+        self.end.install_landed(gen_time);
+        let mut sender_ctx = ExecCtx::with_builtins(&self.program, self.sender_builtins.clone());
+        sender_ctx.trace_digests = false;
+        let args = make_event(&mut sender_ctx)?;
+        Ok((gen_time, self.modulator.handle(&mut sender_ctx, args)?))
     }
 
     /// Delivers one message built by `make_event` inside a fresh
@@ -645,26 +661,10 @@ impl SimSession {
         &mut self,
         make_event: impl FnOnce(&mut ExecCtx) -> Result<Vec<Value>, IrError>,
     ) -> Result<SimReport, IrError> {
-        if self.pipeline.link.has_faults() {
+        self.seq += 1;
+        if self.end.pipeline.link.has_faults() {
             return self.deliver_supervised(make_event);
         }
-        self.seq += 1;
-        // Closed-loop generation: the source emits the next message as
-        // soon as (a) its CPU is free, (b) the previous message has
-        // drained into the link (a sender blocks on the socket send), and
-        // (c) fewer than `max_in_flight` messages are unprocessed
-        // (bounded buffering / backpressure).
-        let mut gen_time = self.pipeline.sender.busy_until().max(self.pipeline.link.busy_until());
-        if self.reports.len() >= self.max_in_flight {
-            let window_end = self.reports[self.reports.len() - self.max_in_flight].timing.demod_end;
-            gen_time = gen_time.max(window_end);
-        }
-
-        // Plan updates that have reached the source by now take effect
-        // (recorded in the plan history so in-flight continuations from
-        // superseded generations keep demodulating).
-        self.apply_pending_plans(gen_time);
-
         // Periodic profiling sampling: flip all profiling flags for
         // non-sampled messages (fixed baselines cleared them already and
         // are unaffected because their trigger never fires).
@@ -674,108 +674,40 @@ impl SimSession {
                 self.handler.plan().set_profiled(pse, profiled);
             }
         }
-
-        let mut sender_ctx = ExecCtx::with_builtins(&self.program, self.sender_builtins.clone());
-        sender_ctx.trace_digests = false;
-        let args = make_event(&mut sender_ctx)?;
-        let run = self.modulator.handle(&mut sender_ctx, args)?;
+        // Closed loop: fewer than `max_in_flight` messages may be
+        // unprocessed (bounded buffering / backpressure).
+        let reports = &self.end.reports;
+        let window_end = reports
+            .len()
+            .checked_sub(self.max_in_flight)
+            .map_or(SimTime::from_nanos(0), |oldest| reports[oldest].timing.demod_end);
+        let (gen_time, run) = self.generate(window_end, make_event)?;
         let event =
             ModulatedEvent { seq: self.seq, continuation: run.message, samples: run.samples };
-        let wire_bytes = event.wire_size();
-
-        let demod = self.demodulator.handle(&mut self.receiver_ctx, &event.continuation)?;
-
-        // Marshalling costs CPU on both sides, proportional to the wire
-        // size (Table 1's serialization costs).
-        let ser_work = (self.serialize_work_per_byte * wire_bytes as f64).round() as u64;
-        let mod_work_total = run.mod_work + ser_work + run.profile_work;
-        let demod_work_total = demod.demod_work + ser_work + demod.profile_work;
-        let timing = self.pipeline.submit(
-            gen_time,
-            MessageDemand {
-                mod_work: mod_work_total,
-                bytes: wire_bytes as u64,
-                demod_work: demod_work_total,
-            },
-        );
-
-        // Profiling feedback, in virtual time.
-        self.reconfig.record_mod(ModMessageProfile {
-            samples: event.samples.clone(),
-            split: event.continuation.pse,
-            mod_work: mod_work_total,
-            t_mod: Some((timing.mod_end - timing.mod_start).as_secs_f64()),
-        });
-        self.reconfig.record_samples(&demod.samples);
-        self.reconfig.record_demod(DemodMessageProfile {
-            pse: demod.pse,
-            demod_work: demod_work_total,
-            t_demod: Some((timing.demod_end - timing.demod_start).as_secs_f64()),
-        });
-        let mut reconfigured = false;
-        if let Some(update) = self.reconfig.maybe_reconfigure()? {
-            if self.control_loss > 0.0 && self.control_rng.random_bool(self.control_loss) {
-                // Control message lost in transit; the stale plan stays
-                // active until a later update gets through.
-                self.plans_dropped += 1;
-                self.wire_metrics.plan_updates_dropped.inc();
-            } else if self.prepare_candidate(&update.active) {
-                // The new plan reaches the source after the feedback latency.
-                self.pending_plans.push(timing.demod_end + self.feedback_latency, update.active);
-                reconfigured = true;
-            }
-        }
-
-        let report = SimReport {
-            seq: self.seq,
-            split_pse: event.continuation.pse,
-            wire_bytes,
-            timing,
-            ret: demod.ret,
-            reconfigured,
-            delivered: true,
-        };
-        self.reports.push(report.clone());
-        Ok(report)
+        self.end.apply(event, run.mod_work + run.profile_work, gen_time, false)?
     }
 
-    /// Supervised-wire delivery: the event crosses as checksummed frame
-    /// bytes through the link's fault injector, with retransmission of the
-    /// unacked window and duplicate suppression at the subscriber.
+    /// Supervised-wire delivery: the envelope enters the link machine's
+    /// window and crosses — now, or once its batch flushes — as
+    /// checksummed frame bytes through the link's fault injector.
     fn deliver_supervised(
         &mut self,
         make_event: impl FnOnce(&mut ExecCtx) -> Result<Vec<Value>, IrError>,
     ) -> Result<SimReport, IrError> {
-        self.seq += 1;
-        let gen_time = self.pipeline.sender.busy_until().max(self.pipeline.link.busy_until());
-        self.apply_pending_plans(gen_time);
+        let (gen_time, run) = self.generate(SimTime::from_nanos(0), make_event)?;
+        let split_pse = run.message.pse;
+        let now = gen_time.as_nanos();
+        let parked = self.link.sender.send(run.message, run.samples, 0, now);
+        let (seq, wire_bytes) = (parked.seq, parked.wire_size());
 
-        let mut sender_ctx = ExecCtx::with_builtins(&self.program, self.sender_builtins.clone());
-        sender_ctx.trace_digests = false;
-        let args = make_event(&mut sender_ctx)?;
-        let run = self.modulator.handle(&mut sender_ctx, args)?;
-        let event =
-            ModulatedEvent { seq: self.seq, continuation: run.message, samples: run.samples };
-        let this_seq = self.seq;
-        let split_pse = event.continuation.pse;
-        let wire_bytes = event.wire_size();
-        self.unacked.push_back((this_seq, event));
-        if self.batch_pending_since.is_none() {
-            self.batch_pending_since = Some(gen_time);
-        }
-
-        // Coalescing: hold the envelope until the window reaches the batch
-        // size or the oldest pending envelope has waited out the flush
-        // deadline. `batch_max == 1` (or a zero deadline) flushes every
-        // message — the plain unbatched wire.
-        let deadline_hit =
-            self.batch_pending_since.is_some_and(|since| gen_time >= since + self.batch_deadline);
-        if self.batch_max <= 1 || self.unacked.len() >= self.batch_max || deadline_hit {
+        // Coalescing: the machine holds the envelope until the batch
+        // fills or its oldest envelope has waited out the flush deadline.
+        let round = self.end.reports.len();
+        if self.link.sender.flush_due(now) {
             self.pump(gen_time)?;
         }
-
-        if let Some(report) = self.reports.iter().rev().find(|r| r.seq == this_seq).cloned() {
-            return Ok(report);
+        if let Some(report) = self.end.reports[round..].iter().find(|r| r.seq == seq) {
+            return Ok(report.clone());
         }
         // The frame did not make it across this round; it stays in the
         // unacked window for later pumps (or awaits the batch flush).
@@ -788,7 +720,7 @@ impl SimSession {
             demod_end: gen_time,
         };
         Ok(SimReport {
-            seq: this_seq,
+            seq,
             split_pse,
             wire_bytes,
             timing: stalled,
@@ -798,98 +730,77 @@ impl SimSession {
         })
     }
 
-    /// One transmission round over the unacked window: pending envelopes
-    /// are coalesced into frames of up to `batch_max`, every frame gets a
-    /// fault decision, survivors cross the wire (possibly damaged,
-    /// duplicated, or reordered) and are decoded, deduplicated, and
-    /// demodulated on the far side in frame order. The frame is the unit
-    /// of loss — a dropped batch keeps all its envelopes unacked, so they
-    /// retransmit together. Delivery failures and successes feed the
+    /// Feeds the degradation hysteresis; a transition installs a plan.
+    fn note_health(&mut self, failures: u32, success: bool) {
+        let Some(ctl) = self.degradation.as_mut() else {
+            return;
+        };
+        let transitions = (0..failures).filter(|_| ctl.record_failure().is_some()).count()
+            + usize::from(success && ctl.record_success().is_some());
+        self.end.plan_installs += transitions as u64;
+    }
+
+    /// One transmission round: the machine re-frames its whole unacked
+    /// window, every frame gets a fault decision, survivors cross the
+    /// wire (possibly damaged, duplicated, or reordered), are decoded and
+    /// fed to the machine's receiver half in arrival order, and every
+    /// settled envelope is acknowledged back reliably. The frame is the
+    /// unit of loss — a dropped batch keeps all its envelopes unacked, so
+    /// they retransmit together. Delivery failures and successes feed the
     /// degradation controller once per frame.
     fn pump(&mut self, now: SimTime) -> Result<(), IrError> {
-        self.batch_pending_since = None;
-        // Phase 1: coalesce the window and decide each frame's fate at
-        // the link. Each surviving payload carries its injected-panic flag
-        // into the receiver phase; stalls and overloads resolve here (the
-        // frame never reaches the receiver and stays unacked).
+        // Phase 1: decide each frame's fate at the link. Each surviving
+        // payload carries its injected-panic flag into the receiver phase;
+        // stalls and overloads resolve here (the frame never reaches the
+        // receiver and stays unacked).
+        let Some(injector) = self.end.pipeline.link.fault_mut() else {
+            return Err(IrError::Invalid("the supervised wire needs a fault plan".into()));
+        };
         let mut wire: Vec<(Vec<u8>, bool)> = Vec::new();
-        let mut failures = 0u64;
+        let mut failures = 0u32;
         let mut stalled_this_pump = false;
-        {
-            let batch_max = self.batch_max.max(1);
-            let window = self.unacked.make_contiguous();
-            let injector =
-                self.pipeline.link.fault_mut().expect("pump only runs with a fault plan attached");
-            for chunk in window.chunks(batch_max) {
-                for (seq, _) in chunk {
-                    if *seq < self.seq {
-                        self.retransmissions += 1;
-                        self.wire_metrics.retransmissions.inc();
-                    }
-                }
-                // A singleton chunk encodes as a plain event frame, so the
-                // `batch_max == 1` wire is byte-identical to the unbatched
-                // one: same fault decisions, same corruption lengths.
-                let enc = if let [(_, event)] = chunk {
-                    Frame::Event { event: event.clone(), t_mod_nanos: 0 }.encode_frame()
-                } else {
-                    self.envelope_batches += 1;
-                    self.batched_events += chunk.len() as u64;
-                    self.wire_metrics.batches.inc();
-                    self.wire_metrics.batched_events.add(chunk.len() as u64);
-                    Frame::Batch { events: chunk.iter().map(|(_, e)| (e.clone(), 0)).collect() }
-                        .encode_frame()
-                };
-                self.wire_metrics.marshal_copied.add(enc.copied_payload_bytes());
-                self.wire_metrics.marshal_borrowed.add(enc.borrowed_payload_bytes());
-                // The simulated link needs owned contiguous bytes (fault
-                // injection corrupts in place); the flatten is
-                // deterministic, so fault decisions and corruption offsets
-                // are unchanged from the single-buffer encoder.
-                let bytes = enc.to_vec();
-                let decision = injector.decide();
-                if !decision.delivers() {
-                    self.frames_lost += 1;
-                    self.wire_metrics.frames_lost.inc();
-                    failures += 1;
-                    continue;
-                }
-                if decision.stalled {
-                    // The demodulator stalls on this frame: its deadline
-                    // budget expires, the frame stays unacked, and the
-                    // retry cadence backs off exponentially.
-                    self.deadline_timeouts += 1;
-                    self.wire_metrics.deadline_timeouts.inc();
-                    stalled_this_pump = true;
-                    failures += 1;
-                    continue;
-                }
-                if decision.overloaded {
-                    // The receiver's ingress sheds the frame under
-                    // overload; never acked, so it retransmits later.
-                    self.sheds += 1;
-                    self.wire_metrics.shed.inc();
-                    self.handler.obs().record(TraceEvent::Shed { count: 1 });
-                    failures += 1;
-                    continue;
-                }
-                let mut payload = bytes.clone();
-                if decision.corrupted {
-                    injector.corrupt_in_place(&mut payload);
-                    self.frames_corrupted += 1;
-                    self.wire_metrics.frames_corrupted.inc();
-                }
-                wire.push((payload, decision.handler_panic));
-                if decision.duplicated {
-                    // The duplicate copy is a clean retransmission of the
-                    // same bytes; the panic injection applies only to the
-                    // first arrival's demodulation attempt.
-                    wire.push((bytes.clone(), false));
-                }
-                if decision.reordered && wire.len() >= 2 {
-                    let n = wire.len();
-                    wire.swap(n - 1, n - 2);
-                }
+        for frame in self.link.sender.replay(now.as_nanos()) {
+            // The simulated link needs owned contiguous bytes (fault
+            // injection corrupts in place); the flatten is deterministic,
+            // so fault decisions and corruption offsets are those of a
+            // single-buffer encoder.
+            let bytes = self.encoder.encode(&frame)?.to_vec();
+            let decision = injector.decide();
+            // A frame that is lost, stalls the demodulator past its
+            // deadline budget (the retry cadence then backs off
+            // exponentially), or is shed at the receiver's ingress under
+            // overload never reaches the receiver: it stays unacked and
+            // retransmits.
+            let withheld = if !decision.delivers() {
+                Some(&self.frames_lost)
+            } else if decision.stalled {
+                stalled_this_pump = true;
+                Some(&self.deadline_timeouts)
+            } else if decision.overloaded {
+                self.handler.obs().record(TraceEvent::Shed { count: 1 });
+                Some(&self.shed)
+            } else {
+                None
+            };
+            if let Some(counter) = withheld {
+                counter.inc();
+                failures += 1;
+                continue;
+            }
+            // A duplicate is a clean second copy of the same bytes; the
+            // panic injection applies only to the first arrival's
+            // demodulation attempt.
+            let duplicate = decision.duplicated.then(|| bytes.clone());
+            let mut payload = bytes;
+            if decision.corrupted {
+                injector.corrupt_in_place(&mut payload);
+                self.frames_corrupted.inc();
+            }
+            wire.push((payload, decision.handler_panic));
+            wire.extend(duplicate.map(|copy| (copy, false)));
+            if decision.reordered && wire.len() >= 2 {
+                let n = wire.len();
+                wire.swap(n - 1, n - 2);
             }
         }
         if stalled_this_pump {
@@ -898,185 +809,45 @@ impl SimSession {
         } else {
             self.stall_backoff = 1;
         }
-        if let Some(ctl) = self.degradation.as_mut() {
-            for _ in 0..failures {
-                if ctl.record_failure().is_some() {
-                    self.plan_installs += 1;
-                }
-            }
-        }
+        self.note_health(failures, false);
 
-        // Phase 2: receiver side. Batches demodulate envelope-by-envelope
-        // in frame order, so per-session ordering, duplicate suppression,
-        // and acknowledgement are identical to the singleton path. Every
-        // demodulation runs inside the panic-isolation boundary; an
-        // envelope that keeps failing is quarantined so the ack watermark
-        // advances past it instead of livelocking the window.
+        // Phase 2: the receiver half, frame by frame.
         for (payload, inject_panic) in wire {
-            let frame = match Frame::decode_bytes(&payload) {
-                Ok((frame, _)) => frame,
-                Err(_) => {
-                    // The checksum caught in-transit damage; to the sender
-                    // this is just a missing ack.
-                    if let Some(ctl) = self.degradation.as_mut() {
-                        if ctl.record_failure().is_some() {
-                            self.plan_installs += 1;
-                        }
-                    }
-                    continue;
-                }
+            let Ok((frame, _)) = Frame::decode_bytes(&payload) else {
+                // The checksum caught in-transit damage; to the sender
+                // this is just a missing ack.
+                self.note_health(1, false);
+                continue;
             };
-            let batched = matches!(frame, Frame::Batch { .. });
-            let arrivals: Vec<(ModulatedEvent, u64)> = match frame {
-                Frame::Event { event, t_mod_nanos } => vec![(event, t_mod_nanos)],
-                Frame::Batch { events } => events,
-                _ => unreachable!("only event frames enter the unacked window"),
+            let pinned = self.is_degraded();
+            let (end, poison, results) =
+                (&mut self.end, &self.poison_seqs, &mut self.applied_results);
+            let mut apply = |event: ModulatedEvent, _t_mod_nanos: u64| {
+                let seq = event.seq;
+                if inject_panic || poison.contains(&seq) {
+                    let injected = format!("injected demodulator panic (seq {seq})");
+                    return Ok(Verdict::Failed(IrError::HandlerPanic(injected)));
+                }
+                let mod_work = event.continuation.mod_work;
+                Ok(match end.apply(event, mod_work, now, pinned)? {
+                    Ok(report) => {
+                        results.insert(seq, report.ret);
+                        Verdict::Applied { plan: None }
+                    }
+                    Err(e) => Verdict::Failed(e),
+                })
             };
-            let mut frame_failures = 0u32;
-            for (event, _) in arrivals {
-                // A seq already applied (duplicate) or already quarantined
-                // still acknowledges — trimming the window — so a late
-                // retransmitted copy clears nothing and a poison envelope
-                // stays behind the watermark.
-                if self.applied.contains(&event.seq) || self.quarantined_seqs.contains(&event.seq) {
-                    self.unacked.retain(|(s, _)| *s != event.seq);
-                    if self.applied.contains(&event.seq) {
-                        self.duplicates_suppressed += 1;
-                        self.wire_metrics.duplicates_suppressed.inc();
-                    }
-                    continue;
-                }
-                // Demodulate inside the isolation boundary: an injected (or
-                // poison) panic fails only this envelope, never the wire.
-                let poisoned = self.poison_seqs.contains(&event.seq);
-                let demodulator = &self.demodulator;
-                let receiver_ctx = &mut self.receiver_ctx;
-                let outcome = failure::isolate(|| {
-                    if inject_panic || poisoned {
-                        panic!("injected demodulator panic (seq {})", event.seq);
-                    }
-                    demodulator.handle(receiver_ctx, &event.continuation)
-                });
-                let demod = match outcome {
-                    Ok(demod) => demod,
-                    Err(err) => {
-                        frame_failures += 1;
-                        let kind = if matches!(err, IrError::HandlerPanic(_)) {
-                            self.handler_panics += 1;
-                            self.wire_metrics.handler_panics.inc();
-                            self.handler.obs().record(TraceEvent::HandlerPanic { seq: event.seq });
-                            FailureKind::Panic
-                        } else {
-                            FailureKind::Decode
-                        };
-                        let count = self.retry.record(event.seq);
-                        if self.retry.exhausted(count) {
-                            // Quarantine: acknowledge past the poison
-                            // envelope so retransmission stops retrying it.
-                            self.unacked.retain(|(s, _)| *s != event.seq);
-                            self.quarantined_seqs.insert(event.seq);
-                            self.deadletter.push(DeadLetter {
-                                seq: event.seq,
-                                kind,
-                                failures: count,
-                                error: err.to_string(),
-                            });
-                            self.wire_metrics.quarantined.inc();
-                            self.handler.obs().record(TraceEvent::Quarantined {
-                                seq: event.seq,
-                                failures: count,
-                            });
-                            self.retry.clear(event.seq);
-                        }
-                        // Not quarantined yet: the envelope stays unacked
-                        // and retransmits on a later round.
-                        continue;
-                    }
-                };
-                // Acknowledge (trim the window) on success. Batch members
-                // are acknowledged at their member boundary — one watermark
-                // each, piggy-backed on the frame (the TCP transport's
-                // `Frame::BatchAck`); the counter tracks how many
-                // standalone ack frames the piggyback saved.
-                self.unacked.retain(|(s, _)| *s != event.seq);
-                if batched {
-                    self.batch_member_acks += 1;
-                    self.wire_metrics.batch_member_acks.inc();
-                }
-                self.applied.insert(event.seq);
-                self.retry.clear(event.seq);
-                let wire_bytes = event.wire_size();
-                let ser_work = (self.serialize_work_per_byte * wire_bytes as f64).round() as u64;
-                let mod_work_total = event.continuation.mod_work + ser_work;
-                let demod_work_total = demod.demod_work + ser_work + demod.profile_work;
-                let timing = self.pipeline.submit(
-                    now,
-                    MessageDemand {
-                        mod_work: mod_work_total,
-                        bytes: wire_bytes as u64,
-                        demod_work: demod_work_total,
-                    },
-                );
-
-                self.reconfig.record_mod(ModMessageProfile {
-                    samples: event.samples.clone(),
-                    split: event.continuation.pse,
-                    mod_work: mod_work_total,
-                    t_mod: Some((timing.mod_end - timing.mod_start).as_secs_f64()),
-                });
-                self.reconfig.record_samples(&demod.samples);
-                self.reconfig.record_demod(DemodMessageProfile {
-                    pse: demod.pse,
-                    demod_work: demod_work_total,
-                    t_demod: Some((timing.demod_end - timing.demod_start).as_secs_f64()),
-                });
-                let degraded = self.degradation.as_ref().is_some_and(|c| c.is_degraded());
-                let mut reconfigured = false;
-                // While degraded the entry cut is pinned: optimized plans are
-                // only re-promoted by the recovery streak, not by feedback.
-                if !degraded {
-                    if let Some(update) = self.reconfig.maybe_reconfigure()? {
-                        if self.control_loss > 0.0
-                            && self.control_rng.random_bool(self.control_loss)
-                        {
-                            self.plans_dropped += 1;
-                            self.wire_metrics.plan_updates_dropped.inc();
-                        } else if self.prepare_candidate(&update.active) {
-                            self.pending_plans
-                                .push(timing.demod_end + self.feedback_latency, update.active);
-                            reconfigured = true;
-                        }
-                    }
-                }
-
-                let report = SimReport {
-                    seq: event.seq,
-                    split_pse: event.continuation.pse,
-                    wire_bytes,
-                    timing,
-                    ret: demod.ret.clone(),
-                    reconfigured,
-                    delivered: true,
-                };
-                self.applied_results.insert(event.seq, demod.ret);
-                self.reports.push(report);
+            self.link.receiver.on_frame(frame, &mut apply, &mut self.received)?;
+            // Acknowledgements are handed back reliably, envelope by
+            // envelope, so a gap below never holds a settled one hostage.
+            for seq in self.received.settled.drain(..) {
+                self.link.sender.settle(seq);
             }
             // Hysteresis feedback, once per frame: an intact frame whose
             // events all applied counts one success toward re-promotion;
             // each failed envelope counts one failure toward degradation.
-            if let Some(ctl) = self.degradation.as_mut() {
-                if frame_failures == 0 {
-                    if ctl.record_success().is_some() {
-                        self.plan_installs += 1;
-                    }
-                } else {
-                    for _ in 0..frame_failures {
-                        if ctl.record_failure().is_some() {
-                            self.plan_installs += 1;
-                        }
-                    }
-                }
-            }
+            let failed = self.received.failed;
+            self.note_health(failed, failed == 0);
         }
         Ok(())
     }
@@ -1090,7 +861,7 @@ impl SimSession {
     /// Propagates handler runtime errors.
     pub fn drain(&mut self, max_rounds: usize) -> Result<usize, IrError> {
         for _ in 0..max_rounds {
-            if self.unacked.is_empty() {
+            if self.link.sender.in_flight() == 0 {
                 break;
             }
             // Deadline-timeout backoff: after a stalled pump, retry rounds
@@ -1100,11 +871,12 @@ impl SimSession {
                 self.stall_cooldown -= 1;
                 continue;
             }
-            let now = self.pipeline.sender.busy_until().max(self.pipeline.link.busy_until());
-            self.apply_pending_plans(now);
+            let pipeline = &self.end.pipeline;
+            let now = pipeline.sender.busy_until().max(pipeline.link.busy_until());
+            self.end.install_landed(now);
             self.pump(now)?;
         }
-        Ok(self.unacked.len())
+        Ok(self.link.sender.in_flight())
     }
 
     /// Delivers `n` messages from the same generator.
@@ -1126,24 +898,25 @@ impl SimSession {
 
     /// All per-message reports.
     pub fn reports(&self) -> &[SimReport] {
-        &self.reports
+        &self.end.reports
     }
 
     /// Average per-message makespan in milliseconds (the paper's "average
     /// message processing time").
     pub fn avg_processing_ms(&self) -> f64 {
-        self.pipeline.avg_processing_time().map(|t| t.as_millis_f64()).unwrap_or(0.0)
+        self.end.pipeline.avg_processing_time().map(|t| t.as_millis_f64()).unwrap_or(0.0)
     }
 
     /// Delivered frames per second.
     pub fn fps(&self) -> f64 {
-        self.pipeline.fps().unwrap_or(0.0)
+        self.end.pipeline.fps().unwrap_or(0.0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpart::failure::FailureKind;
     use mpart_cost::DataSizeModel;
     use mpart_ir::parse::parse_program;
     use mpart_ir::types::ElemType;
@@ -1342,8 +1115,10 @@ mod tests {
         )
         .unwrap();
         session.run(8, frame_builder(&program, 1024)).unwrap();
-        // Two full batches of four; nothing left pending on a clean link.
+        // Two full batches of four; nothing left pending on a clean link,
+        // and nothing was ever put on the wire twice.
         assert_eq!(session.unacked(), 0);
+        assert_eq!(session.retransmissions(), 0);
         assert_eq!(session.envelope_batches(), 2);
         assert_eq!(session.batched_events(), 8);
         // Every batch member was acked at its member boundary, not with

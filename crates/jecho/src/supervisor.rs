@@ -1,31 +1,29 @@
 //! Supervised sending: reconnection with capped exponential backoff and
 //! seeded jitter, plus retransmission of the unacknowledged event window.
 //!
-//! A bare [`TcpSender`] is one connection: if it dies, in-flight events
-//! die with it. The [`Supervisor`] wraps the sender with the classic
-//! reliability loop: every modulated event stays in a window until the
+//! A bare [`TcpSender`](crate::tcp::TcpSender) is one connection: if it
+//! dies, in-flight events die with it. The [`Supervisor`] is the socket
+//! driver of the link machine's [`SenderHalf`]: the machine assigns
+//! sequence numbers, keeps every modulated event in its window until the
 //! receiver acknowledges it (acks ride on plan frames, standalone `Ack`
-//! frames, and heartbeat echoes); when the connection is declared dead the
-//! supervisor redials — backing off exponentially with jitter up to a cap
-//! — and replays the unacked window on the fresh connection. The receiver
-//! deduplicates by sequence number, so the combination yields exactly-once
-//! application over an at-least-once wire.
+//! frames, `BatchAck` frames, and heartbeat echoes), coalesces up to K
+//! envelopes per frame ([`Supervisor::with_batching`]), and decides when
+//! the watermark has stalled; the supervisor owns what the machine must
+//! not — the sockets, the wall clock, the sleeps. When a connection is
+//! declared dead it redials — backing off exponentially with jitter up to
+//! a cap — and writes the machine's replay of the window onto the fresh
+//! connection. The receiver deduplicates by sequence number, so the
+//! combination yields exactly-once application over an at-least-once wire.
 //!
-//! [`Supervisor::with_batching`] additionally coalesces up to K
-//! continuation envelopes per wire frame with a flush deadline,
-//! amortizing the frame header, checksum, and syscall over the batch
-//! while keeping ordering, acknowledgement, and replay semantics intact.
-//!
-//! Sends are zero-copy end to end: the sender encodes each frame into
+//! Sends are zero-copy end to end: each frame is encoded into
 //! scatter-gather segments (large continuation payloads stay refcounted
 //! borrows of the marshalled buffer — see
 //! [`EncodedFrame`](crate::envelope::EncodedFrame) and WIRE.md) and a
 //! batch flush gathers *all* member segments into a single vectored
-//! write. The window holds [`ModulatedEvent`]s, whose payload handles are
+//! write. The window holds modulated events, whose payload handles are
 //! refcounts into the same immutable buffers, so replaying the window
 //! after a reconnect re-encodes without copying payload bytes either.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -36,8 +34,9 @@ use mpart_ir::{IrError, Program, Value};
 use mpart_obs::Counter;
 use rand::prelude::*;
 
-use crate::envelope::ModulatedEvent;
-use crate::tcp::TcpSender;
+use crate::link::{SenderHalf, Tick};
+use crate::local::Source;
+use crate::tcp::Connection;
 
 /// Reconnection policy: capped exponential backoff with seeded jitter.
 #[derive(Debug, Clone)]
@@ -103,40 +102,28 @@ impl RetryPolicy {
     }
 }
 
-/// A supervised sender: owns the reconnect/retransmit loop around
-/// successive [`TcpSender`] connections to one receiver port.
+/// How often [`Supervisor::await_drain`] looks at the watermark and
+/// probes the receiver.
+const DRAIN_POLL: Duration = Duration::from_millis(2);
+
+/// A supervised sender: drives the link machine's sender half over
+/// successive connections to one receiver port.
 pub struct Supervisor {
-    program: Arc<Program>,
-    handler: Arc<PartitionedHandler>,
-    sender_builtins: BuiltinRegistry,
+    source: Source,
     port: u16,
     policy: RetryPolicy,
     rng: StdRng,
-    sender: Option<TcpSender>,
-    /// Modulated-but-unacknowledged events, in seq order, with their
-    /// sender-side timing piggyback.
-    window: VecDeque<(ModulatedEvent, u64)>,
-    /// Trailing window entries modulated but not yet put on the wire —
-    /// the partially-filled batch awaiting a flush.
-    unsent: usize,
-    /// Maximum envelopes coalesced into one wire frame; `1` disables
-    /// batching (every publish sends a plain event frame).
-    batch_max: usize,
-    /// Wall-clock flush deadline for a partially-filled batch.
-    batch_deadline: Duration,
-    /// When the oldest unsent envelope entered the batch.
-    pending_since: Option<Instant>,
+    conn: Option<Connection>,
+    /// Sequence numbers, the unacked window, batching, stall detection.
+    link: SenderHalf,
     /// Highest contiguous seq acknowledged; shared with every connection's
-    /// control-reading thread so the watermark survives reconnects.
+    /// control-reading thread so the watermark survives reconnects, and
+    /// folded into the machine before each decision.
     acked: Arc<AtomicU64>,
-    /// Highest seq assigned so far (resumes numbering across connections).
-    seq: u64,
-    reconnects: u64,
+    /// Zero of the machine's clock.
+    started: Instant,
     /// `reconnects_total` on the handler's metrics registry.
-    reconnects_metric: Counter,
-    /// `retransmissions_total`: events replayed from the unacked window
-    /// onto a fresh connection.
-    replays_metric: Counter,
+    reconnects: Counter,
     /// `heartbeats_total`: liveness probes sent while draining.
     heartbeats_metric: Counter,
 }
@@ -145,9 +132,9 @@ impl std::fmt::Debug for Supervisor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Supervisor")
             .field("port", &self.port)
-            .field("seq", &self.seq)
-            .field("unacked", &self.window.len())
-            .field("reconnects", &self.reconnects)
+            .field("seq", &self.link.seq())
+            .field("unacked", &self.link.in_flight())
+            .field("reconnects", &self.reconnects.get())
             .finish()
     }
 }
@@ -169,27 +156,19 @@ impl Supervisor {
         let policy = policy.spread(INSTANCE.fetch_add(1, Ordering::Relaxed));
         let rng = StdRng::seed_from_u64(policy.jitter_seed);
         let registry = handler.obs().registry();
-        let reconnects_metric = registry.counter("reconnects_total", &[]);
-        let replays_metric = registry.counter("retransmissions_total", &[]);
+        let link = SenderHalf::new(registry, policy.stall_timeout.as_nanos() as u64);
+        let reconnects = registry.counter("reconnects_total", &[]);
         let heartbeats_metric = registry.counter("heartbeats_total", &[]);
         Supervisor {
-            program,
-            handler,
-            sender_builtins,
+            source: Source::new(program, handler, sender_builtins),
             port,
             policy,
             rng,
-            sender: None,
-            window: VecDeque::new(),
-            unsent: 0,
-            batch_max: 1,
-            batch_deadline: Duration::ZERO,
-            pending_since: None,
+            conn: None,
+            link,
             acked: Arc::new(AtomicU64::new(0)),
-            seq: 0,
-            reconnects: 0,
-            reconnects_metric,
-            replays_metric,
+            started: Instant::now(),
+            reconnects,
             heartbeats_metric,
         }
     }
@@ -202,15 +181,14 @@ impl Supervisor {
     /// contiguous watermark, so ordering, deduplication, and replay after
     /// reconnect behave exactly like the unbatched wire.
     pub fn with_batching(mut self, max: usize, deadline: Duration) -> Self {
-        self.batch_max = max.max(1);
-        self.batch_deadline = deadline;
+        self.link.set_batching(max, deadline.as_nanos() as u64);
         self
     }
 
     /// Times the connection has been re-dialed (0 while the first one
     /// lives).
     pub fn reconnects(&self) -> u64 {
-        self.reconnects
+        self.reconnects.get()
     }
 
     /// Highest contiguous seq the receiver has acknowledged.
@@ -218,14 +196,15 @@ impl Supervisor {
         self.acked.load(Ordering::Acquire)
     }
 
-    /// Events modulated but not yet acknowledged.
+    /// Events modulated but not yet acknowledged (as of the last publish
+    /// or drain step).
     pub fn unacked(&self) -> usize {
-        self.window.len()
+        self.link.in_flight()
     }
 
     /// Highest seq assigned so far.
     pub fn seq(&self) -> u64 {
-        self.seq
+        self.link.seq()
     }
 
     /// The per-instance jitter seed actually in effect (the configured
@@ -234,50 +213,36 @@ impl Supervisor {
         self.policy.jitter_seed
     }
 
-    fn trim_window(&mut self) {
-        let acked = self.acked();
-        while self.window.front().is_some_and(|(e, _)| e.seq <= acked) {
-            self.window.pop_front();
-        }
+    /// The machine's clock: nanoseconds since this supervisor was built.
+    fn now(&self) -> u64 {
+        self.started.elapsed().as_nanos() as u64
     }
 
-    /// Dials the receiver, backing off per the policy, and replays the
-    /// unacked window on success.
+    /// Dials the receiver, backing off per the policy, and writes the
+    /// machine's replay of the unacked window on success.
     ///
     /// # Errors
     ///
     /// Returns the last connect error once `max_attempts` is exhausted —
     /// the caller's cue to degrade.
     fn reconnect_and_replay(&mut self) -> Result<(), IrError> {
-        if let Some(old) = self.sender.take() {
+        if let Some(old) = self.conn.take() {
             old.abandon();
-            self.reconnects += 1;
-            self.reconnects_metric.inc();
+            self.reconnects.inc();
         }
         let mut last_err = IrError::Marshal("no reconnect attempts allowed".into());
         for attempt in 0..self.policy.max_attempts.max(1) {
             if attempt > 0 {
                 std::thread::sleep(self.policy.delay(attempt - 1, &mut self.rng));
             }
-            match TcpSender::connect_with(
-                Arc::clone(&self.program),
-                Arc::clone(&self.handler),
-                self.sender_builtins.clone(),
-                self.port,
-                Arc::clone(&self.acked),
-                self.seq,
-            ) {
-                Ok(mut sender) => {
-                    self.trim_window();
-                    for (event, t_mod) in &self.window {
-                        sender.send_event(event, *t_mod)?;
-                        self.replays_metric.inc();
+            match Connection::dial(&self.source.handler, self.port, Arc::clone(&self.acked)) {
+                Ok(mut conn) => {
+                    let now = self.now();
+                    self.link.on_ack(self.acked(), now);
+                    for frame in self.link.replay(now) {
+                        conn.send(&frame)?;
                     }
-                    // The replay put every window entry — including any
-                    // not-yet-flushed batch tail — on the fresh wire.
-                    self.unsent = 0;
-                    self.pending_since = None;
-                    self.sender = Some(sender);
+                    self.conn = Some(conn);
                     return Ok(());
                 }
                 Err(e) => last_err = e,
@@ -289,19 +254,21 @@ impl Supervisor {
         )))
     }
 
-    fn ensure_connected(&mut self) -> Result<(), IrError> {
-        if self.sender.is_none() {
+    /// The live connection, dialing one first if there is none.
+    fn connected(&mut self) -> Result<&mut Connection, IrError> {
+        if self.conn.is_none() {
             self.reconnect_and_replay()?;
         }
-        Ok(())
+        self.conn.as_mut().ok_or_else(|| IrError::Marshal("link down: no connection".into()))
     }
 
     /// Modulates and publishes one event with at-least-once delivery: the
-    /// event enters the unacked window before the send, and a failed send
-    /// triggers reconnect-and-replay. With batching enabled the envelope
-    /// may be held back until the batch fills or the flush deadline
-    /// expires; held envelopes are still in the window, so a reconnect
-    /// replays them and [`await_drain`](Self::await_drain) flushes them.
+    /// event enters the machine's window before anything is written, and a
+    /// failed write triggers reconnect-and-replay. With batching enabled
+    /// the envelope may be held back until the batch fills or the flush
+    /// deadline expires; held envelopes are still in the window, so a
+    /// reconnect replays them and [`await_drain`](Self::await_drain)
+    /// flushes them.
     ///
     /// # Errors
     ///
@@ -312,47 +279,33 @@ impl Supervisor {
         &mut self,
         make_event: impl FnOnce(&mut ExecCtx) -> Result<Vec<Value>, IrError>,
     ) -> Result<(), IrError> {
-        self.ensure_connected()?;
-        let sender = self.sender.as_mut().expect("just connected");
-        let (event, t_mod) = sender.modulate(make_event)?;
-        self.seq = event.seq;
-        self.window.push_back((event, t_mod));
-        self.trim_window();
-        self.unsent = (self.unsent + 1).min(self.window.len());
-        if self.pending_since.is_none() {
-            self.pending_since = Some(Instant::now());
-        }
-        let deadline_hit =
-            self.pending_since.is_some_and(|since| since.elapsed() >= self.batch_deadline);
-        if self.batch_max <= 1 || self.unsent >= self.batch_max || deadline_hit {
-            self.flush_pending()?;
+        self.connected()?;
+        let (run, t_mod_nanos) = self.source.modulate(make_event)?;
+        let now = self.now();
+        self.link.on_ack(self.acked(), now);
+        self.link.send(run.message, run.samples, t_mod_nanos, now);
+        if self.link.flush_due(now) {
+            self.flush(now)?;
         }
         Ok(())
     }
 
-    /// Puts the not-yet-sent batch tail on the wire: a singleton flush
-    /// sends a plain event frame (byte-identical to the unbatched wire),
-    /// anything larger goes as one batch frame.
-    fn flush_pending(&mut self) -> Result<(), IrError> {
-        if self.unsent == 0 {
+    /// Writes the machine's not-yet-sent batch tail, if any.
+    fn flush(&mut self, now: u64) -> Result<(), IrError> {
+        let Some(frame) = self.link.flush(now) else {
             return Ok(());
-        }
-        self.ensure_connected()?;
-        let start = self.window.len() - self.unsent;
-        let batch: Vec<(ModulatedEvent, u64)> = self.window.iter().skip(start).cloned().collect();
-        self.unsent = 0;
-        self.pending_since = None;
-        let send = self.sender.as_mut().expect("just connected").send_batch(&batch);
-        if send.is_err() {
+        };
+        if self.connected()?.send(&frame).is_err() {
             self.reconnect_and_replay()?;
         }
         Ok(())
     }
 
-    /// Blocks until the receiver has acknowledged everything sent so far
-    /// (`acked >= seq`), heartbeating to solicit acks and declaring the
-    /// connection dead — reconnecting and replaying — whenever the
-    /// watermark stalls for `stall_timeout`.
+    /// Blocks until the receiver has acknowledged everything sent so far,
+    /// heartbeating to solicit acks and — whenever the machine reports
+    /// the watermark stalled for `stall_timeout`, or a probe cannot be
+    /// written — declaring the connection dead, reconnecting and
+    /// replaying.
     ///
     /// # Errors
     ///
@@ -360,35 +313,38 @@ impl Supervisor {
     /// the reconnect error once the retry budget is exhausted.
     pub fn await_drain(&mut self, deadline: Duration) -> Result<(), IrError> {
         // A partially-filled batch never outlives the drain.
-        self.flush_pending()?;
+        self.flush(self.now())?;
         let start = Instant::now();
-        let mut last_progress = Instant::now();
-        let mut last_acked = self.acked();
-        while self.acked() < self.seq {
+        loop {
+            let now = self.now();
+            self.link.on_ack(self.acked(), now);
+            if self.link.in_flight() == 0 {
+                return Ok(());
+            }
             if start.elapsed() > deadline {
                 return Err(IrError::Continuation(format!(
                     "drain deadline: acked {} of {}",
                     self.acked(),
-                    self.seq
+                    self.link.seq()
                 )));
             }
-            self.ensure_connected()?;
-            self.heartbeats_metric.inc();
-            let dead = self.sender.as_mut().expect("connected").heartbeat().is_err()
-                || last_progress.elapsed() > self.policy.stall_timeout;
+            let dead = match self.link.tick(now) {
+                Tick::Idle => false,
+                Tick::Stalled => true,
+                Tick::Probe(probe) => {
+                    self.heartbeats_metric.inc();
+                    self.connected()?.send(&probe).is_err()
+                }
+            };
             if dead {
                 self.reconnect_and_replay()?;
-                last_progress = Instant::now();
             }
-            std::thread::sleep(Duration::from_millis(2));
-            let acked = self.acked();
-            if acked > last_acked {
-                last_acked = acked;
-                last_progress = Instant::now();
-            }
+            // Never sleep past the moment the machine's verdict can change.
+            let nap = self.link.next_deadline().map_or(DRAIN_POLL, |at| {
+                Duration::from_nanos(at.saturating_sub(now)).min(DRAIN_POLL)
+            });
+            std::thread::sleep(nap);
         }
-        self.trim_window();
-        Ok(())
     }
 
     /// Drains the window, sends the shutdown handshake, and closes.
@@ -398,8 +354,8 @@ impl Supervisor {
     /// Propagates drain and socket errors.
     pub fn shutdown(mut self, drain_deadline: Duration) -> Result<(), IrError> {
         self.await_drain(drain_deadline)?;
-        match self.sender.take() {
-            Some(sender) => sender.shutdown(),
+        match self.conn.take() {
+            Some(conn) => conn.shutdown(),
             None => Ok(()),
         }
     }

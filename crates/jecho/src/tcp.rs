@@ -8,13 +8,16 @@
 //! share the analyzed handler via `Arc` the way JECho ships the modulator
 //! class to the source at subscription time.)
 //!
-//! The receiver is *supervised-transport grade*: it accepts successive
-//! sender connections (a reconnecting [`Supervisor`](crate::supervisor)
-//! shows up as a fresh connection), deduplicates events by sequence
-//! number across connections, and acknowledges the highest contiguous
-//! sequence applied — piggy-backed on plan updates and echoed to
-//! heartbeats — so the sender can trim its retransmission window. A
-//! garbled or dead connection is dropped, never fatal.
+//! [`TcpReceiver`] is the socket driver of the link machine's
+//! [`ReceiverHalf`]: it accepts successive sender connections (a
+//! reconnecting [`Supervisor`](crate::supervisor) shows up as a fresh
+//! connection), reads frames, feeds them to the machine — which
+//! deduplicates across connections, applies, quarantines and decides what
+//! to acknowledge — and writes the machine's replies back. Its clock is
+//! the wall clock and its retry budget is 1: this wire's retry story is
+//! the supervisor's reconnect backoff, and a deterministic poison would
+//! loop forever if retried here. A garbled or dead connection is dropped,
+//! never fatal.
 
 use std::io::Write as _;
 use std::net::{TcpListener, TcpStream};
@@ -24,17 +27,19 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use crossbeam::channel::{bounded, Receiver};
-use mpart::failure::{self, DeadLetter, DeadLetterRing, FailureKind};
-use mpart::profile::{DemodMessageProfile, ModMessageProfile, TriggerPolicy};
+use mpart::failure::{DeadLetter, DeadLetterRing};
+use mpart::profile::TriggerPolicy;
 use mpart::reconfig::ReconfigUnit;
+use mpart::subscriber::{Subscriber, Timing};
 use mpart::PartitionedHandler;
 use mpart_cost::CostModel;
 use mpart_ir::interp::{BuiltinRegistry, ExecCtx};
 use mpart_ir::{IrError, Program, Value};
-use mpart_obs::{Counter, PlanReason, TraceEvent};
+use mpart_obs::{Counter, PlanReason};
 
-use crate::envelope::{Frame, ModulatedEvent, PlanEnvelope};
-use crate::local::LocalOutcome;
+use crate::envelope::{Frame, ModulatedEvent};
+use crate::link::{ack_watermark, data_frame, Control, Encoder, Received, ReceiverHalf, Verdict};
+use crate::local::{LocalOutcome, Source};
 
 /// A receiver endpoint bound to a TCP port.
 pub struct TcpReceiver {
@@ -42,7 +47,8 @@ pub struct TcpReceiver {
     port: u16,
     accept_thread: Option<JoinHandle<Result<u64, IrError>>>,
     outcomes: Receiver<LocalOutcome>,
-    demod_errors: Arc<AtomicU64>,
+    /// `demod_errors_total` on the handler's metrics registry.
+    demod_errors: Counter,
     deadletter: Arc<DeadLetterRing>,
 }
 
@@ -119,242 +125,98 @@ impl TcpReceiver {
         handler: Arc<PartitionedHandler>,
         receiver_builtins: BuiltinRegistry,
         trigger: TriggerPolicy,
-        disconnect_after: Option<u64>,
+        mut disconnect_after: Option<u64>,
     ) -> Result<Self, IrError> {
-        let kind = handler.model().kind();
         let listener =
             TcpListener::bind("127.0.0.1:0").map_err(|e| IrError::Marshal(format!("bind: {e}")))?;
         let port =
             listener.local_addr().map_err(|e| IrError::Marshal(format!("local_addr: {e}")))?.port();
         let (outcome_tx, outcomes) = bounded::<LocalOutcome>(1024);
-        let demod_errors = Arc::new(AtomicU64::new(0));
-
-        let recv_handler = Arc::clone(&handler);
-        let error_counter = Arc::clone(&demod_errors);
-        let error_metric = handler.obs().registry().counter("demod_errors_total", &[]);
-        let batch_metric = handler.obs().registry().counter("envelope_batches_total", &[]);
-        let batched_events_metric = handler.obs().registry().counter("batched_events_total", &[]);
-        let panic_metric =
-            handler.obs().registry().counter("handler_panics_total", &[("side", "demodulator")]);
-        let quarantined_metric = handler.obs().registry().counter("quarantined_total", &[]);
+        let demod_errors = handler.obs().registry().counter("demod_errors_total", &[]);
         let deadletter = Arc::new(DeadLetterRing::new(32));
-        let recv_deadletter = Arc::clone(&deadletter);
+
+        let error_metric = demod_errors.clone();
+        let reconfig =
+            ReconfigUnit::new(Arc::clone(handler.analysis()), handler.model().kind(), trigger)
+                .with_obs(Arc::clone(handler.obs()))
+                .with_plan_watch(handler.plan().clone());
+        let mut subscriber = Subscriber::new(Arc::clone(&handler), reconfig);
+        // Watermark and dedup state live in the machine, so they survive
+        // reconnects: retransmitted events are acknowledged, not re-applied.
+        let mut link = ReceiverHalf::new(Arc::clone(handler.obs()), 1, Arc::clone(&deadletter));
         let accept_thread = std::thread::spawn(move || -> Result<u64, IrError> {
-            let demodulator = recv_handler.demodulator();
             let mut ctx = ExecCtx::with_builtins(&program, receiver_builtins);
-            let mut reconfig =
-                ReconfigUnit::new(Arc::clone(recv_handler.analysis()), kind, trigger)
-                    .with_obs(Arc::clone(recv_handler.obs()))
-                    .with_plan_watch(recv_handler.plan().clone());
-            let mut revision = 0u64;
+            let mut received = Received::default();
             let mut processed = 0u64;
-            // Highest contiguous event seq applied; survives reconnects so
-            // retransmitted events are acknowledged but not re-applied.
-            let mut last_applied = 0u64;
-            let mut fault_budget = disconnect_after;
             'accepting: loop {
                 let (stream, _) =
                     listener.accept().map_err(|e| IrError::Marshal(format!("accept: {e}")))?;
                 let Ok(mut read_half) = stream.try_clone() else { continue 'accepting };
                 let mut write_half = stream;
                 let mut on_this_conn = 0u64;
-                loop {
-                    let frame = match Frame::read_from(&mut read_half) {
-                        Ok(f) => f,
-                        // Garbled or dead connection: drop it and accept
-                        // the next one; the supervisor retransmits.
-                        Err(_) => continue 'accepting,
-                    };
-                    let batched = matches!(frame, Frame::Batch { .. });
-                    let arrivals: Vec<(ModulatedEvent, u64)> = match frame {
-                        Frame::Shutdown => break 'accepting,
-                        // Plans and acks flow receiver → sender only.
-                        Frame::Plan(_) | Frame::Ack { .. } | Frame::BatchAck { .. } => {
-                            continue 'accepting
-                        }
-                        Frame::Heartbeat { .. } => {
-                            if (Frame::Ack { ack: last_applied }).write_to(&mut write_half).is_err()
-                            {
-                                continue 'accepting;
-                            }
-                            let _ = write_half.flush();
-                            continue;
-                        }
-                        Frame::Event { event, t_mod_nanos } => vec![(event, t_mod_nanos)],
-                        Frame::Batch { events } => {
-                            if events.len() >= 2 {
-                                batch_metric.inc();
-                                batched_events_metric.add(events.len() as u64);
-                            }
-                            events
-                        }
-                    };
-                    // A batch demodulates event-by-event in frame order, so
-                    // per-session ordering, dedup, and poison-skip behave
-                    // exactly as for singleton frames. Its acks, however,
-                    // are piggy-backed on the member boundaries: one
-                    // watermark per member, coalesced into a single
-                    // BatchAck frame after the loop, instead of one Ack
-                    // frame per member. Singleton Event frames keep their
-                    // immediate Ack, so the K=1 wire is byte-identical.
-                    let mut watermarks: Vec<u64> = Vec::new();
-                    for (event, t_mod_nanos) in arrivals {
-                        if let Some(limit) = fault_budget {
-                            if on_this_conn >= limit {
-                                fault_budget = None;
-                                let _ = write_half.shutdown(std::net::Shutdown::Both);
-                                continue 'accepting;
-                            }
-                        }
-                        on_this_conn += 1;
-                        if event.seq <= last_applied {
-                            // Retransmission overlap: acknowledge but
-                            // never re-apply.
-                            if batched {
-                                watermarks.push(last_applied);
-                            } else {
-                                let _ = Frame::Ack { ack: last_applied }.write_to(&mut write_half);
-                                let _ = write_half.flush();
-                            }
-                            continue;
-                        }
-                        let started = Instant::now();
-                        // The demodulator runs inside the panic-isolation
-                        // boundary: a panicking handler fails only this
-                        // envelope, never the accept loop.
-                        let outcome = {
-                            let ctx = &mut ctx;
-                            failure::isolate(|| demodulator.handle(ctx, &event.continuation))
-                        };
-                        let demod = match outcome {
-                            Ok(demod) => demod,
-                            Err(err) => {
-                                // A poison event (deterministic failure) is
-                                // quarantined — acknowledged and skipped —
-                                // on its first failure: this wire's retry
-                                // story is the supervisor's reconnect
-                                // backoff, and a deterministic poison would
-                                // loop forever if retried here.
-                                let kind = if matches!(err, IrError::HandlerPanic(_)) {
-                                    panic_metric.inc();
-                                    recv_handler
-                                        .obs()
-                                        .record(TraceEvent::HandlerPanic { seq: event.seq });
-                                    FailureKind::Panic
-                                } else {
-                                    FailureKind::Decode
-                                };
-                                error_counter.fetch_add(1, Ordering::Relaxed);
-                                error_metric.inc();
-                                recv_deadletter.push(DeadLetter {
-                                    seq: event.seq,
-                                    kind,
-                                    failures: 1,
-                                    error: err.to_string(),
-                                });
-                                quarantined_metric.inc();
-                                recv_handler.obs().record(TraceEvent::Quarantined {
-                                    seq: event.seq,
-                                    failures: 1,
-                                });
-                                last_applied = event.seq;
-                                if batched {
-                                    watermarks.push(last_applied);
-                                } else {
-                                    let _ =
-                                        Frame::Ack { ack: last_applied }.write_to(&mut write_half);
-                                    let _ = write_half.flush();
-                                }
-                                continue;
-                            }
-                        };
-                        let t_demod = started.elapsed().as_secs_f64();
-                        last_applied = event.seq;
-                        processed += 1;
-
-                        reconfig.record_mod(ModMessageProfile {
-                            samples: event.samples.clone(),
-                            split: event.continuation.pse,
-                            mod_work: event.continuation.mod_work,
-                            t_mod: (t_mod_nanos > 0).then_some(t_mod_nanos as f64 / 1e9),
-                        });
-                        reconfig.record_samples(&demod.samples);
-                        reconfig.record_demod(DemodMessageProfile {
-                            pse: demod.pse,
-                            demod_work: demod.demod_work,
-                            t_demod: Some(t_demod),
-                        });
-                        let mut reconfigured = false;
-                        // A no-op update (same active set) is not
-                        // installed: pointless epoch churn would advance
-                        // the staleness horizon and reject in-flight
-                        // retransmissions for no benefit.
-                        let update = reconfig
-                            .maybe_reconfigure()?
-                            .filter(|u| u.active != recv_handler.plan().active())
-                            // Two-phase gate: validate the candidate
-                            // before install — a rejected candidate never
-                            // replaces the serving plan or reaches the
-                            // sender as a plan frame.
-                            .filter(|u| match recv_handler.validate_candidate(&u.active) {
-                                Ok(()) => {
-                                    recv_handler.metrics().note_prepare("ready");
-                                    true
-                                }
-                                Err(_) => {
-                                    recv_handler.metrics().note_prepare("rejected");
-                                    false
-                                }
-                            });
-                        if let Some(update) = update {
-                            revision += 1;
-                            // The receiver installs the plan (recording
-                            // the generation for its demodulator's
-                            // history) and tells the sender which epoch
-                            // it became.
-                            let epoch = recv_handler
-                                .install_plan_reason(&update.active, PlanReason::Reconfig);
-                            reconfig.acknowledge_epoch(epoch);
-                            let plan = Frame::Plan(PlanEnvelope {
-                                active: update.active,
-                                revision,
-                                epoch,
-                                ack: last_applied,
-                            });
-                            if plan.write_to(&mut write_half).is_err() {
-                                continue 'accepting;
-                            }
-                            let _ = write_half.flush();
-                            reconfigured = true;
-                            if batched {
-                                // The plan frame already carried the
-                                // watermark; keep the per-member invariant
-                                // anyway (the sender folds with max, so a
-                                // duplicate watermark is free).
-                                watermarks.push(last_applied);
-                            }
-                        } else if batched {
-                            watermarks.push(last_applied);
-                        } else {
-                            let _ = Frame::Ack { ack: last_applied }.write_to(&mut write_half);
-                            let _ = write_half.flush();
-                        }
-                        // Non-blocking: if the consumer stops draining
-                        // outcomes, drop them instead of deadlocking the
-                        // shutdown path behind a full channel.
-                        let _ = outcome_tx.try_send(LocalOutcome {
-                            seq: event.seq,
-                            ret: demod.ret,
-                            split_pse: event.continuation.pse,
-                            wire_bytes: event.wire_size(),
-                            reconfigured,
-                        });
+                // The apply step: the subscriber under the wall clock. A
+                // validated proposal installs at once (recording the
+                // generation for the demodulator's history) and the
+                // machine tells the sender which epoch it became.
+                let mut apply = |event: ModulatedEvent, t_mod_nanos: u64| {
+                    if disconnect_after.is_some_and(|limit| on_this_conn >= limit) {
+                        disconnect_after = None;
+                        return Ok(Verdict::Disconnect);
                     }
-                    if !watermarks.is_empty() {
-                        if (Frame::BatchAck { watermarks }).write_to(&mut write_half).is_err() {
-                            continue 'accepting;
+                    on_this_conn += 1;
+                    let wire_bytes = event.wire_size();
+                    let mod_work = event.continuation.mod_work;
+                    let started = Instant::now();
+                    let applied =
+                        subscriber.apply(&mut ctx, &event.continuation, event.samples, |demod| {
+                            Timing {
+                                mod_work,
+                                t_mod: (t_mod_nanos > 0).then_some(t_mod_nanos as f64 / 1e9),
+                                demod_work: demod.demod_work,
+                                t_demod: Some(started.elapsed().as_secs_f64()),
+                            }
+                        });
+                    let applied = match applied {
+                        Ok(applied) => applied,
+                        Err(e) => return Ok(Verdict::Failed(e)),
+                    };
+                    let plan = applied.proposal?.and_then(|proposal| {
+                        let active = proposal.active().to_vec();
+                        let epoch = subscriber.install(proposal, PlanReason::Reconfig)?;
+                        Some((epoch, active))
+                    });
+                    processed += 1;
+                    // Non-blocking: if the consumer stops draining
+                    // outcomes, drop them instead of deadlocking the
+                    // shutdown path behind a full channel.
+                    let _ = outcome_tx.try_send(LocalOutcome {
+                        seq: event.seq,
+                        ret: applied.demod.ret,
+                        split_pse: event.continuation.pse,
+                        wire_bytes,
+                        reconfigured: plan.is_some(),
+                    });
+                    Ok(Verdict::Applied { plan })
+                };
+                loop {
+                    // Garbled or dead connection: drop it and accept the
+                    // next one; the supervisor retransmits.
+                    let Ok(frame) = Frame::read_from(&mut read_half) else { continue 'accepting };
+                    let control = link.on_frame(frame, &mut apply, &mut received)?;
+                    error_metric.add(u64::from(received.failed));
+                    match control {
+                        Control::Shutdown => break 'accepting,
+                        Control::Disconnect => continue 'accepting,
+                        Control::Continue if received.replies.is_empty() => {}
+                        Control::Continue => {
+                            let written = received
+                                .replies
+                                .iter()
+                                .all(|r| r.write_to(&mut write_half).is_ok());
+                            if !written || write_half.flush().is_err() {
+                                continue 'accepting;
+                            }
                         }
-                        let _ = write_half.flush();
                     }
                 }
             }
@@ -385,7 +247,7 @@ impl TcpReceiver {
     /// Events that failed demodulation and were skipped (acknowledged but
     /// never applied).
     pub fn demod_errors(&self) -> u64 {
-        self.demod_errors.load(Ordering::Relaxed)
+        self.demod_errors.get()
     }
 
     /// The quarantined (acknowledged-and-skipped) envelopes currently
@@ -420,29 +282,113 @@ impl TcpReceiver {
     }
 }
 
+/// One live connection to a [`TcpReceiver`]: the write half and the
+/// thread reading control traffic off the read half.
+pub(crate) struct Connection {
+    write_half: TcpStream,
+    reader: Option<JoinHandle<()>>,
+    /// `plan_updates_applied_total` on the handler's metrics registry.
+    plans_applied: Counter,
+    encoder: Encoder,
+}
+
+impl Connection {
+    /// Dials `port` on localhost. Control traffic (plan updates, acks)
+    /// arrives asynchronously: plans were already installed by the
+    /// receiver into the shared handler, so the reading thread only folds
+    /// every frame's acknowledgement into `acked` — which the caller owns,
+    /// so the watermark survives reconnects — and counts plan updates.
+    pub(crate) fn dial(
+        handler: &PartitionedHandler,
+        port: u16,
+        acked: Arc<AtomicU64>,
+    ) -> Result<Self, IrError> {
+        let stream = TcpStream::connect(("127.0.0.1", port))
+            .map_err(|e| IrError::Marshal(format!("connect: {e}")))?;
+        let mut read_half =
+            stream.try_clone().map_err(|e| IrError::Marshal(format!("clone: {e}")))?;
+        let plans_applied = handler.obs().registry().counter("plan_updates_applied_total", &[]);
+        let plan_metric = plans_applied.clone();
+        let reader = std::thread::spawn(move || {
+            while let Ok(frame) = Frame::read_from(&mut read_half) {
+                // Anything without a watermark is `Shutdown`, or a frame
+                // kind that only flows sender → receiver.
+                let Some(watermark) = ack_watermark(&frame) else { break };
+                acked.fetch_max(watermark, Ordering::AcqRel);
+                if matches!(frame, Frame::Plan(_)) {
+                    plan_metric.inc();
+                }
+            }
+        });
+        Ok(Connection {
+            write_half: stream,
+            reader: Some(reader),
+            plans_applied,
+            encoder: Encoder::new(handler.obs().registry()),
+        })
+    }
+
+    /// Encodes `frame` into zero-copy segments and gathers them onto the
+    /// socket with one vectored write: large continuation payloads go
+    /// straight from the marshalled buffer, no intermediate copy.
+    pub(crate) fn send(&mut self, frame: &Frame) -> Result<(), IrError> {
+        self.encoder.encode(frame)?.write_to(&mut self.write_half)?;
+        self.write_half.flush().map_err(|e| IrError::Marshal(format!("flush: {e}")))
+    }
+
+    fn join_reader(&mut self) {
+        if let Some(t) = self.reader.take() {
+            let _ = t.join();
+        }
+    }
+
+    /// Sends the shutdown frame and joins the reading thread.
+    pub(crate) fn shutdown(mut self) -> Result<(), IrError> {
+        Frame::Shutdown.write_to(&mut self.write_half)?;
+        let _ = self.write_half.flush();
+        let _ = self.write_half.shutdown(std::net::Shutdown::Write);
+        self.join_reader();
+        Ok(())
+    }
+
+    /// Tears the connection down without the shutdown handshake, leaving
+    /// the receiver running (it returns to `accept`). Used when a
+    /// connection is declared dead.
+    pub(crate) fn abandon(mut self) {
+        let _ = self.write_half.shutdown(std::net::Shutdown::Both);
+        self.join_reader();
+        // Drop runs next but the socket is already down; the extra
+        // Shutdown write in Drop fails harmlessly.
+    }
+}
+
+impl Drop for Connection {
+    fn drop(&mut self) {
+        let _ = Frame::Shutdown.write_to(&mut self.write_half);
+        let _ = self.write_half.shutdown(std::net::Shutdown::Both);
+        self.join_reader();
+    }
+}
+
 /// The sender endpoint: runs the modulator locally and streams modulated
 /// events to a [`TcpReceiver`].
 ///
-/// One `TcpSender` is one connection. For retry, reconnection, and
-/// retransmission, wrap it in a [`Supervisor`](crate::supervisor::Supervisor).
+/// One `TcpSender` is one connection and keeps no window: if the
+/// connection dies, in-flight events die with it. For retry,
+/// reconnection, and retransmission use a
+/// [`Supervisor`](crate::supervisor::Supervisor), which drives the link
+/// machine's sender half over successive connections.
 pub struct TcpSender {
-    program: Arc<Program>,
-    handler: Arc<PartitionedHandler>,
-    modulator: mpart::modulator::Modulator,
-    sender_builtins: BuiltinRegistry,
-    write_half: TcpStream,
-    plan_thread: Option<JoinHandle<()>>,
+    source: Source,
+    conn: Connection,
     seq: u64,
-    plans_applied: Arc<AtomicU64>,
     acked: Arc<AtomicU64>,
-    marshal_copied: Counter,
-    marshal_borrowed: Counter,
 }
 
 impl std::fmt::Debug for TcpSender {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TcpSender")
-            .field("handler", &self.handler.func_name())
+            .field("handler", &self.source.handler.func_name())
             .field("sent", &self.seq)
             .finish()
     }
@@ -464,10 +410,9 @@ impl TcpSender {
     }
 
     /// Like [`connect`](Self::connect), with caller-owned shared state: the
-    /// `acked` watermark survives across reconnects (a supervisor passes
-    /// the same counter to each successive connection) and `start_seq`
-    /// resumes the sequence numbering where the previous connection left
-    /// off.
+    /// `acked` watermark survives across connections (pass the same counter
+    /// to each successive one) and `start_seq` resumes the sequence
+    /// numbering where the previous connection left off.
     ///
     /// # Errors
     ///
@@ -480,64 +425,18 @@ impl TcpSender {
         acked: Arc<AtomicU64>,
         start_seq: u64,
     ) -> Result<Self, IrError> {
-        let stream = TcpStream::connect(("127.0.0.1", port))
-            .map_err(|e| IrError::Marshal(format!("connect: {e}")))?;
-        let mut read_half =
-            stream.try_clone().map_err(|e| IrError::Marshal(format!("clone: {e}")))?;
-        let write_half = stream;
-
-        // Control traffic (plan updates, acks) arrives asynchronously.
-        // Plans were already installed by the receiver into the shared
-        // handler; this side only tracks the acknowledgement watermark and
-        // the applied-plan count.
-        let plans_applied = Arc::new(AtomicU64::new(0));
-        let plan_counter = Arc::clone(&plans_applied);
-        let plan_metric = handler.obs().registry().counter("plan_updates_applied_total", &[]);
-        let ack_watermark = Arc::clone(&acked);
-        let plan_thread = std::thread::spawn(move || {
-            while let Ok(frame) = Frame::read_from(&mut read_half) {
-                match frame {
-                    Frame::Plan(update) => {
-                        ack_watermark.fetch_max(update.ack, Ordering::AcqRel);
-                        plan_counter.fetch_add(1, Ordering::Relaxed);
-                        plan_metric.inc();
-                    }
-                    Frame::Ack { ack } => {
-                        ack_watermark.fetch_max(ack, Ordering::AcqRel);
-                    }
-                    Frame::BatchAck { watermarks } => {
-                        for ack in watermarks {
-                            ack_watermark.fetch_max(ack, Ordering::AcqRel);
-                        }
-                    }
-                    Frame::Shutdown => break,
-                    // Events and heartbeats flow sender → receiver only.
-                    Frame::Event { .. } | Frame::Batch { .. } | Frame::Heartbeat { .. } => break,
-                }
-            }
-        });
-
-        let marshal_copied = handler.obs().registry().counter("marshal_copied_bytes_total", &[]);
-        let marshal_borrowed =
-            handler.obs().registry().counter("marshal_borrowed_bytes_total", &[]);
+        let conn = Connection::dial(&handler, port, Arc::clone(&acked))?;
         Ok(TcpSender {
-            modulator: handler.modulator(),
-            handler,
-            program,
-            sender_builtins,
-            write_half,
-            plan_thread: Some(plan_thread),
+            source: Source::new(program, handler, sender_builtins),
+            conn,
             seq: start_seq,
-            plans_applied,
             acked,
-            marshal_copied,
-            marshal_borrowed,
         })
     }
 
     /// Number of plan updates applied so far.
     pub fn plans_applied(&self) -> u64 {
-        self.plans_applied.load(Ordering::Relaxed)
+        self.conn.plans_applied.get()
     }
 
     /// Highest contiguous event seq the receiver has acknowledged.
@@ -562,42 +461,25 @@ impl TcpSender {
         make_event: impl FnOnce(&mut ExecCtx) -> Result<Vec<Value>, IrError>,
     ) -> Result<(ModulatedEvent, u64), IrError> {
         self.seq += 1;
-        let mut ctx = ExecCtx::with_builtins(&self.program, self.sender_builtins.clone());
-        let args = make_event(&mut ctx)?;
-        let started = Instant::now();
-        let run = self.modulator.handle(&mut ctx, args)?;
-        let t_mod_nanos = started.elapsed().as_nanos() as u64;
+        let (run, t_mod_nanos) = self.source.modulate(make_event)?;
         let event =
             ModulatedEvent { seq: self.seq, continuation: run.message, samples: run.samples };
         Ok((event, t_mod_nanos))
     }
 
-    /// Encodes a frame into zero-copy segments, records the marshal
-    /// copy/borrow counters, and gathers the segments onto the socket with
-    /// one vectored write.
-    fn send_frame(&mut self, frame: &Frame) -> Result<(), IrError> {
-        let enc = frame.try_encode_frame()?;
-        self.marshal_copied.add(enc.copied_payload_bytes());
-        self.marshal_borrowed.add(enc.borrowed_payload_bytes());
-        enc.write_to(&mut self.write_half)?;
-        self.write_half.flush().map_err(|e| IrError::Marshal(format!("flush: {e}")))
-    }
-
-    /// Writes one already-modulated event to the socket. Large
-    /// continuation payloads are written straight from the marshalled
-    /// buffer (vectored I/O, no intermediate copy).
+    /// Writes one already-modulated event to the socket.
     ///
     /// # Errors
     ///
     /// Propagates socket errors.
     pub fn send_event(&mut self, event: &ModulatedEvent, t_mod_nanos: u64) -> Result<(), IrError> {
-        self.send_frame(&Frame::Event { event: event.clone(), t_mod_nanos })
+        self.conn.send(&Frame::Event { event: event.clone(), t_mod_nanos })
     }
 
-    /// Coalesces already-modulated events into a single [`Frame::Batch`]
-    /// (one header, one checksum, one gathered writev over all member
-    /// segments) and writes it to the socket. Events keep their order; an
-    /// empty slice is a no-op and a single event is sent as a plain
+    /// Coalesces already-modulated events into a single data frame (one
+    /// header, one checksum, one gathered writev over all member segments)
+    /// and writes it to the socket. Events keep their order; an empty
+    /// slice is a no-op and a single event is sent as a plain
     /// [`Frame::Event`], so framing stays byte-identical to the unbatched
     /// path when there is nothing to coalesce.
     ///
@@ -605,11 +487,10 @@ impl TcpSender {
     ///
     /// Propagates socket errors.
     pub fn send_batch(&mut self, events: &[(ModulatedEvent, u64)]) -> Result<(), IrError> {
-        match events {
-            [] => Ok(()),
-            [(event, t_mod_nanos)] => self.send_event(event, *t_mod_nanos),
-            _ => self.send_frame(&Frame::Batch { events: events.to_vec() }),
+        if events.is_empty() {
+            return Ok(());
         }
+        self.conn.send(&data_frame(events.iter()))
     }
 
     /// Sends a liveness probe carrying the highest seq sent; the receiver
@@ -619,8 +500,7 @@ impl TcpSender {
     ///
     /// Propagates socket errors.
     pub fn heartbeat(&mut self) -> Result<(), IrError> {
-        Frame::Heartbeat { seq: self.seq }.write_to(&mut self.write_half)?;
-        self.write_half.flush().map_err(|e| IrError::Marshal(format!("flush: {e}")))
+        self.conn.send(&Frame::Heartbeat { seq: self.seq })
     }
 
     /// Publishes one event over the socket (modulate + send).
@@ -636,41 +516,13 @@ impl TcpSender {
         self.send_event(&event, t_mod_nanos)
     }
 
-    /// Sends the shutdown frame and joins the plan thread.
+    /// Sends the shutdown frame and joins the control-reading thread.
     ///
     /// # Errors
     ///
     /// Propagates socket errors.
-    pub fn shutdown(mut self) -> Result<(), IrError> {
-        Frame::Shutdown.write_to(&mut self.write_half)?;
-        let _ = self.write_half.flush();
-        let _ = self.write_half.shutdown(std::net::Shutdown::Write);
-        if let Some(t) = self.plan_thread.take() {
-            let _ = t.join();
-        }
-        Ok(())
-    }
-
-    /// Tears the connection down without the shutdown handshake, leaving
-    /// the receiver running (it returns to `accept`). Used by the
-    /// supervisor when it declares a connection dead.
-    pub(crate) fn abandon(mut self) {
-        let _ = self.write_half.shutdown(std::net::Shutdown::Both);
-        if let Some(t) = self.plan_thread.take() {
-            let _ = t.join();
-        }
-        // Drop runs next but the socket is already down; the extra
-        // Shutdown write in Drop fails harmlessly.
-    }
-}
-
-impl Drop for TcpSender {
-    fn drop(&mut self) {
-        let _ = Frame::Shutdown.write_to(&mut self.write_half);
-        let _ = self.write_half.shutdown(std::net::Shutdown::Both);
-        if let Some(t) = self.plan_thread.take() {
-            let _ = t.join();
-        }
+    pub fn shutdown(self) -> Result<(), IrError> {
+        self.conn.shutdown()
     }
 }
 
@@ -857,7 +709,7 @@ mod tests {
         for expected in 1..=2 {
             assert_eq!(receiver.next_outcome().unwrap().seq, expected);
         }
-        first.abandon();
+        first.conn.abandon();
         assert_eq!(acked.load(Ordering::Acquire), 0, "mid-batch acks were lost with the link");
 
         // A supervisor-style reconnect replays the whole unacked batch.
@@ -975,7 +827,7 @@ mod tests {
         for _ in 0..3 {
             receiver.next_outcome().unwrap();
         }
-        first.abandon();
+        first.conn.abandon();
 
         // Second connection re-sends 2..=3 (as a supervisor replaying an
         // unacked window would) plus a fresh seq 4.
