@@ -240,12 +240,10 @@ fn run_fixture(fixture: &Fixture, iters: usize, choice: EngineChoice) -> Measure
     let mut total_steps = 0u64;
     let start = Instant::now();
     for seq in 0..iters {
-        let mut sender = ExecCtx::with_builtins(&fixture.program, fixture.builtins.clone());
-        sender.trace_digests = false;
+        let mut sender = ExecCtx::without_digests(&fixture.program, fixture.builtins.clone());
         let args = (fixture.event)(&fixture.program, &mut sender, seq as u64).expect("event");
         let run = modulator.handle(&mut sender, args).expect("modulate");
-        let mut receiver = ExecCtx::with_builtins(&fixture.program, fixture.builtins.clone());
-        receiver.trace_digests = false;
+        let mut receiver = ExecCtx::without_digests(&fixture.program, fixture.builtins.clone());
         let out = demodulator.handle(&mut receiver, &run.message).expect("demodulate");
         std::hint::black_box(out.ret);
         total_work += sender.work + receiver.work;

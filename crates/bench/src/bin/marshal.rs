@@ -1,6 +1,8 @@
-//! Zero-copy frame-encode sweep: payload size × batch factor
+//! The payload path, both halves: frame encode, frame read + decode, and
+//! the marshal layer under them, swept over payload size × batch factor
 //! (`BENCH_marshal.json`).
 //!
+//! **Send side.**
 //! Measures per-envelope encode latency of the legacy single-buffer
 //! encoder ([`Frame::encode_via_copy`]: render body into a fresh buffer,
 //! copy it again behind the header, bitwise CRC) against the scatter-
@@ -15,8 +17,23 @@
 //! per-envelope encode time by at least 30%, and at 256 B and below it
 //! must not regress by more than 5%. Byte-identity of the two encoders is
 //! also re-checked on every configuration (a fast-but-wrong encoder fails
-//! the run). See WIRE.md for the wire layout and EXPERIMENTS.md for the
-//! schema of the emitted JSON.
+//! the run).
+//!
+//! **Receive side.** Per-envelope cost of taking one frame off a byte
+//! stream: [`Frame::read_from`] (body read once into an unzeroed buffer
+//! that becomes the `Bytes` the frame is decoded from) against the path it
+//! replaced, kept here as the baseline closure — zero-fill a `len`-byte
+//! buffer, `read_exact`, checksum, then copy the body twice on the way
+//! into the decoder's `Bytes`. Both decode the same frame; the run checks
+//! it. The stream is a `Cursor`, so the kernel's copy is a `memcpy` and
+//! syscalls are not in the number.
+//!
+//! **Marshal layer.** `marshal_values` / `unmarshal_values` for one byte
+//! array and one int array per payload size: what a continuation payload
+//! costs to build and to materialise on the receiver's heap.
+//!
+//! See WIRE.md for the wire layout and ownership rules and EXPERIMENTS.md
+//! for the schema of the emitted JSON.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -25,8 +42,13 @@ use mpart::continuation::ContinuationMessage;
 use mpart::profile::PseSample;
 use mpart_bench::table::{arg_usize, f2, Table};
 use mpart_bench::Report;
-use mpart_ir::marshal::Marshalled;
-use mpart_jecho::envelope::{Frame, ModulatedEvent, ZERO_COPY_MIN_BYTES};
+use mpart_ir::heap::{ArrayData, Heap};
+use mpart_ir::marshal::{marshal_values, unmarshal_values, Marshalled};
+use mpart_ir::types::ClassTable;
+use mpart_ir::Value;
+use mpart_jecho::envelope::{
+    crc32, Frame, ModulatedEvent, FRAME_HEADER_BYTES, ZERO_COPY_MIN_BYTES,
+};
 use mpart_jecho::link::data_frame;
 
 /// One synthetic modulated event with a deterministic payload of `size`
@@ -55,6 +77,23 @@ fn frame_for(size: usize, batch: usize) -> Frame {
     data_frame(events.iter())
 }
 
+/// The receive path before the owned-buffer decode: a zero-filled body
+/// buffer sized by the header, `read_exact`, checksum, and two copies of
+/// the body on its way into the decoder (`to_vec`, then `Vec` →
+/// `Arc<[u8]>`, which is what `Bytes::copy_from_slice` cost while `Bytes`
+/// was `Arc<[u8]>`-backed; `Frame::decode` still makes the second).
+fn read_via_zero_fill_and_copy(reader: &mut impl std::io::Read) -> Frame {
+    let mut header = [0u8; FRAME_HEADER_BYTES];
+    reader.read_exact(&mut header).expect("header");
+    let len = u32::from_be_bytes([header[1], header[2], header[3], header[4]]) as usize;
+    let stated = u32::from_be_bytes([header[5], header[6], header[7], header[8]]);
+    let mut body = vec![0u8; len];
+    reader.read_exact(&mut body).expect("body");
+    assert_eq!(crc32(&[&header[..1], &header[1..5], &body]), stated, "checksum");
+    let first_copy: std::sync::Arc<[u8]> = body.as_slice().into();
+    Frame::decode(header[0], &first_copy).expect("decode")
+}
+
 /// Minimum per-call nanoseconds of `f` over `samples` samples of `reps`
 /// calls each (min-of-samples suppresses scheduler noise; reps amortize
 /// the timer).
@@ -70,6 +109,109 @@ fn time_ns(samples: usize, reps: usize, mut f: impl FnMut()) -> f64 {
         best = best.min(ns);
     }
     best
+}
+
+/// The receive-side table; a gate that misses is pushed onto `failures`.
+fn receive_table(
+    payload_sizes: &[usize],
+    batches: &[usize],
+    samples: usize,
+    failures: &mut Vec<String>,
+) -> Table {
+    let mut receive = Table::new(
+        "Per-envelope receive latency: zero-fill + copy vs owned-buffer decode",
+        &["payload_B", "batch", "zerofill_copy_ns_env", "owned_ns_env", "speedup", "crc_share"],
+    );
+    for &size in payload_sizes {
+        for &batch in batches {
+            let wire = frame_for(size, batch).encode();
+            let old = read_via_zero_fill_and_copy(&mut std::io::Cursor::new(&wire));
+            let new = Frame::read_from(&mut std::io::Cursor::new(&wire)).expect("read_from");
+            assert_eq!(old.encode(), wire, "baseline reader garbled {size}B x{batch}");
+            assert_eq!(new.encode(), wire, "read_from garbled {size}B x{batch}");
+
+            let reps = (2_000_000 / wire.len().max(200)).clamp(8, 4096);
+            let old_ns = time_ns(samples, reps, || {
+                black_box(read_via_zero_fill_and_copy(&mut std::io::Cursor::new(&wire)));
+            }) / batch as f64;
+            let new_ns = time_ns(samples, reps, || {
+                black_box(Frame::read_from(&mut std::io::Cursor::new(&wire)).expect("read_from"));
+            }) / batch as f64;
+            let crc_ns = time_ns(samples, reps, || {
+                black_box(crc32(&[&wire[..1], &wire[1..5], &wire[FRAME_HEADER_BYTES..]]));
+            }) / batch as f64;
+            let speedup = old_ns / new_ns;
+            receive.row(vec![
+                size.to_string(),
+                batch.to_string(),
+                f2(old_ns),
+                f2(new_ns),
+                f2(speedup),
+                f2(crc_ns / new_ns),
+            ]);
+            // The owned path does strictly less work, but most of either
+            // side is the same CRC: the gate is for a copy creeping back
+            // in, set wide of this box's timing noise.
+            if new_ns > old_ns * 1.25 {
+                failures.push(format!(
+                    "{size}B x{batch}: owned-buffer read {new_ns:.0}ns slower than \
+                     zero-fill + copy {old_ns:.0}ns"
+                ));
+            }
+        }
+    }
+    receive.note(
+        "ns/envelope = min-of-samples over reps, from a Cursor (no syscalls); zerofill_copy = \
+         vec![0; len] + read_exact + CRC + two body copies (the pre-decode_owned path, kept in \
+         this bin), owned = Frame::read_from (unzeroed bounded read + CRC + decode_owned); \
+         crc_share = the frame's slicing-by-8 CRC timed alone / owned — the same code on both \
+         sides, and what is left of the receive path once the copies are gone",
+    );
+    receive.print();
+    receive
+}
+
+/// The marshal-layer table.
+fn layer_table(payload_sizes: &[usize], samples: usize) -> Table {
+    let mut layer = Table::new(
+        "Marshal layer: one array, packed and unpacked",
+        &["elem", "payload_B", "pack_ns", "unpack_ns", "pack_GBps", "unpack_GBps"],
+    );
+    let classes = ClassTable::new();
+    for &size in payload_sizes {
+        let arrays = [
+            ("byte", ArrayData::Byte((0..size).map(|i| (i * 131 + 17) as u8).collect())),
+            ("int", ArrayData::Int((0..size / 8).map(|i| (i * 131 + 17) as i64).collect())),
+        ];
+        for (elem, data) in arrays {
+            let mut heap = Heap::new();
+            let roots = [Value::Ref(heap.alloc_array_from(data))];
+            let packed = marshal_values(&heap, &roots).expect("marshal");
+            let reps = (2_000_000 / size.max(200)).clamp(8, 4096);
+            let pack_ns = time_ns(samples, reps, || {
+                black_box(marshal_values(&heap, &roots).expect("marshal"));
+            });
+            let unpack_ns = time_ns(samples, reps, || {
+                let mut scratch = Heap::new();
+                black_box(unmarshal_values(&mut scratch, &classes, &packed).expect("unmarshal"));
+            });
+            layer.row(vec![
+                elem.to_string(),
+                size.to_string(),
+                f2(pack_ns),
+                f2(unpack_ns),
+                f2(size as f64 / pack_ns),
+                f2(size as f64 / unpack_ns),
+            ]);
+        }
+    }
+    layer.note(
+        "min-of-samples over reps; pack = marshal_values (table pass sizes the buffer, arrays \
+         written as one run, O(1) freeze), unpack = unmarshal_values into a fresh heap (one \
+         copy into the heap cell); payload_B counts element bytes, GB/s = payload_B / ns",
+    );
+    layer.print();
+    layer
 }
 
 fn main() {
@@ -145,6 +287,9 @@ fn main() {
     );
     table.print();
 
+    let receive = receive_table(payload_sizes, batches, samples, &mut failures);
+    let layer = layer_table(payload_sizes, samples);
+
     assert!(failures.is_empty(), "acceptance gates failed:\n  {}", failures.join("\n  "));
 
     let mut report = Report::new("marshal");
@@ -152,6 +297,8 @@ fn main() {
         .param_u64("samples", samples as u64)
         .param_u64("smoke", u64::from(smoke))
         .param_u64("zero_copy_min_bytes", ZERO_COPY_MIN_BYTES as u64)
-        .add_table(&table);
+        .add_table(&table)
+        .add_table(&receive)
+        .add_table(&layer);
     report.finish();
 }

@@ -69,6 +69,9 @@ pub struct HandlerMetrics {
     /// `compile_fallbacks_total` — bodies the compiler declined to the
     /// interpreter fallback across engine builds.
     compile_fallbacks: Counter,
+    /// `receiver_heap_cells` — cells on the receiver context's heap after
+    /// the last envelope's release.
+    receiver_heap_cells: Gauge,
     /// Last split PSE seen by [`note_split`](Self::note_split)
     /// ([`NO_SPLIT`] before the first message).
     last_split: AtomicU64,
@@ -109,6 +112,7 @@ impl HandlerMetrics {
             ],
             compiled_bodies: registry.counter("compiled_bodies_total", &[]),
             compile_fallbacks: registry.counter("compile_fallbacks_total", &[]),
+            receiver_heap_cells: registry.gauge("receiver_heap_cells", &[]),
             last_split: AtomicU64::new(NO_SPLIT),
         }
     }
@@ -205,6 +209,13 @@ impl HandlerMetrics {
     pub fn note_engine_build(&self, bodies: u64, declined: u64) {
         self.compiled_bodies.add(bodies);
         self.compile_fallbacks.add(declined);
+    }
+
+    /// Publishes the receiver heap's size after an envelope's release:
+    /// flat for a handler that publishes nothing, growing by what it
+    /// publishes otherwise.
+    pub fn note_receiver_heap(&self, cells: usize) {
+        self.receiver_heap_cells.set(cells as f64);
     }
 
     fn note_split(&self, hub: &ObsHub, pse: PseId, epoch: u64) {

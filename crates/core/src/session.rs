@@ -714,8 +714,7 @@ impl SessionState {
 
     fn deliver_inner(&mut self, make_event: EventFn) -> Result<SessionOutcome, IrError> {
         let mut sender_ctx =
-            ExecCtx::with_builtins(self.handler.program(), self.sender_builtins.clone());
-        sender_ctx.trace_digests = false;
+            ExecCtx::without_digests(self.handler.program(), self.sender_builtins.clone());
         let args = make_event(&mut sender_ctx)?;
         let run = {
             let modulator = &self.modulator;
@@ -1186,8 +1185,7 @@ impl SessionManager {
                 limits: self.config.limits,
             }
         });
-        let mut receiver_ctx = ExecCtx::with_builtins(&program, receiver_builtins);
-        receiver_ctx.trace_digests = false;
+        let receiver_ctx = ExecCtx::without_digests(&program, receiver_builtins);
 
         let id = self.sessions.len();
         let registry = handler.obs().registry();

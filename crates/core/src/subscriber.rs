@@ -3,7 +3,8 @@
 //!
 //! The paper's runtime is three roles and a feedback channel. Whatever
 //! wire carried the continuation, the receiver does the same thing with
-//! it: run the demodulator (inside the panic-isolation boundary), feed the
+//! it: run the demodulator (inside the panic-isolation boundary), release
+//! what the envelope allocated on the receiver's heap, feed the
 //! Reconfiguration Unit — modulator profile, demodulator samples,
 //! demodulator profile, in that order — let it re-select, and gate the
 //! re-selection before anything can install it. [`Subscriber::apply`] is
@@ -14,6 +15,16 @@
 //! feedback latency it models ([`Subscriber::defer`], then
 //! [`Subscriber::install_due`] — sim, proxy); a proposal it loses on the
 //! way or refuses is simply dropped.
+//!
+//! Receiver state is envelope-scoped: the unmarshalled continuation and
+//! whatever the handler suffix allocated are freed when the demodulator
+//! returns (or fails), so a receiver's memory does not grow with the
+//! session. What a handler *publishes* survives — an object it stored
+//! into a global, into an object an earlier envelope published, or
+//! returned ([`Heap::release`] has the exact rule) — and an `ObjRef` a
+//! native was handed is valid for that call only.
+//!
+//! [`Heap::release`]: mpart_ir::heap::Heap::release
 //!
 //! The gate is the same everywhere:
 //!
@@ -130,6 +141,8 @@ impl Subscriber {
     }
 
     /// Applies one continuation: demodulate inside [`failure::isolate`],
+    /// release the envelope's heap cells (unless the handler published
+    /// one through `ctx.globals`, an older object or its return value),
     /// feed the Reconfiguration Unit, re-select, gate. `samples` are the
     /// modulator-side profiling samples that travelled with the
     /// continuation; `timing` is asked once the demodulator has run, so a
@@ -140,7 +153,7 @@ impl Subscriber {
     ///
     /// The demodulator's error (a panic surfaces as
     /// [`IrError::HandlerPanic`]): the envelope was **not** applied and
-    /// nothing was recorded.
+    /// nothing was recorded; its heap cells are released all the same.
     pub fn apply(
         &mut self,
         ctx: &mut ExecCtx,
@@ -149,7 +162,12 @@ impl Subscriber {
         timing: impl FnOnce(&DemodRun) -> Timing,
     ) -> Result<Applied, IrError> {
         let demodulator = &self.demodulator;
-        let demod = failure::isolate(|| demodulator.handle(ctx, continuation))?;
+        let mark = ctx.heap.mark();
+        let demod = failure::isolate(|| demodulator.handle(ctx, continuation));
+        let ret = demod.as_ref().ok().and_then(|run| run.ret.as_ref());
+        ctx.heap.release(mark, ctx.globals.iter().chain(ret));
+        self.handler.metrics().note_receiver_heap(ctx.heap.len());
+        let demod = demod?;
         let t = timing(&demod);
         self.reconfig.record_mod(ModMessageProfile {
             samples,

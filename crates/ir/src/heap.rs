@@ -116,16 +116,37 @@ pub enum HeapCell {
     Array(ArrayData),
 }
 
-/// A growable object heap.
+/// A growable object heap with envelope-scoped release.
 ///
-/// The heap never frees cells during a handler invocation; the paper's
-/// handlers are short-lived per message, so each invocation starts from a
-/// fresh or host-owned heap. This keeps `ObjRef`s stable, which the
-/// continuation machinery relies on.
+/// Cells are never freed or moved *during* a handler invocation, so an
+/// `ObjRef` stays valid for as long as the invocation that obtained it —
+/// which is all the continuation machinery and natives rely on (an
+/// `ObjRef` handed to a native is valid for that call). Between
+/// invocations a host brackets each message with [`mark`](Self::mark) and
+/// [`release`](Self::release): everything the message allocated is freed
+/// again unless the handler published it, by storing a reference to it
+/// into a cell that existed before the mark (seen by the write barrier in
+/// [`set_field`](Self::set_field) / [`array_set`](Self::array_set), the
+/// only ways to write a cell) or by leaving one in a root the host names
+/// (its globals, the handler's return value). A published object — and,
+/// conservatively, everything else that message allocated — lives on like
+/// any older cell. A heap that is never marked never frees.
 #[derive(Debug, Clone, Default)]
 pub struct Heap {
     cells: Vec<HeapCell>,
+    /// Cells at or above this index were allocated since the pending
+    /// [`mark`](Self::mark); 0 when none is pending.
+    mark: u32,
+    /// A store since the pending mark wrote a reference to a cell at or
+    /// above it into a cell below it.
+    escaped: bool,
 }
+
+/// The heap's extent when [`Heap::mark`] was called; consumed by
+/// [`Heap::release`].
+#[derive(Debug)]
+#[must_use = "a mark that is never released frees nothing"]
+pub struct HeapMark(u32);
 
 impl Heap {
     /// Creates an empty heap.
@@ -171,6 +192,44 @@ impl Heap {
         self.push(HeapCell::Array(data))
     }
 
+    /// Opens a message scope: cells allocated from here on are released by
+    /// the matching [`release`](Self::release). One scope at a time — a
+    /// second `mark` supersedes the first, whose release then keeps
+    /// everything.
+    pub fn mark(&mut self) -> HeapMark {
+        self.mark = self.cells.len() as u32;
+        self.escaped = false;
+        HeapMark(self.mark)
+    }
+
+    /// Closes the scope opened by `mark`: frees every cell allocated since,
+    /// unless one of them may still be reachable — a store wrote a
+    /// reference to one into an older cell, or one of `roots` refers to
+    /// one — in which case nothing is freed. Returns whether the cells
+    /// were freed.
+    pub fn release<'a>(
+        &mut self,
+        mark: HeapMark,
+        roots: impl IntoIterator<Item = &'a Value>,
+    ) -> bool {
+        let reachable = mark.0 != self.mark
+            || self.escaped
+            || roots.into_iter().any(|v| matches!(v, Value::Ref(r) if r.0 >= mark.0));
+        self.mark = 0;
+        self.escaped = false;
+        if !reachable {
+            self.cells.truncate(mark.0 as usize);
+        }
+        !reachable
+    }
+
+    /// The write barrier: `value` is about to be stored into cell `into`.
+    fn note_store(&mut self, into: ObjRef, value: &Value) {
+        if into.0 < self.mark && matches!(value, Value::Ref(r) if r.0 >= self.mark) {
+            self.escaped = true;
+        }
+    }
+
     fn push(&mut self, cell: HeapCell) -> ObjRef {
         let r = ObjRef(self.cells.len() as u32);
         self.cells.push(cell);
@@ -188,12 +247,9 @@ impl Heap {
             .ok_or_else(|| IrError::DanglingRef(format!("{r} not on this heap")))
     }
 
-    /// Mutable access to the cell behind `r`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IrError::DanglingRef`] if `r` belongs to a different heap.
-    pub fn cell_mut(&mut self, r: ObjRef) -> Result<&mut HeapCell, IrError> {
+    /// Mutable access to the cell behind `r`. Private: every write goes
+    /// through the barrier in `set_field` / `array_set`.
+    fn cell_mut(&mut self, r: ObjRef) -> Result<&mut HeapCell, IrError> {
         self.cells
             .get_mut(r.index())
             .ok_or_else(|| IrError::DanglingRef(format!("{r} not on this heap")))
@@ -220,6 +276,7 @@ impl Heap {
     ///
     /// Returns a type error if `r` is an array or the field is missing.
     pub fn set_field(&mut self, r: ObjRef, field: FieldId, value: Value) -> Result<(), IrError> {
+        self.note_store(r, &value);
         match self.cell_mut(r)? {
             HeapCell::Object { fields, .. } => {
                 let slot = fields
@@ -260,6 +317,7 @@ impl Heap {
     ///
     /// Returns a type error if `r` is not an array, or bounds errors.
     pub fn array_set(&mut self, r: ObjRef, index: i64, value: Value) -> Result<(), IrError> {
+        self.note_store(r, &value);
         match self.cell_mut(r)? {
             HeapCell::Array(a) => a.set(index, value),
             HeapCell::Object { .. } => {
@@ -379,6 +437,79 @@ mod tests {
     fn dangling_ref_detected() {
         let h = Heap::new();
         assert!(matches!(h.cell(ObjRef(5)), Err(IrError::DanglingRef(_))));
+    }
+
+    #[test]
+    fn release_frees_what_the_message_allocated() {
+        let (t, point) = table_with_point();
+        let mut h = Heap::new();
+        let old = h.alloc_object(&t, point);
+        let mark = h.mark();
+        let scratch = h.alloc_array(ElemType::Ref, 2);
+        let inner = h.alloc_object(&t, point);
+        // New → new and new → old references do not publish anything.
+        h.array_set(scratch, 0, Value::Ref(inner)).unwrap();
+        h.array_set(scratch, 1, Value::Ref(old)).unwrap();
+        h.set_field(old, FieldId(0), Value::Int(9)).unwrap();
+        assert!(h.release(mark, [&Value::Ref(old), &Value::Int(3)]));
+        assert_eq!(h.len(), 1);
+        assert!(matches!(h.cell(scratch), Err(IrError::DanglingRef(_))));
+        assert_eq!(h.field(old, FieldId(0)).unwrap(), Value::Int(9));
+        // The freed indices are handed out again.
+        assert_eq!(h.alloc_array(ElemType::Byte, 1), scratch);
+    }
+
+    #[test]
+    fn release_keeps_everything_when_a_cell_was_published() {
+        let (t, point) = table_with_point();
+        let mut h = Heap::new();
+        let old_arr = h.alloc_array(ElemType::Ref, 1);
+        let old_obj = h.alloc_object(&t, point);
+
+        // Through an older array.
+        let mark = h.mark();
+        let fresh = h.alloc_array(ElemType::Byte, 4);
+        h.array_set(old_arr, 0, Value::Ref(fresh)).unwrap();
+        assert!(!h.release(mark, []));
+        assert_eq!(h.len(), 3);
+        assert_eq!(h.array_get(old_arr, 0).unwrap(), Value::Ref(fresh));
+
+        // Through a field of an older object.
+        let mark = h.mark();
+        let fresh = h.alloc_array(ElemType::Byte, 4);
+        h.set_field(old_obj, FieldId(0), Value::Ref(fresh)).unwrap();
+        assert!(!h.release(mark, []));
+        assert_eq!(h.len(), 4);
+
+        // Through a root. What earlier messages published is old now, so
+        // writing into it publishes nothing.
+        let mark = h.mark();
+        let ret = h.alloc_array(ElemType::Byte, 4);
+        h.array_set(fresh, 0, Value::Int(1)).unwrap();
+        assert!(!h.release(mark, [&Value::Null, &Value::Ref(ret)]));
+        assert_eq!(h.len(), 5);
+
+        // The barrier is per scope: the next message is released again.
+        let mark = h.mark();
+        h.alloc_array(ElemType::Byte, 4);
+        assert!(h.release(mark, [&Value::Ref(ret)]));
+        assert_eq!(h.len(), 5);
+    }
+
+    #[test]
+    fn a_superseded_mark_releases_nothing() {
+        let mut h = Heap::new();
+        let old = h.alloc_array(ElemType::Ref, 1);
+        let outer = h.mark();
+        let mid = h.alloc_array(ElemType::Ref, 1);
+        let inner = h.mark();
+        let fresh = h.alloc_array(ElemType::Byte, 1);
+        assert!(h.release(inner, []));
+        // `outer`'s barrier was not watching while `inner` was pending.
+        h.array_set(old, 0, Value::Ref(mid)).unwrap();
+        assert!(!h.release(outer, []));
+        assert_eq!(h.len(), 2);
+        assert!(matches!(h.cell(fresh), Err(IrError::DanglingRef(_))));
     }
 
     #[test]

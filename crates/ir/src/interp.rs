@@ -186,9 +186,16 @@ pub struct ExecCtx {
     pub step_limit: u64,
     /// Per-kind instruction costs.
     pub costs: CostTable,
-    /// Trace of native invocations.
+    /// Native invocations recorded since the owner last cleared it. It is
+    /// the owner's to bound: a test reads it after a run, a transport
+    /// whose context nothing else can reach clears it with every
+    /// envelope.
     pub trace: Vec<TraceEvent>,
-    /// When false, skip digest computation in traces (faster benchmarking).
+    /// Whether a trace entry carries the deep digest of the call's
+    /// arguments. The digest is the equivalence tests' oracle and walks
+    /// every argument byte; a context built to serve traffic
+    /// ([`without_digests`](Self::without_digests)) records callee names
+    /// only.
     pub trace_digests: bool,
 }
 
@@ -213,6 +220,15 @@ impl ExecCtx {
     pub fn with_builtins(program: &Program, builtins: BuiltinRegistry) -> Self {
         let mut ctx = Self::new(program);
         ctx.builtins = builtins;
+        ctx
+    }
+
+    /// A context for serving traffic rather than comparing runs: as
+    /// [`with_builtins`](Self::with_builtins), but native calls record no
+    /// argument digests. Every context a transport owns is built here.
+    pub fn without_digests(program: &Program, builtins: BuiltinRegistry) -> Self {
+        let mut ctx = Self::with_builtins(program, builtins);
+        ctx.trace_digests = false;
         ctx
     }
 

@@ -100,59 +100,49 @@ pub fn marshal_values(heap: &Heap, roots: &[Value]) -> Result<Marshalled, IrErro
     let mut table: Vec<ObjRef> = Vec::new();
     let mut index: HashMap<ObjRef, u32> = HashMap::new();
 
-    // Pass 1: assign table slots in BFS order.
-    let mut queue: Vec<ObjRef> = Vec::new();
-    let visit = |r: ObjRef,
-                 index: &mut HashMap<ObjRef, u32>,
-                 table: &mut Vec<ObjRef>,
-                 queue: &mut Vec<ObjRef>| {
-        if let std::collections::hash_map::Entry::Vacant(e) = index.entry(r) {
-            e.insert(table.len() as u32);
-            table.push(r);
-            queue.push(r);
-        }
-    };
-    for v in roots {
+    // Pass 1: assign table slots in BFS order (`table` doubles as the
+    // queue) and add up the encoded size on the way, so pass 2 writes into
+    // one exact allocation instead of growing a buffer from empty.
+    let mut visit = |v: &Value, table: &mut Vec<ObjRef>| -> usize {
         if let Value::Ref(r) = v {
-            visit(*r, &mut index, &mut table, &mut queue);
+            if let std::collections::hash_map::Entry::Vacant(e) = index.entry(*r) {
+                e.insert(table.len() as u32);
+                table.push(*r);
+            }
         }
+        encoded_len(v)
+    };
+    // Root count and table count, then the roots.
+    let mut size = 4 + 4;
+    for v in roots {
+        size += visit(v, &mut table);
     }
-    let mut qi = 0;
-    while qi < queue.len() {
-        let r = queue[qi];
-        qi += 1;
-        let cell = heap.cell(r).map_err(|e| IrError::Marshal(e.to_string()))?;
+    let mut next = 0;
+    while next < table.len() {
+        let cell = heap.cell(table[next]).map_err(|e| IrError::Marshal(e.to_string()))?;
+        next += 1;
+        // Cell kind and element count; objects also carry their class.
+        size += 1 + 4;
         match cell {
             HeapCell::Object { fields, .. } => {
-                let refs: Vec<ObjRef> = fields
-                    .iter()
-                    .filter_map(|v| match v {
-                        Value::Ref(r) => Some(*r),
-                        _ => None,
-                    })
-                    .collect();
-                for fr in refs {
-                    visit(fr, &mut index, &mut table, &mut queue);
+                size += 4;
+                for f in fields {
+                    size += visit(f, &mut table);
                 }
             }
             HeapCell::Array(ArrayData::Ref(items)) => {
-                let refs: Vec<ObjRef> = items
-                    .iter()
-                    .filter_map(|v| match v {
-                        Value::Ref(r) => Some(*r),
-                        _ => None,
-                    })
-                    .collect();
-                for ir in refs {
-                    visit(ir, &mut index, &mut table, &mut queue);
+                for item in items {
+                    size += visit(item, &mut table);
                 }
             }
-            HeapCell::Array(_) => {}
+            HeapCell::Array(ArrayData::Byte(v)) => size += v.len(),
+            HeapCell::Array(ArrayData::Int(v)) => size += 8 * v.len(),
+            HeapCell::Array(ArrayData::Float(v)) => size += 8 * v.len(),
         }
     }
 
     // Pass 2: encode.
-    let mut buf = BytesMut::new();
+    let mut buf = BytesMut::with_capacity(size);
     buf.put_u32(roots.len() as u32);
     for v in roots {
         put_value(&mut buf, v, &index);
@@ -177,16 +167,12 @@ pub fn marshal_values(heap: &Heap, roots: &[Value]) -> Result<Marshalled, IrErro
             HeapCell::Array(ArrayData::Int(v)) => {
                 buf.put_u8(CELL_ARR_INT);
                 buf.put_u32(v.len() as u32);
-                for x in v {
-                    buf.put_i64(*x);
-                }
+                put_words(&mut buf, v.iter().map(|x| x.to_be_bytes()));
             }
             HeapCell::Array(ArrayData::Float(v)) => {
                 buf.put_u8(CELL_ARR_FLOAT);
                 buf.put_u32(v.len() as u32);
-                for x in v {
-                    buf.put_f64(*x);
-                }
+                put_words(&mut buf, v.iter().map(|x| x.to_bits().to_be_bytes()));
             }
             HeapCell::Array(ArrayData::Ref(v)) => {
                 buf.put_u8(CELL_ARR_REF);
@@ -197,7 +183,29 @@ pub fn marshal_values(heap: &Heap, roots: &[Value]) -> Result<Marshalled, IrErro
             }
         }
     }
+    debug_assert_eq!(buf.len(), size, "sizing pass and encoder disagree");
     Ok(Marshalled { bytes: buf.freeze() })
+}
+
+/// Bytes [`put_value`] writes for `v`.
+fn encoded_len(v: &Value) -> usize {
+    match v {
+        Value::Null => 1,
+        Value::Bool(_) => 1 + 1,
+        Value::Int(_) | Value::Float(_) => 1 + 8,
+        Value::Str(s) => 1 + 4 + s.len(),
+        Value::Ref(_) => 1 + 4,
+    }
+}
+
+/// Appends a run of big-endian 8-byte words: the run is claimed once and
+/// filled in place, rather than appended a bounds-checked word at a time.
+fn put_words(buf: &mut BytesMut, words: impl ExactSizeIterator<Item = [u8; 8]>) {
+    let start = buf.len();
+    buf.resize(start + 8 * words.len(), 0);
+    for (slot, word) in buf[start..].chunks_exact_mut(8).zip(words) {
+        slot.copy_from_slice(&word);
+    }
 }
 
 fn put_value(buf: &mut BytesMut, v: &Value, index: &HashMap<ObjRef, u32>) {
@@ -322,24 +330,13 @@ pub fn unmarshal_values(
             }
             CELL_ARR_INT => {
                 let n = try_u32(&mut buf).ok_or_else(short)? as usize;
-                if n.checked_mul(8).is_none_or(|bytes| bytes > buf.remaining()) {
-                    return Err(short());
-                }
-                let mut data = Vec::with_capacity(n);
-                for _ in 0..n {
-                    data.push(try_i64(&mut buf).ok_or_else(short)?);
-                }
+                let data = take_words(&mut buf, n, i64::from_be_bytes).ok_or_else(short)?;
                 new_refs.push(heap.alloc_array_from(ArrayData::Int(data)));
             }
             CELL_ARR_FLOAT => {
                 let n = try_u32(&mut buf).ok_or_else(short)? as usize;
-                if n.checked_mul(8).is_none_or(|bytes| bytes > buf.remaining()) {
-                    return Err(short());
-                }
-                let mut data = Vec::with_capacity(n);
-                for _ in 0..n {
-                    data.push(try_f64(&mut buf).ok_or_else(short)?);
-                }
+                let data = take_words(&mut buf, n, |w| f64::from_bits(u64::from_be_bytes(w)))
+                    .ok_or_else(short)?;
                 new_refs.push(heap.alloc_array_from(ArrayData::Float(data)));
             }
             CELL_ARR_REF => {
@@ -398,6 +395,19 @@ fn try_i64(buf: &mut Bytes) -> Option<i64> {
 }
 fn try_f64(buf: &mut Bytes) -> Option<f64> {
     (buf.remaining() >= 8).then(|| buf.get_f64())
+}
+
+/// Decodes a run of `n` big-endian 8-byte words off the front of `buf`:
+/// one length check for the run, made before anything is allocated for
+/// it, then one exactly-sized allocation filled in a single pass.
+fn take_words<T>(buf: &mut Bytes, n: usize, word: impl Fn([u8; 8]) -> T) -> Option<Vec<T>> {
+    let len = n.checked_mul(8).filter(|len| *len <= buf.remaining())?;
+    let out = buf.chunk()[..len]
+        .chunks_exact(8)
+        .map(|raw| word(raw.try_into().expect("chunks_exact(8) yields 8 bytes")))
+        .collect();
+    buf.advance(len);
+    Some(out)
 }
 
 /// Size of a scalar value in the accounting model.

@@ -96,7 +96,7 @@ impl EventChannel {
     ) -> Result<SubscriberId, IrError> {
         let kind = model.kind();
         let handler = PartitionedHandler::analyze(Arc::clone(&self.program), handler_fn, model)?;
-        let ctx = ExecCtx::with_builtins(&self.program, receiver_builtins);
+        let ctx = ExecCtx::without_digests(&self.program, receiver_builtins);
         let reconfig = ReconfigUnit::new(Arc::clone(handler.analysis()), kind, trigger);
         let id = self.subscribers.len();
         self.subscribers.push(SubscriberState {
@@ -153,7 +153,7 @@ impl EventChannel {
         let mut reports = Vec::with_capacity(self.subscribers.len());
         for (id, sub) in self.subscribers.iter_mut().enumerate() {
             let mut sender_ctx =
-                ExecCtx::with_builtins(&self.program, self.sender_builtins.clone());
+                ExecCtx::without_digests(&self.program, self.sender_builtins.clone());
             let args = make_event(&mut sender_ctx)?;
             let run = sub.modulator.handle(&mut sender_ctx, args)?;
             let event = ModulatedEvent { seq, continuation: run.message, samples: run.samples };

@@ -27,12 +27,16 @@
 use std::io::IoSlice;
 use std::ops::Range;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, BytesMut};
 use mpart::continuation::ContinuationMessage;
 use mpart::profile::PseSample;
 use mpart::PseId;
 use mpart_ir::marshal::Marshalled;
 use mpart_ir::IrError;
+
+/// The refcounted buffer type of the wire layer: what
+/// [`Frame::decode_owned`] takes, what [`EncodedFrame::segments`] are.
+pub use bytes::Bytes;
 
 /// Wire cost (bytes) charged per piggy-backed profiling sample.
 pub const SAMPLE_WIRE_BYTES: usize = 12;
@@ -44,6 +48,13 @@ pub const MAX_FRAME_SIZE: usize = 64 * 1024 * 1024;
 
 /// Bytes of framing ahead of the body: `[kind u8][len u32][crc u32]`.
 pub const FRAME_HEADER_BYTES: usize = 9;
+
+/// What [`Frame::read_from`] reserves for a body before any of it has
+/// arrived. The header's length is only a claim until the bytes back it:
+/// a body up to this size is read into one exact allocation, a larger one
+/// grows as it arrives, so nine garbage bytes cost a receiver at most this
+/// much address space (and no page of it is touched).
+const READ_RESERVE_BYTES: usize = 1024 * 1024;
 
 /// Payloads of at least this many bytes are carried as borrowed refcounted
 /// [`Bytes`] segments in an [`EncodedFrame`]; smaller payloads are copied
@@ -646,9 +657,12 @@ impl Frame {
         (kind, body)
     }
 
-    /// Decodes a frame from `kind` and an already-checksummed `body` (the
-    /// transport strips the header, verifies the CRC, and reads `len` body
-    /// bytes).
+    /// Decodes a frame from `kind` and a borrowed, already-checksummed
+    /// `body`: copies the body once and decodes the copy with
+    /// [`decode_owned`](Self::decode_owned). For callers that hold the
+    /// bytes in a buffer of their own (the simulated wire, tests); a byte
+    /// stream uses [`read_from`](Self::read_from), which reads straight
+    /// into the buffer the frame is decoded from.
     ///
     /// # Errors
     ///
@@ -657,7 +671,23 @@ impl Frame {
         if body.len() > MAX_FRAME_SIZE {
             return Err(IrError::Marshal(format!("frame too large: {}", body.len())));
         }
-        let mut buf = Bytes::copy_from_slice(body);
+        Frame::decode_owned(kind, Bytes::copy_from_slice(body))
+    }
+
+    /// Decodes a frame from `kind` and an already-checksummed `body` the
+    /// caller gives up. Nothing is copied: every continuation payload of
+    /// the decoded frame is a refcounted view into `body`'s allocation,
+    /// which lives until the last of them is dropped (WIRE.md §receive-side
+    /// ownership).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`IrError::Marshal`] on malformed frames.
+    pub fn decode_owned(kind: u8, body: Bytes) -> Result<Frame, IrError> {
+        if body.len() > MAX_FRAME_SIZE {
+            return Err(IrError::Marshal(format!("frame too large: {}", body.len())));
+        }
+        let mut buf = body;
         let short = || IrError::Marshal("truncated frame".into());
         let need = |buf: &Bytes, n: usize| -> Result<(), IrError> {
             if buf.remaining() < n {
@@ -749,12 +779,16 @@ impl Frame {
         Ok((Frame::decode(kind, body)?, total))
     }
 
-    /// Reads one checksummed frame from a byte stream.
+    /// Reads one checksummed frame from a byte stream. The body is read
+    /// once, into an unzeroed buffer that becomes the [`Bytes`] the frame
+    /// is decoded from ([`decode_owned`](Self::decode_owned)); the buffer
+    /// is sized by the bytes that arrive, not by the header's claim alone
+    /// (`READ_RESERVE_BYTES`).
     ///
     /// # Errors
     ///
     /// Returns [`IrError::Marshal`] on malformed frames, checksum
-    /// mismatches, or I/O failures.
+    /// mismatches, or I/O failures (a body cut short included).
     pub fn read_from(reader: &mut impl std::io::Read) -> Result<Frame, IrError> {
         let mut header = [0u8; FRAME_HEADER_BYTES];
         reader
@@ -766,15 +800,21 @@ impl Frame {
             return Err(IrError::Marshal(format!("frame too large: {len}")));
         }
         let crc_stated = u32::from_be_bytes([header[5], header[6], header[7], header[8]]);
-        let mut body = vec![0u8; len];
-        reader.read_exact(&mut body).map_err(|e| IrError::Marshal(format!("frame body: {e}")))?;
+        let body =
+            read_body(reader, len).map_err(|e| IrError::Marshal(format!("frame body: {e}")))?;
+        if body.len() < len {
+            return Err(IrError::Marshal(format!(
+                "frame body: stream ended after {} of {len} bytes",
+                body.len()
+            )));
+        }
         let crc_actual = crc32(&[&header[..1], &header[1..5], &body]);
         if crc_actual != crc_stated {
             return Err(IrError::Marshal(format!(
                 "frame checksum mismatch: stated {crc_stated:#010x}, computed {crc_actual:#010x}"
             )));
         }
-        Frame::decode(kind, &body)
+        Frame::decode_owned(kind, Bytes::from(body))
     }
 
     /// Writes the frame to a byte stream with one gathered vectored write
@@ -786,6 +826,18 @@ impl Frame {
     pub fn write_to(&self, writer: &mut impl std::io::Write) -> Result<(), IrError> {
         self.try_encode_frame()?.write_to(writer)
     }
+}
+
+/// Reads up to `len` body bytes into a fresh buffer — fewer only when the
+/// stream ends first, which the caller reports. `read_to_end` on the
+/// length-limited reader fills the buffer's spare capacity directly, so no
+/// byte is zeroed before it is overwritten; up to `READ_RESERVE_BYTES` the
+/// capacity is exact and one allocation serves the frame for life.
+fn read_body(reader: &mut impl std::io::Read, len: usize) -> std::io::Result<Vec<u8>> {
+    use std::io::Read as _;
+    let mut body = Vec::with_capacity(len.min(READ_RESERVE_BYTES));
+    reader.by_ref().take(len as u64).read_to_end(&mut body)?;
+    Ok(body)
 }
 
 /// Appends one event body (as carried by [`Frame::Event`] and repeated
@@ -1086,9 +1138,61 @@ mod tests {
         assert!(Frame::read_from(&mut cursor).is_err());
     }
 
+    /// A header may claim the full 64 MiB; the receiver commits memory to
+    /// the bytes that arrive, not to the claim.
+    #[test]
+    fn oversized_claim_with_a_short_body_costs_no_allocation() {
+        let mut wire = vec![FRAME_EVENT];
+        wire.extend_from_slice(&(MAX_FRAME_SIZE as u32).to_be_bytes());
+        wire.extend_from_slice(&[0u8; 4]);
+        wire.extend_from_slice(&[0xAB; 100]);
+
+        let mut stream = std::io::Cursor::new(&wire[FRAME_HEADER_BYTES..]);
+        let body = read_body(&mut stream, MAX_FRAME_SIZE).unwrap();
+        assert_eq!(body.len(), 100, "everything that arrived, nothing invented");
+        assert!(
+            body.capacity() <= READ_RESERVE_BYTES,
+            "reserved {} bytes for a body that never came",
+            body.capacity()
+        );
+
+        let err = Frame::read_from(&mut std::io::Cursor::new(&wire)).unwrap_err();
+        assert!(err.to_string().contains("frame body"), "{err}");
+        // EOF right after the header is the same error.
+        let err = Frame::read_from(&mut std::io::Cursor::new(&wire[..FRAME_HEADER_BYTES]));
+        assert!(err.unwrap_err().to_string().contains("frame body"));
+    }
+
+    /// A body larger than the up-front reservation still arrives whole.
+    #[test]
+    fn bodies_above_the_read_reservation_round_trip() {
+        let frame =
+            Frame::Event { event: event_with_payload(READ_RESERVE_BYTES + 4096), t_mod_nanos: 5 };
+        let wire = frame.encode();
+        match Frame::read_from(&mut std::io::Cursor::new(&wire)).unwrap() {
+            Frame::Event { event, .. } => assert_eq!(
+                event.continuation.payload.as_bytes(),
+                event_with_payload(READ_RESERVE_BYTES + 4096).continuation.payload.as_bytes()
+            ),
+            other => panic!("expected event, got {other:?}"),
+        }
+    }
+
+    /// Whether two decode results are the same frame (by its encoding) or
+    /// the same refusal.
+    fn same_decode(a: &Result<Frame, IrError>, b: &Result<Frame, IrError>) -> bool {
+        match (a, b) {
+            (Ok(a), Ok(b)) => a.encode() == b.encode(),
+            (Err(a), Err(b)) => a == b,
+            _ => false,
+        }
+    }
+
     /// Fuzz-style robustness: random byte strings through the decoders
     /// must produce errors or frames — never panics, never huge
-    /// allocations (the run itself would OOM or crash on violation).
+    /// allocations (the run itself would OOM or crash on violation) — and
+    /// the owned-buffer decoder must agree with the copying one on every
+    /// one of them.
     #[test]
     fn random_bytes_never_panic_the_decoder() {
         let mut rng = StdRng::seed_from_u64(0xF417_F417);
@@ -1106,11 +1210,17 @@ mod tests {
                 }
                 bytes = framed;
             }
-            let _ = Frame::decode_bytes(&bytes);
+            let whole = Frame::decode_bytes(&bytes).map(|(frame, _)| frame);
             let mut cursor = std::io::Cursor::new(bytes.clone());
-            let _ = Frame::read_from(&mut cursor);
+            let streamed = Frame::read_from(&mut cursor);
+            // A stream reports a cut-short frame in its own words.
+            if whole.is_ok() || streamed.is_ok() {
+                assert!(same_decode(&whole, &streamed), "round {round}: {whole:?} vs {streamed:?}");
+            }
             if !bytes.is_empty() {
-                let _ = Frame::decode(bytes[0], &bytes[1..]);
+                let copied = Frame::decode(bytes[0], &bytes[1..]);
+                let owned = Frame::decode_owned(bytes[0], Bytes::copy_from_slice(&bytes[1..]));
+                assert!(same_decode(&copied, &owned), "round {round}: {copied:?} vs {owned:?}");
             }
         }
     }

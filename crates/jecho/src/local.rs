@@ -69,7 +69,7 @@ impl Source {
         &self,
         make_event: impl FnOnce(&mut ExecCtx) -> Result<Vec<Value>, IrError>,
     ) -> Result<(ModRun, u64), IrError> {
-        let mut ctx = ExecCtx::with_builtins(&self.program, self.sender_builtins.clone());
+        let mut ctx = ExecCtx::without_digests(&self.program, self.sender_builtins.clone());
         let args = make_event(&mut ctx)?;
         let started = Instant::now();
         let run = self.modulator.handle(&mut ctx, args)?;
@@ -118,7 +118,7 @@ impl LocalPair {
         let recv_handler = Arc::clone(&handler);
         let recv_program = Arc::clone(&program);
         let receiver_thread = std::thread::spawn(move || -> Result<(), IrError> {
-            let mut ctx = ExecCtx::with_builtins(&recv_program, receiver_builtins);
+            let mut ctx = ExecCtx::without_digests(&recv_program, receiver_builtins);
             let reconfig = ReconfigUnit::new(Arc::clone(recv_handler.analysis()), kind, trigger);
             let mut subscriber = Subscriber::new(recv_handler, reconfig);
             while let Ok(msg) = from_sender.recv() {
@@ -137,7 +137,12 @@ impl LocalPair {
                                 demod_work: demod.demod_work,
                                 t_demod: Some(started.elapsed().as_secs_f64()),
                             },
-                        )?;
+                        );
+                        // Nothing outside this thread can read the context,
+                        // so its native-call trace goes the way of the heap
+                        // cells.
+                        ctx.trace.clear();
+                        let applied = applied?;
                         // The plan flags are shared atomics: installing
                         // here is the "send a new partitioning plan to
                         // the modulator side" step.

@@ -114,7 +114,7 @@ impl ProxySession {
         Ok(ProxySession {
             modulator: handler.modulator(),
             subscriber: Subscriber::new(Arc::clone(&handler), reconfig),
-            receiver_ctx: ExecCtx::with_builtins(&program, receiver_builtins),
+            receiver_ctx: ExecCtx::without_digests(&program, receiver_builtins),
             proxy_builtins,
             handler,
             program,
@@ -160,7 +160,7 @@ impl ProxySession {
         if self.first_gen.is_none() {
             self.first_gen = Some(gen_time);
         }
-        let mut source_ctx = ExecCtx::new(&self.program);
+        let mut source_ctx = ExecCtx::without_digests(&self.program, BuiltinRegistry::new());
         let args = make_event(&mut source_ctx)?;
         let raw = marshal_values(&source_ctx.heap, &args)?;
         let uplink_bytes = raw.wire_size();
@@ -171,7 +171,7 @@ impl ProxySession {
         // modulator runs here.
         self.plan_installs +=
             self.subscriber.install_due(at_proxy.as_nanos(), PlanReason::Reconfig);
-        let mut proxy_ctx = ExecCtx::with_builtins(&self.program, self.proxy_builtins.clone());
+        let mut proxy_ctx = ExecCtx::without_digests(&self.program, self.proxy_builtins.clone());
         let restored = unmarshal_values(&mut proxy_ctx.heap, &self.program.classes, &raw)?;
         let run = self.modulator.handle(&mut proxy_ctx, restored)?;
         let event =

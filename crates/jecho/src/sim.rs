@@ -436,10 +436,7 @@ impl SimSession {
             config.failure.retry_budget,
             Arc::new(DeadLetterRing::new(config.failure.deadletter_capacity)),
         );
-        let mut ctx = ExecCtx::with_builtins(&program, receiver_builtins);
-        // Virtual-time sessions never compare traces; skip the per-native
-        // deep-digest cost.
-        ctx.trace_digests = false;
+        let ctx = ExecCtx::without_digests(&program, receiver_builtins);
         Ok(SimSession {
             modulator: handler.modulator(),
             encoder: Encoder::new(registry),
@@ -645,8 +642,7 @@ impl SimSession {
         let pipeline = &self.end.pipeline;
         let gen_time = pipeline.sender.busy_until().max(pipeline.link.busy_until()).max(not_before);
         self.end.install_landed(gen_time);
-        let mut sender_ctx = ExecCtx::with_builtins(&self.program, self.sender_builtins.clone());
-        sender_ctx.trace_digests = false;
+        let mut sender_ctx = ExecCtx::without_digests(&self.program, self.sender_builtins.clone());
         let args = make_event(&mut sender_ctx)?;
         Ok((gen_time, self.modulator.handle(&mut sender_ctx, args)?))
     }

@@ -145,7 +145,7 @@ impl TcpReceiver {
         // reconnects: retransmitted events are acknowledged, not re-applied.
         let mut link = ReceiverHalf::new(Arc::clone(handler.obs()), 1, Arc::clone(&deadletter));
         let accept_thread = std::thread::spawn(move || -> Result<u64, IrError> {
-            let mut ctx = ExecCtx::with_builtins(&program, receiver_builtins);
+            let mut ctx = ExecCtx::without_digests(&program, receiver_builtins);
             let mut received = Received::default();
             let mut processed = 0u64;
             'accepting: loop {
@@ -176,6 +176,9 @@ impl TcpReceiver {
                                 t_demod: Some(started.elapsed().as_secs_f64()),
                             }
                         });
+                    // Nothing outside this thread can read the context, so
+                    // its native-call trace goes the way of the heap cells.
+                    ctx.trace.clear();
                     let applied = match applied {
                         Ok(applied) => applied,
                         Err(e) => return Ok(Verdict::Failed(e)),

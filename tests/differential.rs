@@ -5,6 +5,14 @@
 //! steps/work), and same continuation cut-points through the full
 //! modulator → continuation → demodulator pipeline.
 //!
+//! The last section holds the receiver's memory contract to the same
+//! standard: a context whose heap is released after every envelope
+//! ([`Subscriber::apply`]) must be indistinguishable, envelope by
+//! envelope, from one whose heap never frees — with hand-written handlers
+//! for each way an object can outlive the envelope that allocated it.
+//!
+//! [`Subscriber::apply`]: method_partitioning::core::subscriber::Subscriber::apply
+//!
 //! Exercised three ways: a proptest sweep over random handler programs at
 //! the engine level (Observed::All, so the bytecode engine fires the
 //! observer on every edge exactly like the interpreter), a proptest sweep
@@ -15,12 +23,16 @@
 use std::sync::Arc;
 
 use method_partitioning::core::partitioned::PartitionedHandler;
+use method_partitioning::core::profile::TriggerPolicy;
+use method_partitioning::core::reconfig::ReconfigUnit;
+use method_partitioning::core::subscriber::{Subscriber, Timing};
 use method_partitioning::cost::{CostModel, DataSizeModel};
 use method_partitioning::ir::compile::CompileHints;
 use method_partitioning::ir::engine::{CompiledEngine, Engine, EngineChoice, InterpEngine};
 use method_partitioning::ir::interp::{
     BuiltinRegistry, EdgeAction, EdgeObserver, ExecCtx, Outcome,
 };
+use method_partitioning::ir::marshal::deep_digest_many;
 use method_partitioning::ir::parse::parse_program;
 use method_partitioning::ir::{IrError, Program, Value};
 use proptest::prelude::*;
@@ -289,4 +301,290 @@ fn declined_handler_degrades_gracefully_under_auto() {
         InterpEngine::new(Arc::clone(&program)).run(&mut ctx, "gen", vec![Value::Int(6)]).unwrap()
     };
     assert_eq!(out.ret, direct);
+}
+
+// ---- released ≡ never-released ------------------------------------------
+
+/// How a generated stateful handler lets an object outlive its envelope.
+const PUBLISH_KINDS: u8 = 5;
+
+/// Renders a handler with receiver-owned state: the arithmetic/array chain
+/// of [`random_handler`], a running count in a global, an optional trap,
+/// and one of [`PUBLISH_KINDS`] ways of publishing the envelope's array —
+/// on even inputs only, so released and retained envelopes interleave.
+fn stateful_handler(ops: &[u8], publish: u8, div_at: Option<i64>) -> String {
+    let mut body = String::from("    acc = x\n    arr = new int[4]\n    arr[0] = x\n");
+    if let Some(k) = div_at {
+        body.push_str(&format!("    d = x - {k}\n    acc = acc / d\n"));
+    }
+    for (i, op) in ops.iter().enumerate() {
+        match op % 4 {
+            0 => body.push_str(&format!("    acc = acc + {}\n", i + 1)),
+            1 => body.push_str(&format!("    arr[{}] = acc\n", i % 4)),
+            2 => body.push_str(&format!("    t{i} = arr[{}]\n    acc = acc + t{i}\n", i % 4)),
+            _ => body.push_str(&format!("    acc = acc * {}\n", (i % 3) + 2)),
+        }
+    }
+    body.push_str("    c = global::count\n    c = c + 1\n    global::count = c\n");
+    body.push_str("    odd = x % 2\n    if odd != 0 goto done\n");
+    match publish % PUBLISH_KINDS {
+        // Publishes nothing: every envelope is released.
+        0 => {}
+        // Into a global.
+        1 => body.push_str("    global::last = arr\n"),
+        // Into a field of an object an earlier envelope published.
+        2 => body.push_str(
+            "    b = global::keep\n    if b != null goto have\n    b = new Box\n    \
+             global::keep = b\nhave:\n    b.slot = arr\n",
+        ),
+        // Reads back what an earlier envelope published, then replaces it.
+        3 => body.push_str(
+            "    prev = global::last\n    if prev == null goto fresh\n    p0 = prev[0]\n    \
+             acc = acc + p0\nfresh:\n    global::last = arr\n",
+        ),
+        // Returns it.
+        _ => body.push_str("    native emit(acc, arr)\n    return arr\n"),
+    }
+    body.push_str("done:\n    native emit(acc, arr)\n    return acc\n");
+    format!(
+        "class Box {{ slot: ref }}\nglobal count = 0\nglobal last = null\nglobal keep = null\n\
+         fn gen(x) {{\n{body}}}\n"
+    )
+}
+
+/// Analyzes `func` — pinned to the entry cut, so the whole handler runs on
+/// the receiver, or left at the static min-cut — and builds the receiver
+/// side a transport would, with re-selection off.
+fn subscribe(
+    program: &Arc<Program>,
+    func: &str,
+    entry_cut: bool,
+) -> (Arc<PartitionedHandler>, Subscriber) {
+    let model: Arc<dyn CostModel> = Arc::new(DataSizeModel::new());
+    let handler = PartitionedHandler::analyze(Arc::clone(program), func, model).unwrap();
+    if entry_cut {
+        handler.plan().install(&[handler.entry_pse().expect("entry PSE")]);
+    }
+    let unit = ReconfigUnit::new(
+        Arc::clone(handler.analysis()),
+        handler.model().kind(),
+        TriggerPolicy::Never,
+    );
+    let subscriber = Subscriber::new(Arc::clone(&handler), unit);
+    (handler, subscriber)
+}
+
+/// What one envelope leaves observable on the receiver: result or trap
+/// (a returned reference by the digest of what it points at), cumulative
+/// work and steps, the digest of the globals, and the native trace.
+type Envelope = (Result<String, IrError>, u64, u64, String, Vec<String>);
+
+/// Streams `inputs` through one handler and one receiver context, which
+/// is released after every envelope (`Subscriber::apply`) or never (the
+/// demodulator called directly, on a context the test owns). Also returns
+/// the receiver heap's size after each envelope.
+fn stream(
+    src: &str,
+    inputs: &[i64],
+    entry_cut: bool,
+    released: bool,
+) -> (Vec<Envelope>, Vec<usize>) {
+    let program = Arc::new(parse_program(src).unwrap_or_else(|e| panic!("{e}\n{src}")));
+    let (handler, mut subscriber) = subscribe(&program, "gen", entry_cut);
+    let (modulator, demodulator) = (handler.modulator(), handler.demodulator());
+    let mut receiver = ExecCtx::with_builtins(&program, gen_builtins());
+    let (mut envelopes, mut cells) = (Vec::new(), Vec::new());
+    for &x in inputs {
+        let mut sender = ExecCtx::with_builtins(&program, gen_builtins());
+        let ret = modulator.handle(&mut sender, vec![Value::Int(x)]).and_then(|run| {
+            if released {
+                subscriber
+                    .apply(&mut receiver, &run.message, run.samples, |demod| {
+                        Timing::work(run.mod_work, demod)
+                    })
+                    .map(|applied| applied.demod.ret)
+            } else {
+                demodulator.handle(&mut receiver, &run.message).map(|demod| demod.ret)
+            }
+        });
+        let digest = |values: &[Value]| deep_digest_many(&receiver.heap, values).unwrap();
+        envelopes.push((
+            ret.map(|ret| digest(ret.as_slice())),
+            receiver.work,
+            receiver.steps,
+            digest(&receiver.globals),
+            receiver.trace.iter().map(|t| format!("{}:{}", t.callee, t.args_digest)).collect(),
+        ));
+        cells.push(receiver.heap.len());
+    }
+    (envelopes, cells)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A receiver that releases each envelope's heap cells is
+    /// indistinguishable from one that keeps them all: same results and
+    /// traps, same work and steps, same globals and native trace after
+    /// every envelope — whatever the handler publishes, at the static cut
+    /// and with the whole handler on the receiver.
+    #[test]
+    fn released_receiver_matches_a_never_released_one(
+        ops in proptest::collection::vec(0u8..=3, 1..8),
+        publish in 0u8..PUBLISH_KINDS,
+        div_on in any::<bool>(),
+        inputs in proptest::collection::vec(-6i64..7, 4..24),
+        entry_cut in any::<bool>(),
+    ) {
+        // The divisor hits zero for input 2 (a published envelope) or 3.
+        let div_at = div_on.then_some(2 + i64::from(publish % 2));
+        let src = stateful_handler(&ops, publish, div_at);
+        let (kept, kept_cells) = stream(&src, &inputs, entry_cut, false);
+        let (released, released_cells) = stream(&src, &inputs, entry_cut, true);
+        for (i, (a, b)) in kept.iter().zip(&released).enumerate() {
+            prop_assert_eq!(a, b, "envelope {} (input {}) of:\n{}", i, inputs[i], src);
+        }
+        for (i, (k, r)) in kept_cells.iter().zip(&released_cells).enumerate() {
+            prop_assert!(r <= k, "envelope {}: released heap {} > kept heap {}", i, r, k);
+            if publish == 0 {
+                prop_assert_eq!(*r, 0, "envelope {} left {} cells behind:\n{}", i, r, src);
+            }
+        }
+    }
+}
+
+const ESCAPES: &str = r#"
+    class Box { slot: ref }
+    global last = null
+    global keep = null
+
+    fn scratch(x) {
+        arr = new int[2]
+        arr[0] = x
+        y = arr[0]
+        native emit(y, arr)
+        return y
+    }
+
+    fn to_global(x) {
+        prev = global::last
+        seen = -1
+        if prev == null goto first
+        seen = prev[0]
+    first:
+        arr = new int[2]
+        arr[0] = x
+        global::last = arr
+        native emit(seen, arr)
+        return seen
+    }
+
+    fn to_older_object(x) {
+        b = global::keep
+        if b != null goto have
+        b = new Box
+        global::keep = b
+        native emit(x, b)
+        return 0
+    have:
+        arr = new int[2]
+        arr[0] = x
+        b.slot = arr
+        native emit(x, arr)
+        return 1
+    }
+
+    fn to_caller(x) {
+        arr = new int[2]
+        arr[0] = x
+        native emit(x, arr)
+        return arr
+    }
+"#;
+
+/// One receiver per handler function of [`ESCAPES`], every envelope
+/// through `Subscriber::apply`, the whole handler on the receiver.
+struct Escapee {
+    program: Arc<Program>,
+    handler: Arc<PartitionedHandler>,
+    subscriber: Subscriber,
+    receiver: ExecCtx,
+}
+
+impl Escapee {
+    fn new(func: &str) -> Self {
+        let program = Arc::new(parse_program(ESCAPES).unwrap());
+        let (handler, subscriber) = subscribe(&program, func, true);
+        Escapee {
+            subscriber,
+            receiver: ExecCtx::with_builtins(&program, gen_builtins()),
+            handler,
+            program,
+        }
+    }
+
+    fn apply(&mut self, x: i64) -> Option<Value> {
+        let mut sender = ExecCtx::with_builtins(&self.program, gen_builtins());
+        let run = self.handler.modulator().handle(&mut sender, vec![Value::Int(x)]).unwrap();
+        self.subscriber
+            .apply(&mut self.receiver, &run.message, run.samples, |demod| {
+                Timing::work(run.mod_work, demod)
+            })
+            .unwrap()
+            .demod
+            .ret
+    }
+
+    fn global(&self, name: &str) -> Value {
+        self.receiver.globals[self.program.global(name).expect("declared").index()].clone()
+    }
+
+    fn first_elem(&self, array: &Value) -> Value {
+        self.receiver.heap.array_get(array.as_ref("array").unwrap(), 0).unwrap()
+    }
+}
+
+/// The control: a handler that publishes nothing leaves nothing behind.
+#[test]
+fn an_envelope_that_publishes_nothing_is_released() {
+    let mut e = Escapee::new("scratch");
+    for x in 0..50 {
+        assert_eq!(e.apply(x), Some(Value::Int(x)));
+        assert_eq!(e.receiver.heap.len(), 0);
+    }
+}
+
+/// Escape through a global — and the next envelope reads the escaped
+/// object back.
+#[test]
+fn an_object_stored_into_a_global_outlives_its_envelope() {
+    let mut e = Escapee::new("to_global");
+    assert_eq!(e.apply(41), Some(Value::Int(-1)), "nothing published yet");
+    assert_eq!(e.first_elem(&e.global("last")), Value::Int(41));
+    assert_eq!(e.apply(42), Some(Value::Int(41)), "the second envelope read the first's array");
+    assert_eq!(e.first_elem(&e.global("last")), Value::Int(42));
+}
+
+/// Escape through a field of an object an earlier envelope allocated.
+#[test]
+fn an_object_stored_into_an_older_object_outlives_its_envelope() {
+    let mut e = Escapee::new("to_older_object");
+    assert_eq!(e.apply(1), Some(Value::Int(0)), "first envelope publishes the box");
+    for x in 2..6 {
+        assert_eq!(e.apply(x), Some(Value::Int(1)));
+        let slot = e.program.classes.decl(e.program.classes.id("Box").unwrap()).field("slot");
+        let held =
+            e.receiver.heap.field(e.global("keep").as_ref("box").unwrap(), slot.unwrap()).unwrap();
+        assert_eq!(e.first_elem(&held), Value::Int(x), "the box holds envelope {x}'s array");
+    }
+}
+
+/// Escape through the return value.
+#[test]
+fn a_returned_object_outlives_its_envelope() {
+    let mut e = Escapee::new("to_caller");
+    let first = e.apply(7).expect("returns the array");
+    let second = e.apply(8).expect("returns the array");
+    assert_eq!(e.first_elem(&first), Value::Int(7), "still readable after the next envelope");
+    assert_eq!(e.first_elem(&second), Value::Int(8));
 }

@@ -65,6 +65,7 @@ const GOLDEN: &[&str] = &[
     "profile_work_units_total",
     "promotions_total",
     "quarantined_total",
+    "receiver_heap_cells",
     "reconfig_cut_weight",
     "reconfigurations_total",
     "retransmissions_total",

@@ -9,6 +9,14 @@
 //! held for retransmission stays valid however the sender's heap (or the
 //! event itself) changes afterwards.
 //!
+//! The receive side has the mirror-image pair: the owned-buffer decoder
+//! ([`Frame::decode_owned`], what [`Frame::read_from`] uses) must decode
+//! exactly what the copying one does, and the payload views it hands out
+//! must keep the frame's buffer alive on their own.
+//!
+//! [`Frame::decode_owned`]: method_partitioning::jecho::Frame::decode_owned
+//! [`Frame::read_from`]: method_partitioning::jecho::Frame::read_from
+//!
 //! [`Frame::try_encode_frame`]: method_partitioning::jecho::Frame::try_encode_frame
 //! [`Frame::encode_via_copy`]: method_partitioning::jecho::Frame::encode_via_copy
 
@@ -17,7 +25,7 @@ use method_partitioning::core::profile::PseSample;
 use method_partitioning::ir::heap::{ArrayData, Heap};
 use method_partitioning::ir::marshal::{marshal_values, Marshalled};
 use method_partitioning::ir::Value;
-use method_partitioning::jecho::envelope::ZERO_COPY_MIN_BYTES;
+use method_partitioning::jecho::envelope::{Bytes, FRAME_HEADER_BYTES, ZERO_COPY_MIN_BYTES};
 use method_partitioning::jecho::{Frame, ModulatedEvent, PlanEnvelope};
 use proptest::prelude::*;
 use proptest::strategy::Just;
@@ -122,6 +130,29 @@ proptest! {
         );
     }
 
+    /// The owned-buffer decoder, the copying decoder and the stream reader
+    /// decode every frame kind to the same frame: each result re-encodes
+    /// to the bytes it was decoded from.
+    #[test]
+    fn owned_decode_matches_copying_decode(frame in frame_strategy()) {
+        let wire = frame.encode();
+        let (kind, body) = (wire[0], &wire[FRAME_HEADER_BYTES..]);
+        let copied = Frame::decode(kind, body).unwrap();
+        let owned = Frame::decode_owned(kind, Bytes::from(body.to_vec())).unwrap();
+        let streamed = Frame::read_from(&mut std::io::Cursor::new(&wire)).unwrap();
+        prop_assert_eq!(&copied.encode(), &wire);
+        prop_assert_eq!(&owned.encode(), &wire);
+        prop_assert_eq!(&streamed.encode(), &wire);
+        // Cut short, both decoders refuse, and for the same reason.
+        let cut = body.len() / 2;
+        if cut < body.len() {
+            let copied = Frame::decode(kind, &body[..cut]).map(|f| f.encode());
+            let owned = Frame::decode_owned(kind, Bytes::from(body[..cut].to_vec()))
+                .map(|f| f.encode());
+            prop_assert_eq!(copied, owned);
+        }
+    }
+
     /// Payload bytes land on exactly one side of the copy/borrow ledger,
     /// decided by the threshold, and everything else is inline.
     #[test]
@@ -189,4 +220,43 @@ fn in_flight_retransmission_survives_source_mutation() {
     };
     let fresh_wire = Frame::Event { event: fresh, t_mod_nanos: 0 }.encode_frame().to_vec();
     assert_ne!(&fresh_wire[..], &wire_before[..], "sanity: mutation altered a fresh encode");
+}
+
+/// The receive-side ownership rule: a decoded payload is a view into the
+/// frame's one buffer and a share of its ownership, so whoever holds a
+/// member's payload can read it after the frame, its siblings and the
+/// reader are gone — and no payload byte was copied to make that so.
+#[test]
+fn decoded_payload_outlives_its_frame_and_siblings() {
+    let payload_of = |i: usize| -> Vec<u8> { (0..6000 + i).map(|b| (b * 7 + i) as u8).collect() };
+    let events = (0..3)
+        .map(|i| {
+            let continuation = ContinuationMessage {
+                pse: i,
+                payload: Marshalled::from_bytes(payload_of(i)),
+                mod_work: 0,
+                epoch: 0,
+            };
+            (ModulatedEvent { seq: i as u64 + 1, continuation, samples: vec![] }, 0u64)
+        })
+        .collect();
+    let wire = Frame::Batch { events }.encode();
+    let body = wire[FRAME_HEADER_BYTES..].to_vec();
+    let buffer = body.as_ptr_range();
+    let Frame::Batch { events: mut decoded } =
+        Frame::decode_owned(wire[0], Bytes::from(body)).expect("decodes")
+    else {
+        panic!("expected a batch");
+    };
+    assert_eq!(decoded.len(), 3);
+    for (i, (event, _)) in decoded.iter().enumerate() {
+        let view = event.continuation.payload.as_bytes().as_ptr_range();
+        assert!(buffer.start <= view.start && view.end <= buffer.end, "member {i} was copied");
+    }
+    // Keep the middle member's payload only.
+    let kept = decoded.swap_remove(1).0.continuation.payload;
+    drop(decoded);
+    drop(wire);
+    assert_eq!(kept.as_bytes(), &payload_of(1)[..]);
+    assert!(buffer.contains(&kept.as_bytes().as_ptr()), "still the frame's buffer");
 }
