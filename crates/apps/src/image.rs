@@ -546,31 +546,28 @@ mod tests {
 
     #[test]
     fn per_subscriber_display_customization() {
-        use mpart::profile::TriggerPolicy;
-        use mpart_jecho::EventChannel;
-
-        // Two clients with different displays subscribe their own handlers
-        // to one channel; each modulator adapts to its own client.
+        // Two clients with different displays subscribe their own handlers;
+        // each modulator adapts to its own client.
         let base = image_program().unwrap();
         let big = image_program_custom(160).unwrap();
         let small = image_program_custom(40).unwrap();
-        // Handlers live in separate programs; publish through two channels
-        // fed the same frames (one sender per subscriber program).
+        // Handlers live in separate programs; one session per subscriber
+        // program, fed the same frames.
         let run = |program: Arc<mpart_ir::Program>, frames: &[i64]| -> (usize, i64) {
-            let mut channel = EventChannel::new(Arc::clone(&program), server_builtins(&program));
-            let id = channel
-                .subscribe(
-                    "push",
-                    image_cost_model(&program),
-                    client_builtins(&program),
-                    TriggerPolicy::Rate(1),
-                )
-                .unwrap();
+            let mut session = SimSession::adaptive(
+                Arc::clone(&program),
+                "push",
+                image_cost_model(&program),
+                server_builtins(&program),
+                client_builtins(&program),
+                image_testbed(TriggerPolicy::Rate(1)),
+            )
+            .unwrap();
             let mut last_bytes = 0usize;
             for &side in frames {
                 let p = Arc::clone(&program);
-                let reports = channel.publish(move |ctx| make_frame(&p, ctx, side)).unwrap();
-                last_bytes = reports[id].wire_bytes;
+                last_bytes =
+                    session.deliver(move |ctx| make_frame(&p, ctx, side)).unwrap().wire_bytes;
             }
             (last_bytes, frames[frames.len() - 1])
         };

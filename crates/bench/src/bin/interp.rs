@@ -134,13 +134,16 @@ fn work(event, rounds) {
 }
 "#;
 
+/// Builds the `seq`-th event of a fixture inside the sender's context.
+type EventBuilder = Box<dyn Fn(&Program, &mut ExecCtx, u64) -> Result<Vec<Value>, IrError>>;
+
 /// One benchmark scenario: a handler program plus an event builder.
 struct Fixture {
     name: &'static str,
     program: Arc<Program>,
     func: &'static str,
     builtins: BuiltinRegistry,
-    event: Box<dyn Fn(&Program, &mut ExecCtx, u64) -> Result<Vec<Value>, IrError>>,
+    event: EventBuilder,
 }
 
 fn sink_builtins(names: &[&'static str]) -> BuiltinRegistry {

@@ -6,10 +6,7 @@
 //!
 //! The optimal partition is the s–t minimum cut of the Unit Graph with
 //! PSE edges priced at their profiled runtime weights and all other edges
-//! at infinity (see [`select_active_set`]). The unit may be placed with
-//! the modulator, the demodulator, or a third party
-//! ([`ReconfigPlacement`]); placement only affects where the computation
-//! runs, not its result.
+//! at infinity (see [`select_active_set`]).
 
 use std::sync::Arc;
 
@@ -24,21 +21,6 @@ use crate::profile::{
     DemodMessageProfile, Ewma, ModMessageProfile, ProfileSnapshot, ProfilingUnit, TriggerPolicy,
 };
 use crate::PseId;
-
-/// Where the Reconfiguration Unit runs (§2.5: "the location of the
-/// reconfiguration unit is variable").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReconfigPlacement {
-    /// Co-located with the modulator (sender).
-    Modulator,
-    /// Co-located with the demodulator (receiver) — the default, since the
-    /// receiver owns the handler.
-    #[default]
-    Demodulator,
-    /// A third party, appropriate "when repartitioning requires large
-    /// amounts of computation".
-    ThirdParty,
-}
 
 /// Selects the minimum-weight cut of the Unit Graph, returning the PSE ids
 /// whose split flags should be set.
@@ -222,7 +204,6 @@ pub struct ReconfigUnit {
     kind: RuntimeCostKind,
     profiling: ProfilingUnit,
     trigger: TriggerPolicy,
-    placement: ReconfigPlacement,
     serialize_work_per_byte: f64,
     frequency_weighted: bool,
     last_weights: Option<Vec<u64>>,
@@ -259,7 +240,6 @@ impl ReconfigUnit {
             kind,
             profiling: ProfilingUnit::new(n, 0.5),
             trigger,
-            placement: ReconfigPlacement::default(),
             serialize_work_per_byte: 0.0,
             frequency_weighted: false,
             last_weights: None,
@@ -269,13 +249,6 @@ impl ReconfigUnit {
             expected_epoch: 0,
             obs: None,
         }
-    }
-
-    /// Sets where the unit notionally runs (diagnostics only; computation
-    /// is identical).
-    pub fn with_placement(mut self, placement: ReconfigPlacement) -> Self {
-        self.placement = placement;
-        self
     }
 
     /// Accounts marshalling work (per wire byte, both sides) when pricing
@@ -398,11 +371,6 @@ impl ReconfigUnit {
         let n = self.analysis.pses().len();
         self.profiling = ProfilingUnit::new(n, alpha);
         self
-    }
-
-    /// The unit's placement.
-    pub fn placement(&self) -> ReconfigPlacement {
-        self.placement
     }
 
     /// Number of plan re-selections performed so far.
@@ -1345,14 +1313,6 @@ mod tests {
             t_mod: None,
         });
         assert!(unit.maybe_reconfigure().unwrap().is_some());
-    }
-
-    #[test]
-    fn placement_is_recorded() {
-        let ha = analysis();
-        let unit = ReconfigUnit::new(ha, RuntimeCostKind::DataSize, TriggerPolicy::Rate(1))
-            .with_placement(ReconfigPlacement::ThirdParty);
-        assert_eq!(unit.placement(), ReconfigPlacement::ThirdParty);
     }
 
     fn snap(total_work: f64) -> ProfileSnapshot {

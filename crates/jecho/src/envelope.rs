@@ -1235,7 +1235,7 @@ mod tests {
 
     #[test]
     fn table_crc_agrees_with_bitwise_reference() {
-        let mut rng = StdRng::seed_from_u64(0xC2C_32);
+        let mut rng = StdRng::seed_from_u64(0xC2C32);
         for len in [0usize, 1, 3, 7, 8, 9, 15, 16, 17, 63, 64, 255, 1024, 4097] {
             let data: Vec<u8> = (0..len).map(|_| rng.random_range(0u64..256) as u8).collect();
             assert_eq!(crc32(&[&data]), crc32_reference(&[&data]), "len {len}");

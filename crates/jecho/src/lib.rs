@@ -24,21 +24,17 @@
 //! * [`sim::SimSession`] — virtual time through the `mpart-simnet`
 //!   pipeline, feedback-delayed plan updates, and, when the link carries
 //!   a fault plan, the seeded fault injector between the machine's two
-//!   halves; this is what the benchmark harness uses;
+//!   halves; this is what the benchmark harness uses. Figure 1's fan-out
+//!   to several subscribers is one session per subscriber: their
+//!   modulators, plans and receiver contexts share nothing;
 //! * [`supervisor::Supervisor`] / [`tcp::TcpReceiver`] — real TCP
-//!   sockets, a reader thread, the wall clock, reconnection with capped
-//!   exponential backoff and jitter ([`tcp::TcpSender`] is the bare,
-//!   unsupervised connection).
+//!   sockets over loopback, a reader thread, the wall clock, reconnection
+//!   with capped exponential backoff and jitter ([`tcp::TcpSender`] is
+//!   the bare, unsupervised connection).
 //!
-//! Transports that need no link machine because nothing can be lost —
-//! they are the subscriber step behind a different hand-off:
-//!
-//! * [`channel::EventChannel`] — synchronous in-process delivery with
-//!   fan-out to multiple subscribers (Figure 1); the reference semantics;
-//! * [`local::LocalPair`] — real OS threads and channels with wall-clock
-//!   profiling, demonstrating the machinery under true concurrency;
-//! * [`proxy::ProxySession`] — §7's third-party modulator placement: the
-//!   modulator runs inside a broker between source and receiver.
+//! One transport needs no link machine because nothing can be lost:
+//! [`proxy::ProxySession`], §7's third-party modulator placement, where
+//! the modulator runs inside a broker between source and receiver.
 //!
 //! Beside them, [`node::NodeServer`] / [`node::TcpNode`] are the
 //! loopback-TCP cluster nodes of the multi-host router (`mpart route`): a
@@ -98,20 +94,16 @@
 //! # }
 //! ```
 
-pub mod channel;
 pub mod envelope;
 pub mod link;
-pub mod local;
 pub mod node;
 pub mod proxy;
 pub mod sim;
 pub mod supervisor;
 pub mod tcp;
 
-pub use channel::{DeliveryReport, EventChannel, SubscriberId};
 pub use envelope::{EncodedFrame, Frame, ModulatedEvent, PlanEnvelope};
 pub use link::LinkMachine;
-pub use local::LocalPair;
 pub use proxy::{ProxyConfig, ProxyReport, ProxySession};
 pub use sim::{SimConfig, SimReport, SimSession};
 pub use supervisor::{RetryPolicy, Supervisor};

@@ -109,8 +109,7 @@ impl ProxySession {
         let kind = model.kind();
         let handler = PartitionedHandler::analyze(Arc::clone(&program), handler_fn, model)?;
         let reconfig = ReconfigUnit::new(Arc::clone(handler.analysis()), kind, config.trigger)
-            .with_serialize_cost(config.serialize_work_per_byte)
-            .with_placement(mpart::reconfig::ReconfigPlacement::ThirdParty);
+            .with_serialize_cost(config.serialize_work_per_byte);
         Ok(ProxySession {
             modulator: handler.modulator(),
             subscriber: Subscriber::new(Arc::clone(&handler), reconfig),
@@ -341,23 +340,5 @@ mod tests {
         }
         let last = session.reports().last().unwrap();
         assert!(last.downlink_bytes < 100, "{}", last.downlink_bytes);
-    }
-
-    #[test]
-    fn reconfig_unit_is_marked_third_party() {
-        let program = Arc::new(parse_program(SRC).unwrap());
-        let session = ProxySession::new(
-            Arc::clone(&program),
-            "ingest",
-            Arc::new(DataSizeModel::new()),
-            BuiltinRegistry::new(),
-            receiver_builtins(),
-            config(),
-        )
-        .unwrap();
-        assert_eq!(
-            session.subscriber.reconfig().placement(),
-            mpart::reconfig::ReconfigPlacement::ThirdParty
-        );
     }
 }

@@ -35,8 +35,7 @@ use mpart_obs::Counter;
 use rand::prelude::*;
 
 use crate::link::{SenderHalf, Tick};
-use crate::local::Source;
-use crate::tcp::Connection;
+use crate::tcp::{Connection, Source};
 
 /// Reconnection policy: capped exponential backoff with seeded jitter.
 #[derive(Debug, Clone)]

@@ -22,12 +22,13 @@
 use std::io::Write as _;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use crossbeam::channel::{bounded, Receiver};
 use mpart::failure::{DeadLetter, DeadLetterRing};
+use mpart::modulator::{ModRun, Modulator};
 use mpart::profile::TriggerPolicy;
 use mpart::reconfig::ReconfigUnit;
 use mpart::subscriber::{Subscriber, Timing};
@@ -39,7 +40,53 @@ use mpart_obs::{Counter, PlanReason};
 
 use crate::envelope::{Frame, ModulatedEvent};
 use crate::link::{ack_watermark, data_frame, Control, Encoder, Received, ReceiverHalf, Verdict};
-use crate::local::{LocalOutcome, Source};
+
+/// Outcome of one delivery, reported back from the receiver thread.
+#[derive(Debug, Clone)]
+pub struct LocalOutcome {
+    /// Message sequence number.
+    pub seq: u64,
+    /// Handler return value.
+    pub ret: Option<Value>,
+    /// The PSE the message split at.
+    pub split_pse: mpart::PseId,
+    /// Wire bytes of the event.
+    pub wire_bytes: usize,
+    /// Whether the receiver reconfigured the plan after this message.
+    pub reconfigured: bool,
+}
+
+/// The source-side roles of a wall-clock session: the program, the shared
+/// handler's modulator, and the builtins event construction may call.
+pub(crate) struct Source {
+    program: Arc<Program>,
+    pub(crate) handler: Arc<PartitionedHandler>,
+    modulator: Modulator,
+    sender_builtins: BuiltinRegistry,
+}
+
+impl Source {
+    pub(crate) fn new(
+        program: Arc<Program>,
+        handler: Arc<PartitionedHandler>,
+        sender_builtins: BuiltinRegistry,
+    ) -> Self {
+        Source { modulator: handler.modulator(), program, handler, sender_builtins }
+    }
+
+    /// Builds one event in a fresh context and runs the modulator on it;
+    /// returns the run and the modulator's wall-clock nanoseconds.
+    pub(crate) fn modulate(
+        &self,
+        make_event: impl FnOnce(&mut ExecCtx) -> Result<Vec<Value>, IrError>,
+    ) -> Result<(ModRun, u64), IrError> {
+        let mut ctx = ExecCtx::without_digests(&self.program, self.sender_builtins.clone());
+        let args = make_event(&mut ctx)?;
+        let started = Instant::now();
+        let run = self.modulator.handle(&mut ctx, args)?;
+        Ok((run, started.elapsed().as_nanos() as u64))
+    }
+}
 
 /// A receiver endpoint bound to a TCP port.
 pub struct TcpReceiver {
@@ -131,7 +178,7 @@ impl TcpReceiver {
             TcpListener::bind("127.0.0.1:0").map_err(|e| IrError::Marshal(format!("bind: {e}")))?;
         let port =
             listener.local_addr().map_err(|e| IrError::Marshal(format!("local_addr: {e}")))?.port();
-        let (outcome_tx, outcomes) = bounded::<LocalOutcome>(1024);
+        let (outcome_tx, outcomes) = sync_channel::<LocalOutcome>(1024);
         let demod_errors = handler.obs().registry().counter("demod_errors_total", &[]);
         let deadletter = Arc::new(DeadLetterRing::new(32));
 
@@ -616,28 +663,35 @@ mod tests {
     #[test]
     fn filtered_events_cross_tcp_cheaply() {
         let program = Arc::new(parse_program(SRC).unwrap());
-        let receiver = TcpReceiver::bind(
-            Arc::clone(&program),
-            "index",
-            Arc::new(DataSizeModel::new()),
-            receiver_builtins(),
-            TriggerPolicy::Rate(1),
-        )
-        .unwrap();
-        let mut sender = TcpSender::connect(
-            Arc::clone(&program),
-            Arc::clone(receiver.handler()),
-            BuiltinRegistry::new(),
-            receiver.port(),
-        )
-        .unwrap();
-        for _ in 0..4 {
-            sender.publish(|_| Ok(vec![Value::Int(9)])).unwrap();
-            let outcome = receiver.next_outcome().unwrap();
-            assert_eq!(outcome.ret, Some(Value::Int(0)));
+        // Zero events: an idle session still shuts down cleanly.
+        for events in [0, 4] {
+            let receiver = TcpReceiver::bind(
+                Arc::clone(&program),
+                "index",
+                Arc::new(DataSizeModel::new()),
+                receiver_builtins(),
+                TriggerPolicy::Rate(1),
+            )
+            .unwrap();
+            let mut sender = TcpSender::connect(
+                Arc::clone(&program),
+                Arc::clone(receiver.handler()),
+                BuiltinRegistry::new(),
+                receiver.port(),
+            )
+            .unwrap();
+            let mut last_bytes = 0;
+            for _ in 0..events {
+                sender.publish(|_| Ok(vec![Value::Int(9)])).unwrap();
+                let outcome = receiver.next_outcome().unwrap();
+                assert_eq!(outcome.ret, Some(Value::Int(0)));
+                last_bytes = outcome.wire_bytes;
+            }
+            // Filtered events ship almost nothing.
+            assert!(last_bytes < 64, "filtered event wire bytes: {last_bytes}");
+            sender.shutdown().unwrap();
+            assert_eq!(receiver.join().unwrap(), events);
         }
-        sender.shutdown().unwrap();
-        assert_eq!(receiver.join().unwrap(), 4);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use method_partitioning::core::partitioned::PartitionedHandler;
 use method_partitioning::core::profile::TriggerPolicy;
@@ -11,7 +12,7 @@ use method_partitioning::ir::interp::{BuiltinRegistry, ExecCtx};
 use method_partitioning::ir::parse::parse_program;
 use method_partitioning::ir::types::ElemType;
 use method_partitioning::ir::{IrError, Program, Value};
-use method_partitioning::jecho::LocalPair;
+use method_partitioning::jecho::{RetryPolicy, Supervisor, TcpReceiver};
 
 const SRC: &str = r#"
 class Msg { n: int, data: ref }
@@ -53,25 +54,31 @@ fn msg(
 }
 
 /// One thread flips the plan between "ship raw" and "squash at sender" as
-/// fast as it can; the main thread pushes messages through a LocalPair.
-/// Every message must still produce the correct result.
+/// fast as it can; the main thread pushes messages over loopback TCP to a
+/// receiver thread. Every message must still produce the correct result.
 #[test]
 fn plan_flapping_under_concurrent_traffic_is_safe() {
     let program = Arc::new(parse_program(SRC).unwrap());
     let mut receiver_builtins = BuiltinRegistry::new();
     receiver_builtins.register_native("keep", 1, |_, _| Ok(Value::Null));
 
-    let mut pair = LocalPair::spawn(
+    let receiver = TcpReceiver::bind(
         Arc::clone(&program),
         "take",
         Arc::new(DataSizeModel::new()),
-        BuiltinRegistry::new(),
         receiver_builtins,
         TriggerPolicy::Never, // adaptation comes from the flapper thread
     )
     .unwrap();
+    let mut supervisor = Supervisor::new(
+        Arc::clone(&program),
+        Arc::clone(receiver.handler()),
+        BuiltinRegistry::new(),
+        receiver.port(),
+        RetryPolicy::default(),
+    );
 
-    let handler: Arc<PartitionedHandler> = Arc::clone(pair.handler());
+    let handler: Arc<PartitionedHandler> = Arc::clone(receiver.handler());
     // Identify the two plans.
     let entry = handler.entry_pse().expect("entry PSE");
     let late: Vec<usize> = (0..handler.analysis().pses().len())
@@ -94,8 +101,8 @@ fn plan_flapping_under_concurrent_traffic_is_safe() {
 
     let rounds = 200;
     for _ in 0..rounds {
-        pair.publish(msg(&program, 4096)).unwrap();
-        let outcome = pair.next_outcome().unwrap();
+        supervisor.publish(msg(&program, 4096)).unwrap();
+        let outcome = receiver.next_outcome().unwrap();
         assert_eq!(outcome.ret, Some(Value::Int(1)));
         // Whatever mixture of flags the message observed, it split at a
         // real PSE and carried either the raw message or the squashed one.
@@ -108,7 +115,8 @@ fn plan_flapping_under_concurrent_traffic_is_safe() {
     stop.store(true, Ordering::Relaxed);
     let flips = flapper.join().unwrap();
     assert!(flips > 0, "the flapper actually ran");
-    pair.shutdown().unwrap();
+    supervisor.shutdown(Duration::from_secs(30)).unwrap();
+    assert_eq!(receiver.join().unwrap(), rounds);
 }
 
 /// Many sender threads share one analyzed handler (each gets its own

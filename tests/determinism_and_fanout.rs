@@ -7,12 +7,13 @@ use method_partitioning::apps::sensor::{
     run_sensor_experiment, HostLoad, SensorSetup, SensorVersion,
 };
 use method_partitioning::core::profile::TriggerPolicy;
-use method_partitioning::cost::{DataSizeModel, ExecTimeModel};
+use method_partitioning::cost::{CostModel, DataSizeModel, ExecTimeModel};
 use method_partitioning::ir::interp::{BuiltinRegistry, ExecCtx};
 use method_partitioning::ir::parse::parse_program;
 use method_partitioning::ir::types::ElemType;
 use method_partitioning::ir::{IrError, Value};
-use method_partitioning::jecho::EventChannel;
+use method_partitioning::jecho::{SimConfig, SimSession};
+use method_partitioning::simnet::{Host, Link, SimTime};
 
 #[test]
 fn identical_seeds_identical_results() {
@@ -93,51 +94,51 @@ fn sample_builder(
     }
 }
 
-/// One sender, two receivers with *different handlers and cost models* —
-/// Figure 1's fan-out. Each subscriber's modulator adapts independently.
+/// One source, two receivers with *different handlers and cost models* —
+/// Figure 1's fan-out, one session per subscriber. Each subscriber's
+/// modulator adapts independently.
 #[test]
 fn fanout_subscribers_adapt_independently() {
     let program = Arc::new(parse_program(FANOUT_SRC).unwrap());
-    let mut channel = EventChannel::new(Arc::clone(&program), BuiltinRegistry::new());
-
-    let mut viewer_builtins = BuiltinRegistry::new();
-    viewer_builtins.register_native("view", 1, |_, _| Ok(Value::Null));
-    let viewer = channel
-        .subscribe(
-            "tiny_view",
-            Arc::new(DataSizeModel::new()),
-            viewer_builtins,
+    let subscribe = |handler_fn: &str, model: Arc<dyn CostModel>, native: &str| {
+        let mut receiver_builtins = BuiltinRegistry::new();
+        receiver_builtins.register_native(native, 1, |_, _| Ok(Value::Null));
+        let config = SimConfig::new(
+            Host::new("source", 1_000_000.0),
+            Link::new("lan", SimTime::from_millis(1), 1_000_000.0),
+            Host::new("subscriber", 1_000_000.0),
             TriggerPolicy::Rate(1),
+        );
+        SimSession::adaptive(
+            Arc::clone(&program),
+            handler_fn,
+            model,
+            BuiltinRegistry::new(),
+            receiver_builtins,
+            config,
         )
-        .unwrap();
-
-    let mut archiver_builtins = BuiltinRegistry::new();
-    archiver_builtins.register_native("archive", 1, |_, _| Ok(Value::Null));
-    let archiver = channel
-        .subscribe(
-            "full_archive",
-            Arc::new(ExecTimeModel::new()),
-            archiver_builtins,
-            TriggerPolicy::Rate(1),
-        )
-        .unwrap();
+        .unwrap()
+    };
+    let mut viewer = subscribe("tiny_view", Arc::new(DataSizeModel::new()), "view");
+    let mut archiver = subscribe("full_archive", Arc::new(ExecTimeModel::new()), "archive");
 
     for _ in 0..8 {
-        let reports = channel.publish(sample_builder(&program, 40_000)).unwrap();
-        assert_eq!(reports.len(), 2);
-        assert_eq!(reports[viewer].ret, Some(Value::Int(1)));
-        assert_eq!(reports[archiver].ret, Some(Value::Int(2)));
+        let view = viewer.deliver(sample_builder(&program, 40_000)).unwrap();
+        let archive = archiver.deliver(sample_builder(&program, 40_000)).unwrap();
+        assert_eq!(view.ret, Some(Value::Int(1)));
+        assert_eq!(archive.ret, Some(Value::Int(2)));
     }
 
     // The viewer adapted to shrink at the sender (tiny payload); the
     // archiver necessarily ships the full sample (its handler keeps it).
-    let last = channel.publish(sample_builder(&program, 40_000)).unwrap();
-    assert!(last[viewer].wire_bytes < 1000, "viewer payload {}", last[viewer].wire_bytes);
-    assert!(last[archiver].wire_bytes > 40_000, "archiver payload {}", last[archiver].wire_bytes);
+    let view = viewer.deliver(sample_builder(&program, 40_000)).unwrap();
+    let archive = archiver.deliver(sample_builder(&program, 40_000)).unwrap();
+    assert!(view.wire_bytes < 1000, "viewer payload {}", view.wire_bytes);
+    assert!(archive.wire_bytes > 40_000, "archiver payload {}", archive.wire_bytes);
     // Plans are independent objects (the wire-byte contrast above already
     // shows they diverged semantically; raw index lists may coincide since
     // each handler has its own PSE table).
     // Both receivers saw every event.
-    assert_eq!(channel.subscriber_ctx(viewer).trace.len(), 9);
-    assert_eq!(channel.subscriber_ctx(archiver).trace.len(), 9);
+    assert_eq!(viewer.receiver_ctx().trace.len(), 9);
+    assert_eq!(archiver.receiver_ctx().trace.len(), 9);
 }

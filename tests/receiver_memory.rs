@@ -5,10 +5,10 @@
 //! releases what an envelope allocated once the demodulator returns, so
 //! one handler that allocates per envelope — the unmarshalled event and
 //! an array of its own — is streamed through all of them. Where the
-//! receiver's context is reachable (`SimSession`, `EventChannel`) its
-//! heap is read directly; everywhere, the thread-private contexts of
-//! `TcpReceiver` and `LocalPair` included, the `receiver_heap_cells`
-//! gauge on the handler's registry reports it.
+//! receiver's context is reachable (`SimSession`) its heap is read
+//! directly; everywhere, the thread-private context of `TcpReceiver`
+//! included, the `receiver_heap_cells` gauge on the handler's registry
+//! reports it.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -22,8 +22,7 @@ use method_partitioning::ir::parse::parse_program;
 use method_partitioning::ir::types::ElemType;
 use method_partitioning::ir::{IrError, Program, Value};
 use method_partitioning::jecho::{
-    EventChannel, LocalPair, ProxyConfig, ProxySession, RetryPolicy, SimConfig, SimSession,
-    Supervisor, TcpReceiver,
+    ProxyConfig, ProxySession, RetryPolicy, SimConfig, SimSession, Supervisor, TcpReceiver,
 };
 use method_partitioning::simnet::{Host, Link, SimTime};
 
@@ -138,27 +137,6 @@ fn sim_session_receiver_heap_is_flat() {
 }
 
 #[test]
-fn event_channel_receiver_heap_is_flat() {
-    let program = program();
-    let mut channel = EventChannel::new(Arc::clone(&program), BuiltinRegistry::new());
-    let id = channel.subscribe("sink", model(), receiver_builtins(), TriggerPolicy::Never).unwrap();
-    pin_to_entry(channel.handler(id));
-    let make = blob(&program);
-    assert_flat(
-        &mut channel,
-        |c| {
-            let reports = c.publish(&make).unwrap();
-            assert_eq!(reports[0].ret, Some(Value::Int(BLOB_BYTES as i64)));
-        },
-        |c| {
-            assert_eq!(c.subscriber_ctx(id).heap.len(), heap_cells(c.handler(id)), "gauge ≠ heap");
-            c.subscriber_ctx(id).heap.len()
-        },
-        "EventChannel",
-    );
-}
-
-#[test]
 fn session_manager_receiver_heap_is_flat() {
     let program = program();
     let mut manager = SessionManager::new(SessionConfig::default().with_workers(1));
@@ -216,33 +194,6 @@ fn proxy_session_receiver_heap_is_flat() {
         |s| heap_cells(s.handler()),
         "ProxySession",
     );
-}
-
-#[test]
-fn local_pair_receiver_heap_is_flat() {
-    let program = program();
-    let mut pair = LocalPair::spawn(
-        Arc::clone(&program),
-        "sink",
-        model(),
-        BuiltinRegistry::new(),
-        receiver_builtins(),
-        TriggerPolicy::Never,
-    )
-    .unwrap();
-    pin_to_entry(pair.handler());
-    let make = blob(&program);
-    assert_flat(
-        &mut pair,
-        |p| {
-            p.publish(&make).unwrap();
-            // The outcome is sent after the release, so the gauge is current.
-            assert_eq!(p.next_outcome().unwrap().ret, Some(Value::Int(BLOB_BYTES as i64)));
-        },
-        |p| heap_cells(p.handler()),
-        "LocalPair",
-    );
-    pair.shutdown().unwrap();
 }
 
 #[test]
