@@ -77,7 +77,8 @@ impl Demodulator {
         // analysis, so any *retained* generation demodulates correctly;
         // only messages older than the retained history are refused (their
         // split decisions can no longer be audited against a known plan).
-        let oldest = self.handler.oldest_admissible_epoch();
+        // The horizon is one atomic the plan publishes on eviction.
+        let oldest = self.handler.plan().oldest_admissible_epoch();
         if msg.epoch < oldest {
             self.handler.metrics().note_stale_rejected(self.handler.obs(), msg.epoch, oldest);
             return Err(IrError::StalePlan { epoch: msg.epoch, oldest });
@@ -257,7 +258,7 @@ mod tests {
             Arc::new(DataSizeModel::new()),
         )
         .unwrap();
-        h.set_plan_retention(2);
+        h.plan().set_retention(2);
         let m = h.modulator();
         let d = h.demodulator();
         let mut sender = ExecCtx::new(&program);
@@ -267,7 +268,7 @@ mod tests {
         for _ in 0..4 {
             h.install_plan(&all);
         }
-        let oldest = h.oldest_admissible_epoch();
+        let oldest = h.plan().oldest_admissible_epoch();
         assert!(oldest > run.message.epoch);
         let mut receiver = ExecCtx::new(&program);
         let err = d.handle(&mut receiver, &run.message).unwrap_err();

@@ -22,6 +22,7 @@ use mpart_ir::{IrError, Value};
 
 use crate::continuation::ContinuationMessage;
 use crate::partitioned::PartitionedHandler;
+use crate::plan::PlanView;
 use crate::profile::PseSample;
 use crate::PseId;
 
@@ -78,49 +79,34 @@ impl Modulator {
             )));
         }
         let work_start = ctx.work;
-        let mut samples = Vec::new();
-        let mut profile_work = 0u64;
-
-        // Snapshot the plan at message start: a reconfiguration racing
-        // with this message must not change its split decisions
-        // mid-flight (a torn view could miss every active edge on the
-        // taken path and run into a stop node).
-        let n_pses = self.handler.analysis().pses().len();
-        let plan = self.handler.plan();
-        // The epoch is read before the flags: an install racing with this
-        // snapshot can at worst stamp the message one generation behind
-        // the flags actually used, which the receiver's retained plan
-        // history absorbs.
-        let epoch = plan.epoch();
-        let split: Vec<bool> = (0..n_pses).map(|p| plan.is_split(p)).collect();
-        let profiled: Vec<bool> = (0..n_pses).map(|p| plan.is_profiled(p)).collect();
+        // One consistent read of the plan at message start: every split
+        // and profiling decision of this message comes from `view`, and
+        // the message is stamped with the epoch that installed its split
+        // mask — a racing install can neither change the decisions
+        // mid-flight nor mix two plans into one (a torn view could miss
+        // every active edge on the taken path and run into a stop node).
+        let view = self.handler.plan().snapshot();
+        let epoch = view.epoch;
+        let mut observer = ModObserver {
+            handler: &self.handler,
+            samples: Vec::new(),
+            work_base: work_start,
+            split_at: None,
+            violation: None,
+            profile_work: 0,
+            view,
+        };
 
         // Entry-edge split: ship the raw message without touching it.
         if let Some(entry) = self.handler.entry_pse() {
-            if profiled[entry] {
-                let pse = &self.handler.analysis().pses()[entry];
-                let roots: Vec<Value> = pse.inter.iter().map(|v| args[v.index()].clone()).collect();
-                let classes = &self.handler.program().classes;
-                let bytes = self.handler.model().measure_payload(&ctx.heap, classes, &roots);
-                profile_work += self.handler.model().profiling_work(&ctx.heap, classes, &roots);
-                samples.push(PseSample {
-                    pse: entry,
-                    mod_work: 0,
-                    payload_bytes: Some(bytes),
-                    was_split: split[entry],
-                });
-            }
-            if split[entry] {
+            if observer.probe(entry, &args, &ctx.heap, 0) {
                 let mut env = vec![Value::Null; func.locals];
                 for (i, a) in args.into_iter().enumerate() {
                     env[i] = a;
                 }
                 let pse = &self.handler.analysis().pses()[entry];
                 let message = ContinuationMessage::pack(entry, pse, &env, &ctx.heap, 0, epoch)?;
-                let mod_work = ctx.work - work_start;
-                let run = ModRun { message, samples, mod_work, profile_work };
-                self.observe_run(&run, epoch);
-                return Ok(run);
+                return Ok(self.finish(observer, message, ctx.work - work_start));
             }
         }
 
@@ -131,82 +117,90 @@ impl Modulator {
         if self.handler.analysis().stops.is_stop(start) {
             return Err(IrError::Continuation(format!(
                 "plan {:?} lets execution reach stop node {start} (the start node) on the sender",
-                active_of(&split)
+                view.active()
             )));
         }
 
-        let mut observer = ModObserver {
-            handler: &self.handler,
-            samples: &mut samples,
-            work_base: work_start,
-            split_at: None,
-            violation: None,
-            profile_work: &mut profile_work,
-            split: &split,
-            profiled: &profiled,
-        };
         // Dispatch through the handler's selected engine: the interpreter
         // is the reference; the bytecode engine observes exactly the same
         // edges (its watched set covers every PSE and stop in-edge).
         let engine = self.handler.engine();
         self.handler.metrics().note_engine_dispatch(engine.name());
         let outcome = engine.run_observed(ctx, func, args, &mut observer)?;
-        let split_at = observer.split_at;
-        let violation = observer.violation;
 
-        if let Some((from, to)) = violation {
+        if let Some((from, to)) = observer.violation {
             return Err(IrError::Continuation(format!(
                 "plan {:?} lets execution reach stop node {to} from {from} on the sender",
-                active_of(&split)
+                view.active()
             )));
         }
         match outcome {
             Outcome::Suspended(sp) => {
-                let pse_id = split_at.ok_or_else(|| {
+                let pse_id = observer.split_at.ok_or_else(|| {
                     IrError::Continuation("suspended without recorded PSE".into())
                 })?;
                 let pse = &self.handler.analysis().pses()[pse_id];
                 let mod_work = ctx.work - work_start;
                 let message =
                     ContinuationMessage::pack(pse_id, pse, &sp.env, &ctx.heap, mod_work, epoch)?;
-                let run = ModRun { message, samples, mod_work, profile_work };
-                self.observe_run(&run, epoch);
-                Ok(run)
+                Ok(self.finish(observer, message, mod_work))
             }
             Outcome::Finished(_) => Err(IrError::Continuation(format!(
                 "plan {:?} is not a cut: handler completed inside the sender",
-                active_of(&split)
+                view.active()
             ))),
         }
     }
 
-    /// Feeds one successful run into the handler's instruments.
-    fn observe_run(&self, run: &ModRun, epoch: u64) {
+    /// Assembles a successful run and feeds it into the handler's
+    /// instruments.
+    fn finish(&self, observer: ModObserver, message: ContinuationMessage, mod_work: u64) -> ModRun {
+        let (samples, profile_work) = (observer.samples, observer.profile_work);
+        let run = ModRun { message, samples, mod_work, profile_work };
         self.handler.metrics().note_mod_run(
             self.handler.obs(),
             run.message.pse,
-            epoch,
+            observer.view.epoch,
             run.message.wire_size() as u64,
             run.mod_work,
             run.profile_work,
         );
+        run
     }
-}
-
-/// The PSE ids active in a snapshot, for diagnostics.
-fn active_of(split: &[bool]) -> Vec<PseId> {
-    split.iter().enumerate().filter(|(_, on)| **on).map(|(i, _)| i).collect()
 }
 
 struct ModObserver<'a> {
     handler: &'a Arc<PartitionedHandler>,
-    samples: &'a mut Vec<PseSample>,
+    samples: Vec<PseSample>,
     work_base: u64,
     split_at: Option<PseId>,
     violation: Option<(usize, usize)>,
-    profile_work: &'a mut u64,
-    split: &'a [bool],
-    profiled: &'a [bool],
+    profile_work: u64,
+    /// The message's one plan read.
+    view: PlanView,
+}
+
+impl ModObserver<'_> {
+    /// Runs `pse`'s profiling probe if its flag is set in the message's
+    /// view, over the live variables `vars`; returns whether the message
+    /// splits there.
+    fn probe(&mut self, pse_id: PseId, vars: &[Value], heap: &Heap, mod_work: u64) -> bool {
+        let split = self.view.split >> pse_id & 1 == 1;
+        if self.view.profile >> pse_id & 1 == 1 {
+            let pse = &self.handler.analysis().pses()[pse_id];
+            let roots: Vec<Value> = pse.inter.iter().map(|v| vars[v.index()].clone()).collect();
+            let classes = &self.handler.program().classes;
+            let bytes = self.handler.model().measure_payload(heap, classes, &roots);
+            self.profile_work += self.handler.model().profiling_work(heap, classes, &roots);
+            self.samples.push(PseSample {
+                pse: pse_id,
+                mod_work,
+                payload_bytes: Some(bytes),
+                was_split: split,
+            });
+        }
+        split
+    }
 }
 
 impl EdgeObserver for ModObserver<'_> {
@@ -219,21 +213,7 @@ impl EdgeObserver for ModObserver<'_> {
         work: u64,
     ) -> EdgeAction {
         if let Some(pse_id) = self.handler.pse_of_edge(from, to) {
-            let split = self.split[pse_id];
-            if self.profiled[pse_id] {
-                let pse = &self.handler.analysis().pses()[pse_id];
-                let roots: Vec<Value> = pse.inter.iter().map(|v| vars[v.index()].clone()).collect();
-                let classes = &self.handler.program().classes;
-                let bytes = self.handler.model().measure_payload(heap, classes, &roots);
-                *self.profile_work += self.handler.model().profiling_work(heap, classes, &roots);
-                self.samples.push(PseSample {
-                    pse: pse_id,
-                    mod_work: work - self.work_base,
-                    payload_bytes: Some(bytes),
-                    was_split: split,
-                });
-            }
-            if split {
+            if self.probe(pse_id, vars, heap, work - self.work_base) {
                 self.split_at = Some(pse_id);
                 return EdgeAction::Suspend;
             }

@@ -1,8 +1,8 @@
 //! The deployment-time facade: analyze a handler once, then hand out the
 //! modulator (to ship to senders) and demodulator (kept by the receiver).
 
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::{Arc, Mutex, RwLock};
+use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, RwLock};
 
 use mpart_analysis::cache::AnalysisCache;
 use mpart_analysis::paths::EnumLimits;
@@ -17,44 +17,9 @@ use mpart_obs::{pse_mask, ObsHub, PlanReason, TraceEvent};
 use crate::demodulator::Demodulator;
 use crate::modulator::Modulator;
 use crate::obs::HandlerMetrics;
-use crate::plan::PartitionPlan;
+use crate::plan::{validate_mask, PartitionPlan};
 use crate::reconfig::select_active_set;
 use crate::PseId;
-
-/// How many plan generations a handler retains by default for in-flight
-/// continuations (see [`PartitionedHandler::install_plan`]).
-pub const DEFAULT_PLAN_RETENTION: usize = 8;
-
-/// The last-K installed plan generations, kept so the demodulator can
-/// admit in-flight continuations stamped with a superseded epoch. Only
-/// once a generation is actually evicted does its epoch become stale.
-#[derive(Debug)]
-struct PlanHistory {
-    retention: usize,
-    /// `(epoch, active set)` pairs, oldest first.
-    generations: VecDeque<(u64, Vec<PseId>)>,
-    /// Epochs below this have been evicted and are no longer admissible.
-    oldest_admissible: u64,
-}
-
-impl PlanHistory {
-    fn new(retention: usize) -> Self {
-        PlanHistory {
-            retention: retention.max(1),
-            generations: VecDeque::new(),
-            oldest_admissible: 0,
-        }
-    }
-
-    fn record(&mut self, epoch: u64, active: Vec<PseId>) {
-        self.generations.push_back((epoch, active));
-        while self.generations.len() > self.retention {
-            if let Some((evicted, _)) = self.generations.pop_front() {
-                self.oldest_admissible = self.oldest_admissible.max(evicted + 1);
-            }
-        }
-    }
-}
 
 /// A handler analyzed for Method Partitioning under one cost model.
 ///
@@ -79,7 +44,6 @@ pub struct PartitionedHandler {
     base_model_key: String,
     plan: PartitionPlan,
     edge_to_pse: HashMap<(usize, usize), PseId>,
-    history: Mutex<PlanHistory>,
     obs: Arc<ObsHub>,
     metrics: HandlerMetrics,
     /// The live execution engine behind the modulator/demodulator hot
@@ -107,7 +71,9 @@ impl PartitionedHandler {
     ///
     /// # Errors
     ///
-    /// Propagates analysis failures (unknown function, malformed body).
+    /// Propagates analysis failures (unknown function, malformed body);
+    /// [`IrError::Invalid`] above 64 PSEs (see
+    /// [`from_analysis`](Self::from_analysis)).
     pub fn analyze(
         program: Arc<Program>,
         func_name: &str,
@@ -121,7 +87,7 @@ impl PartitionedHandler {
     ///
     /// # Errors
     ///
-    /// Propagates analysis failures.
+    /// Propagates analysis failures; [`IrError::Invalid`] above 64 PSEs.
     pub fn analyze_with_limits(
         program: Arc<Program>,
         func_name: &str,
@@ -142,7 +108,7 @@ impl PartitionedHandler {
     ///
     /// # Errors
     ///
-    /// Propagates analysis failures.
+    /// Propagates analysis failures; [`IrError::Invalid`] above 64 PSEs.
     pub fn analyze_cached(
         program: Arc<Program>,
         func_name: &str,
@@ -157,7 +123,7 @@ impl PartitionedHandler {
     ///
     /// # Errors
     ///
-    /// Propagates analysis failures.
+    /// Propagates analysis failures; [`IrError::Invalid`] above 64 PSEs.
     pub fn analyze_cached_with_limits(
         program: Arc<Program>,
         func_name: &str,
@@ -182,8 +148,10 @@ impl PartitionedHandler {
     ///
     /// # Errors
     ///
-    /// Returns [`IrError::Unresolved`] if `program` lacks the analyzed
-    /// function, and propagates initial plan selection failures.
+    /// Returns [`IrError::Invalid`] if the analysis found more than 64
+    /// PSEs (a plan is one 64-bit word; every constructor ends here),
+    /// [`IrError::Unresolved`] if `program` lacks the analyzed function,
+    /// and propagates initial plan selection failures.
     pub fn from_analysis(
         program: Arc<Program>,
         analysis: Arc<HandlerAnalysis>,
@@ -191,7 +159,7 @@ impl PartitionedHandler {
     ) -> Result<Arc<Self>, IrError> {
         let func_name = analysis.func_name.clone();
         program.function_or_err(&func_name)?;
-        let plan = PartitionPlan::new(analysis.pses().len());
+        let plan = PartitionPlan::new(analysis.pses().len())?;
 
         let edge_to_pse = analysis
             .pses()
@@ -212,7 +180,6 @@ impl PartitionedHandler {
             base_model_key,
             plan,
             edge_to_pse,
-            history: Mutex::new(PlanHistory::new(DEFAULT_PLAN_RETENTION)),
             obs,
             metrics,
             engine: RwLock::new(engine),
@@ -225,13 +192,12 @@ impl PartitionedHandler {
         Ok(Arc::new(handler))
     }
 
-    /// Installs a new active set and records the generation in the plan
-    /// history, so in-flight continuations stamped with recent epochs keep
-    /// demodulating. Returns the new epoch.
-    ///
-    /// Prefer this over `plan().install(..)` wherever the handler is
-    /// reachable: direct flag installs still bump the epoch but leave no
-    /// history entry, so the stale-plan horizon cannot advance past them.
+    /// Installs a new active set and returns its epoch. The install is
+    /// [`PartitionPlan::install`] — one seqlocked mask write that also
+    /// records the generation in the plan's retained history, so in-flight
+    /// continuations stamped with recent epochs keep demodulating — plus
+    /// the handler's bookkeeping: `plan_switch_total{reason="install"}` and
+    /// a [`TraceEvent::PlanInstall`] in the trace ring.
     pub fn install_plan(&self, active: &[PseId]) -> u64 {
         self.install_plan_reason(active, PlanReason::Install)
     }
@@ -241,45 +207,9 @@ impl PartitionedHandler {
     /// ring ([`TraceEvent::PlanInstall`]).
     pub fn install_plan_reason(&self, active: &[PseId], reason: PlanReason) -> u64 {
         let epoch = self.plan.install(active);
-        self.history.lock().expect("plan history poisoned").record(epoch, active.to_vec());
         self.metrics.note_plan_switch(reason, epoch);
         self.obs.record(TraceEvent::PlanInstall { epoch, active_mask: pse_mask(active), reason });
         epoch
-    }
-
-    /// Replaces how many plan generations are retained for in-flight
-    /// messages (default [`DEFAULT_PLAN_RETENTION`]; minimum 1).
-    pub fn set_plan_retention(&self, retention: usize) {
-        let mut history = self.history.lock().expect("plan history poisoned");
-        history.retention = retention.max(1);
-        let epoch = self.plan.epoch();
-        // Re-apply the bound immediately (record with the current epoch is
-        // not needed; just evict the surplus).
-        while history.generations.len() > history.retention {
-            if let Some((evicted, _)) = history.generations.pop_front() {
-                history.oldest_admissible = history.oldest_admissible.max(evicted + 1);
-            }
-        }
-        debug_assert!(history.oldest_admissible <= epoch + 1);
-    }
-
-    /// The oldest plan epoch the demodulator still admits. Messages
-    /// stamped below this are rejected with
-    /// [`IrError::StalePlan`].
-    pub fn oldest_admissible_epoch(&self) -> u64 {
-        self.history.lock().expect("plan history poisoned").oldest_admissible
-    }
-
-    /// The active set recorded for `epoch`, if that generation is still
-    /// retained.
-    pub fn plan_of_epoch(&self, epoch: u64) -> Option<Vec<PseId>> {
-        self.history
-            .lock()
-            .expect("plan history poisoned")
-            .generations
-            .iter()
-            .find(|(e, _)| *e == epoch)
-            .map(|(_, active)| active.clone())
     }
 
     /// Validates a candidate active set without touching the serving
@@ -301,9 +231,7 @@ impl PartitionedHandler {
                 "candidate plan names unknown pse {bad} (handler has {n})"
             )));
         }
-        let staged = PartitionPlan::new(n);
-        staged.install(active);
-        staged.validate_cut(&self.analysis)
+        validate_mask(pse_mask(active), &self.analysis)
     }
 
     /// Per-PSE weights derived from static costs (deterministic parts of
@@ -501,7 +429,7 @@ impl PartitionedHandler {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use mpart_cost::{DataSizeModel, ExecTimeModel};
     use mpart_ir::parse::parse_program;
@@ -546,26 +474,70 @@ mod tests {
         let program = Arc::new(parse_program(SRC).unwrap());
         let h =
             PartitionedHandler::analyze(program, "push", Arc::new(DataSizeModel::new())).unwrap();
-        h.set_plan_retention(3);
+        h.plan().set_retention(3);
         // The deployment-time install is generation 1 and initially admissible.
-        assert_eq!(h.oldest_admissible_epoch(), 0);
-        assert!(h.plan_of_epoch(1).is_some());
+        assert_eq!(h.plan().oldest_admissible_epoch(), 0);
+        assert!(h.plan().active_at(1).is_some());
 
         let all: Vec<usize> = (0..h.analysis().pses().len()).collect();
         let e2 = h.install_plan(&all);
-        let e3 = h.install_plan(&[all[0]]);
+        // A direct plan install is a generation too.
+        let e3 = h.plan().install(&[all[0]]);
         assert_eq!((e2, e3), (2, 3));
-        assert_eq!(h.plan_of_epoch(3), Some(vec![all[0]]));
+        assert_eq!(h.plan().active_at(3), Some(vec![all[0]]));
 
         // A fourth generation evicts the first.
         h.install_plan(&all);
-        assert_eq!(h.oldest_admissible_epoch(), 2);
-        assert!(h.plan_of_epoch(1).is_none());
-        assert!(h.plan_of_epoch(2).is_some());
+        assert_eq!(h.plan().oldest_admissible_epoch(), 2);
+        assert!(h.plan().active_at(1).is_none());
+        assert!(h.plan().active_at(2).is_some());
 
         // Shrinking the retention evicts immediately.
-        h.set_plan_retention(1);
-        assert_eq!(h.oldest_admissible_epoch(), 4);
+        h.plan().set_retention(1);
+        assert_eq!(h.plan().oldest_admissible_epoch(), 4);
+    }
+
+    /// A chain of `stages` calls: one PSE per inter-stage edge plus the
+    /// entry edge, so `stages + 1` PSEs.
+    pub(crate) fn pipeline(stages: usize) -> Arc<Program> {
+        let mut src = String::from("fn s(y) {\n  return y\n}\nfn f(x) {\n  a0 = call s(x)\n");
+        for i in 1..stages {
+            src.push_str(&format!("  a{i} = call s(a{})\n", i - 1));
+        }
+        src.push_str(&format!("  native out(a{})\n  return\n}}\n", stages - 1));
+        Arc::new(parse_program(&src).unwrap())
+    }
+
+    #[test]
+    fn a_64_pse_handler_installs_its_full_set() {
+        for model in
+            [Arc::new(DataSizeModel::new()) as Arc<dyn CostModel>, Arc::new(ExecTimeModel::new())]
+        {
+            let h = PartitionedHandler::analyze(pipeline(63), "f", model).unwrap();
+            assert_eq!(h.analysis().pses().len(), 64);
+            let all: Vec<usize> = (0..64).collect();
+            let epoch = h.install_plan(&all);
+            let view = h.plan().snapshot();
+            assert_eq!((view.epoch, view.active()), (epoch, all.clone()));
+            assert_eq!(view.profile, u64::MAX, "all 64 profiled");
+            let traced = h.obs().trace().snapshot().into_iter().rev().find_map(|r| match r.event {
+                TraceEvent::PlanInstall { epoch: e, active_mask, .. } if e == epoch => {
+                    Some(active_mask)
+                }
+                _ => None,
+            });
+            assert_eq!(traced.map(mpart_obs::mask_to_pses), Some(all));
+        }
+    }
+
+    #[test]
+    fn a_65_pse_handler_is_refused_by_name() {
+        for model in
+            [Arc::new(DataSizeModel::new()) as Arc<dyn CostModel>, Arc::new(ExecTimeModel::new())]
+        {
+            let err = PartitionedHandler::analyze(pipeline(64), "f", model).unwrap_err();
+            assert!(matches!(&err, IrError::Invalid(m) if m.contains("65 PSEs")), "{err}");
+        }
     }
 
     #[test]

@@ -1061,7 +1061,7 @@ mod tests {
         let active = select_active_set(&ha, &weights).unwrap();
         assert!(!active.contains(&entry), "expensive entry not cut: {active:?}");
         // Validity: the returned set covers every path.
-        let plan = crate::plan::PartitionPlan::new(ha.pses().len());
+        let plan = crate::plan::PartitionPlan::new(ha.pses().len()).unwrap();
         plan.install(&active);
         plan.validate_cut(&ha).unwrap();
     }
@@ -1248,7 +1248,7 @@ mod tests {
         let ha = analysis();
         let main =
             ha.pses().iter().position(|p| !p.edge.is_entry() && !p.inter.is_empty()).unwrap();
-        let plan = crate::plan::PartitionPlan::new(ha.pses().len());
+        let plan = crate::plan::PartitionPlan::new(ha.pses().len()).unwrap();
         plan.install(&[main]);
         let mut unit =
             ReconfigUnit::new(Arc::clone(&ha), RuntimeCostKind::DataSize, TriggerPolicy::Rate(3))
@@ -1562,6 +1562,13 @@ mod tests {
         list.quarantine(&[1], 5);
         list.decay();
         assert!(list.contains(&[1]), "refresh extended the ttl");
+        // ...and a shorter re-quarantine never shortens it.
+        let mut list = QuarantineList::new();
+        list.quarantine(&[1], 5);
+        list.quarantine(&[1], 1);
+        list.decay();
+        list.decay();
+        assert!(list.contains(&[1]), "refresh keeps the longer ttl");
         let restored = QuarantineList::restore(list.entries().to_vec());
         assert!(restored.contains(&[1]));
     }

@@ -10,7 +10,7 @@
 //! per-session ordering needs no locking.
 //!
 //! Each session owns its *runtime* state — modulator/demodulator pair,
-//! [`PartitionPlan`] with its epoch history,
+//! [`PartitionPlan`](crate::plan::PartitionPlan) with its epoch history,
 //! [`ObsHub`], and a private Reconfiguration Unit — so plans adapt
 //! per-session. What sessions *share* is the pure static analysis: handler
 //! construction goes through an
@@ -74,7 +74,6 @@ use crate::failure::{self, DeadLetter, DeadLetterRing, FailureConfig, FailureKin
 use crate::health::DegradationController;
 use crate::journal::{JournalRecord, SessionJournal, SessionSnapshot};
 use crate::modulator::Modulator;
-use crate::plan::PartitionPlan;
 use crate::profile::TriggerPolicy;
 use crate::reconfig::{
     GuardConfig, GuardVerdict, ModelChoice, ModelSelector, ModelSelectorConfig, PlanGuard,
@@ -432,12 +431,6 @@ struct AutoModel {
     limits: EnumLimits,
 }
 
-/// Folds the plan's profiling flags into the journal's 64-bit mask
-/// (PSEs past bit 63 are dropped, mirroring the trace-ring encoding).
-fn profiled_mask(plan: &PartitionPlan) -> u64 {
-    (0..plan.len().min(64)).filter(|&p| plan.is_profiled(p)).fold(0, |m, p| m | (1u64 << p))
-}
-
 impl SessionState {
     /// One delivery under the failure domain: handler invocations run
     /// isolated ([`failure::isolate`]); a failed envelope dead-letters
@@ -495,18 +488,18 @@ impl SessionState {
         }
     }
 
-    /// Checkpoints the current plan epoch + active set + profiling flags.
+    /// Checkpoints the current plan epoch + active set + profiling flags,
+    /// all from one consistent plan read.
     fn checkpoint_plan(&self) {
         if let Some((journal, id)) = &self.journal {
-            let plan = self.handler.plan();
+            let view = self.handler.plan().snapshot();
             let _ = journal.append(JournalRecord::PlanCommit {
                 session: *id,
-                epoch: plan.epoch(),
-                active: plan.active(),
+                epoch: view.epoch,
+                active: view.active(),
                 reason: "commit".into(),
             });
-            let _ =
-                journal.append(JournalRecord::Flags { session: *id, mask: profiled_mask(plan) });
+            let _ = journal.append(JournalRecord::Flags { session: *id, mask: view.profile });
         }
     }
 
@@ -584,9 +577,9 @@ impl SessionState {
             return Err(IrError::Invalid(format!("plan {active:?} is quarantined")));
         }
         self.handler.validate_candidate(active)?;
-        let plan = self.handler.plan();
-        if plan.active_eq(active) {
-            return Ok(plan.epoch());
+        let serving = self.handler.plan().snapshot();
+        if serving.split == pse_mask(active) {
+            return Ok(serving.epoch);
         }
         let epoch = self.install_guarded(active, PlanReason::Install);
         self.checkpoint_plan();
@@ -597,12 +590,11 @@ impl SessionState {
     /// Installs `active` over the serving plan, tells the Reconfiguration
     /// Unit the epoch bump is expected, and opens the canary window.
     fn install_guarded(&mut self, active: &[PseId], reason: PlanReason) -> u64 {
-        let plan = self.handler.plan();
-        let (prior_epoch, prior_active) = (plan.epoch(), plan.active());
+        let prior = self.handler.plan().snapshot();
         let epoch = self.handler.install_plan_reason(active, reason);
         self.subscriber.acknowledge_epoch(epoch);
         if let Some(guard) = &mut self.guard {
-            guard.begin_canary(prior_epoch, prior_active, epoch, active.to_vec());
+            guard.begin_canary(prior.epoch, prior.active(), epoch, active.to_vec());
         }
         epoch
     }
@@ -683,7 +675,7 @@ impl SessionState {
         active: Vec<PseId>,
         observed: u64,
     ) {
-        let target = self.handler.plan_of_epoch(prior_epoch).unwrap_or(prior_active);
+        let target = self.handler.plan().active_at(prior_epoch).unwrap_or(prior_active);
         let to_epoch = self.handler.install_plan_reason(&target, PlanReason::Rollback);
         self.subscriber.acknowledge_epoch(to_epoch);
         let ttl = self.guard.as_ref().map(|g| g.config().quarantine_decay).unwrap_or(0);
@@ -1164,8 +1156,8 @@ impl SessionManager {
             if snap.active != handler.plan().active() {
                 handler.install_plan_reason(&snap.active, PlanReason::Install);
             }
-            for pse in 0..handler.plan().len().min(64) {
-                handler.plan().set_profiled(pse, snap.flags & (1u64 << pse) != 0);
+            for pse in 0..handler.plan().len() {
+                handler.plan().set_profiled(pse, snap.flags >> pse & 1 == 1);
             }
         }
         handler.select_engine(self.config.engine);
@@ -1207,11 +1199,11 @@ impl SessionManager {
                 func: func_name.to_string(),
                 model: model_name,
             });
-            let plan = handler.plan();
+            let view = handler.plan().snapshot();
             let _ = journal.append(JournalRecord::PlanCommit {
                 session: *jid,
-                epoch: plan.epoch(),
-                active: plan.active(),
+                epoch: view.epoch,
+                active: view.active(),
                 reason: "initial".into(),
             });
             if let Some(snap) = restore {
@@ -2065,6 +2057,44 @@ mod tests {
         // Sequence numbering resumes past the journaled watermark.
         let out = restarted.deliver(0, job_event(Arc::clone(&program), 16)).unwrap();
         assert_eq!(out.seq, 11);
+        restarted.shutdown();
+    }
+
+    #[test]
+    fn a_64_pse_plan_round_trips_through_a_journal_restore() {
+        let program = crate::partitioned::tests::pipeline(63);
+        let journal = Arc::new(SessionJournal::in_memory());
+        let config = SessionConfig::default()
+            .with_workers(1)
+            .with_trigger(TriggerPolicy::Never)
+            .with_journal(Arc::clone(&journal));
+        let mut mgr = SessionManager::new(config.clone());
+        let model = Arc::new(DataSizeModel::new());
+        let (sender, receiver) = (BuiltinRegistry::new(), BuiltinRegistry::new());
+        let id = mgr
+            .open_session(
+                Arc::clone(&program),
+                "f",
+                model.clone(),
+                sender.clone(),
+                receiver.clone(),
+            )
+            .unwrap();
+        let plan = mgr.handler(id).unwrap().plan().clone();
+        assert_eq!(plan.len(), 64);
+        // Bit 63 is the one a truncating encoding would lose.
+        plan.set_profiled(63, false);
+        let all: Vec<PseId> = (0..64).collect();
+        mgr.commit_plan(id, &all).unwrap();
+        mgr.shutdown();
+
+        let snapshots = journal.replay().unwrap();
+        let snap = &snapshots[&(id as u64)];
+        assert_eq!((&snap.active, snap.flags), (&all, u64::MAX >> 1));
+        let mut restarted = SessionManager::new(config);
+        let id = restarted.restore_session(program, "f", model, sender, receiver, snap).unwrap();
+        let view = restarted.handler(id).unwrap().plan().snapshot();
+        assert_eq!((view.active(), view.profile), (all, u64::MAX >> 1));
         restarted.shutdown();
     }
 

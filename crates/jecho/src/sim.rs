@@ -420,7 +420,7 @@ impl SimSession {
             // Long outages keep frames in flight across many plan
             // generations; widen the demodulator's plan history so
             // retransmitted continuations stay admissible.
-            handler.set_plan_retention(64);
+            handler.plan().set_retention(64);
             DegradationController::new(
                 Arc::clone(&handler),
                 config.degrade_after,

@@ -81,8 +81,9 @@ impl ModelTag {
 /// One structured runtime transition.
 ///
 /// Active PSE sets are encoded as a bitmask over PSE ids (`bit i` = PSE
-/// `i` active); handlers with more than 64 PSEs truncate the mask to the
-/// first 64 — the event stream stays allocation-free either way.
+/// `i` active), the same word the partition plan stores; a handler has at
+/// most 64 PSEs, so the mask is exact and the event stream stays
+/// allocation-free.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TraceEvent {
     /// A plan was installed (epoch bumped).
@@ -331,8 +332,9 @@ pub struct TraceRecord {
     pub event: TraceEvent,
 }
 
-/// Encodes an active-PSE slice as the ring's bitmask (ids ≥ 64 are
-/// dropped; see [`TraceEvent`]).
+/// Encodes an active-PSE slice as a bitmask: the one PSE-set encoding the
+/// partition plan, the journal and the trace ring share (see
+/// [`TraceEvent`]).
 pub fn pse_mask(active: &[usize]) -> u64 {
     active.iter().filter(|&&p| p < 64).fold(0, |m, &p| m | (1u64 << p))
 }

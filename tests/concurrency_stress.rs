@@ -1,7 +1,9 @@
-//! Concurrency stress: plan flags are shared atomics; switching them from
-//! another thread while messages flow must never corrupt results.
+//! Concurrency stress: the plan is one seqlocked split word; switching it
+//! from another thread while messages flow must never corrupt results.
+//! (The exhaustive interleaving proof lives in `crates/core/src/plan.rs`;
+//! this test keeps the race from returning unnoticed.)
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -56,6 +58,12 @@ fn msg(
 /// One thread flips the plan between "ship raw" and "squash at sender" as
 /// fast as it can; the main thread pushes messages over loopback TCP to a
 /// receiver thread. Every message must still produce the correct result.
+///
+/// Every install is a plan generation, and the receiver refuses a
+/// continuation whose generation has left the retained history
+/// (`IrError::StalePlan`). So the handler retains `RETAINED` generations
+/// and the flapper spends at most `FLIPS_PER_MESSAGE` installs between two
+/// delivered messages: no message goes stale, however the flips land.
 #[test]
 fn plan_flapping_under_concurrent_traffic_is_safe() {
     let program = Arc::new(parse_program(SRC).unwrap());
@@ -85,13 +93,26 @@ fn plan_flapping_under_concurrent_traffic_is_safe() {
         .filter(|&i| !handler.analysis().pses()[i].edge.is_entry())
         .collect();
 
+    const RETAINED: usize = 1 << 16;
+    const FLIPS_PER_MESSAGE: usize = RETAINED / 2;
+    handler.plan().set_retention(RETAINED);
+    let budget = Arc::new(AtomicUsize::new(FLIPS_PER_MESSAGE));
+
     let stop = Arc::new(AtomicBool::new(false));
     let stop_flag = Arc::clone(&stop);
+    let flap_budget = Arc::clone(&budget);
     let flap_handler = Arc::clone(&handler);
     let late_clone = late.clone();
     let flapper = std::thread::spawn(move || {
         let mut flips = 0u64;
         while !stop_flag.load(Ordering::Relaxed) {
+            if flap_budget
+                .fetch_update(Ordering::AcqRel, Ordering::Acquire, |b| b.checked_sub(2))
+                .is_err()
+            {
+                std::hint::spin_loop();
+                continue;
+            }
             flap_handler.plan().install(&[entry]);
             flap_handler.plan().install(&late_clone);
             flips += 2;
@@ -111,6 +132,7 @@ fn plan_flapping_under_concurrent_traffic_is_safe() {
             "wire bytes {} look like a torn payload",
             outcome.wire_bytes
         );
+        budget.store(FLIPS_PER_MESSAGE, Ordering::Release);
     }
     stop.store(true, Ordering::Relaxed);
     let flips = flapper.join().unwrap();
