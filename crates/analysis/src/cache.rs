@@ -1,13 +1,13 @@
 //! A content-addressed cache of [`HandlerAnalysis`] results.
 //!
 //! Every [`analyze`] call re-runs the whole static
-//! pipeline — Unit Graph, liveness, DDG, points-to, path enumeration, and
-//! ConvexCut — even when the handler text has not changed. That is the
+//! pipeline — Unit Graph, liveness, DDG, points-to, the target-path DAG,
+//! and ConvexCut — even when the handler text has not changed. That is the
 //! right default for a single session, but a multi-session runtime (see
 //! `ARCHITECTURE.md` §"Throughput layer") serves many concurrent sessions
 //! of the *same* handler, and the analysis is pure: its output depends
-//! only on the program text, the handler name, the cost model, and the
-//! enumeration limits. [`AnalysisCache`] keys on exactly those inputs (a
+//! only on the program text, the handler name, and the cost model.
+//! [`AnalysisCache`] keys on exactly those inputs (a
 //! 64-bit FNV-1a content hash of the canonical pretty-printed program, so
 //! structurally-identical programs parsed from different files still hit)
 //! and shares one immutable [`HandlerAnalysis`] per distinct handler via
@@ -27,11 +27,8 @@
 //!
 //! let program = parse_program("fn f(x) {\n  y = x + 1\n  return y\n}\n").unwrap();
 //! let cache = AnalysisCache::new(8);
-//! let limits = Default::default();
-//! let first =
-//!     cache.get_or_analyze(&program, "f", "inter-count", &InterCountEstimator, limits).unwrap();
-//! let second =
-//!     cache.get_or_analyze(&program, "f", "inter-count", &InterCountEstimator, limits).unwrap();
+//! let first = cache.get_or_analyze(&program, "f", "inter-count", &InterCountEstimator).unwrap();
+//! let second = cache.get_or_analyze(&program, "f", "inter-count", &InterCountEstimator).unwrap();
 //! // The second lookup is a hit and shares the same allocation.
 //! assert!(std::sync::Arc::ptr_eq(&first, &second));
 //! assert_eq!((cache.hits(), cache.misses()), (1, 1));
@@ -43,10 +40,9 @@ use std::sync::{Arc, Mutex};
 use mpart_ir::pretty::program_to_string;
 use mpart_ir::{IrError, Program};
 
-use crate::paths::EnumLimits;
 use crate::{analyze, EdgeCostEstimator, HandlerAnalysis};
 
-/// Default number of distinct (program, handler, model, limits) analyses
+/// Default number of distinct (program, handler, model) analyses
 /// retained.
 pub const DEFAULT_CACHE_CAPACITY: usize = 64;
 
@@ -66,7 +62,7 @@ pub struct AnalysisCache {
 }
 
 /// One cached analysis. `base` hashes everything *except* the cost model
-/// (program, handler, limits): two entries sharing a `base` are the same
+/// (program, handler): two entries sharing a `base` are the same
 /// handler re-priced under different models, which is how a runtime model
 /// switch is accounted (a "second entry", never an invalidation).
 #[derive(Debug)]
@@ -90,34 +86,19 @@ impl AnalysisCache {
         }
     }
 
-    /// The content hash keying one analysis: FNV-1a over the canonical
-    /// pretty-printed program (whole program, not just the handler —
-    /// stop-node and inlining decisions depend on callees and class
-    /// declarations), the handler name, the cost model's fingerprint, and
-    /// the enumeration limits.
-    pub fn content_key(
-        program: &Program,
-        func_name: &str,
-        model_key: &str,
-        limits: EnumLimits,
-    ) -> u64 {
-        fnv1a(fnv1a(Self::base_key(program, func_name, limits), &[0xFE]), model_key.as_bytes())
-    }
-
-    /// The model-independent part of [`content_key`](Self::content_key):
-    /// program, handler, and limits. Entries sharing a base key are the
-    /// same handler priced under different cost models.
-    fn base_key(program: &Program, func_name: &str, limits: EnumLimits) -> u64 {
+    /// The model-independent part of an entry's key: FNV-1a over the
+    /// canonical pretty-printed program (whole program, not just the
+    /// handler — stop-node and inlining decisions depend on callees and
+    /// class declarations) and the handler name. Entries sharing a base
+    /// key are the same handler priced under different cost models.
+    fn base_key(program: &Program, func_name: &str) -> u64 {
         let mut hash = fnv1a(0xCBF2_9CE4_8422_2325, program_to_string(program).as_bytes());
         hash = fnv1a(hash, &[0xFF]);
-        hash = fnv1a(hash, func_name.as_bytes());
-        hash = fnv1a(hash, &[0xFF]);
-        hash = fnv1a(hash, &(limits.max_paths as u64).to_le_bytes());
-        fnv1a(hash, &(limits.max_len as u64).to_le_bytes())
+        fnv1a(hash, func_name.as_bytes())
     }
 
-    /// Returns the cached analysis for this (program, handler, model,
-    /// limits) combination, running [`analyze`] on a miss. `model_key`
+    /// Returns the cached analysis for this (program, handler, model)
+    /// combination, running [`analyze`] on a miss. `model_key`
     /// must identify the estimator's *pricing behavior* — cost models
     /// expose a stable `cache_key()` for exactly this purpose (the bare
     /// `name()` is not enough for parameterized models).
@@ -131,13 +112,10 @@ impl AnalysisCache {
         func_name: &str,
         model_key: &str,
         estimator: &dyn EdgeCostEstimator,
-        limits: EnumLimits,
     ) -> Result<Arc<HandlerAnalysis>, IrError> {
-        let base = Self::base_key(program, func_name, limits);
+        let base = Self::base_key(program, func_name);
         let key = fnv1a(fnv1a(base, &[0xFE]), model_key.as_bytes());
-        self.get_or_insert_with(key, base, || {
-            Ok(Arc::new(analyze(program, func_name, estimator, limits)?))
-        })
+        self.get_or_insert_with(key, base, || Ok(Arc::new(analyze(program, func_name, estimator)?)))
     }
 
     /// Returns the *re-priced* analysis of `base_analysis` under
@@ -163,9 +141,8 @@ impl AnalysisCache {
         model_key: &str,
         base_analysis: &HandlerAnalysis,
         estimator: &dyn EdgeCostEstimator,
-        limits: EnumLimits,
     ) -> Result<Arc<HandlerAnalysis>, IrError> {
-        let base = Self::base_key(program, func_name, limits);
+        let base = Self::base_key(program, func_name);
         let key = fnv1a(fnv1a(base, &[0xFD]), model_key.as_bytes());
         self.get_or_insert_with(key, base, || {
             Ok(Arc::new(base_analysis.repriced(program, estimator)?))
@@ -243,7 +220,7 @@ impl AnalysisCache {
     }
 
     /// Hits on a *second entry*: a lookup answered from the cache while a
-    /// different model's analysis of the same (program, handler, limits)
+    /// different model's analysis of the same (program, handler)
     /// was also resident — the steady-state cost of a runtime model
     /// switch (one probe, no recomputation).
     pub fn second_entry_hits(&self) -> u64 {
@@ -301,26 +278,22 @@ mod tests {
     fn hit_shares_the_same_arc() {
         let program = parse_program(SRC_A).unwrap();
         let cache = AnalysisCache::new(4);
-        let limits = EnumLimits::default();
-        let a = cache.get_or_analyze(&program, "f", "m", &InterCountEstimator, limits).unwrap();
-        let b = cache.get_or_analyze(&program, "f", "m", &InterCountEstimator, limits).unwrap();
+        let a = cache.get_or_analyze(&program, "f", "m", &InterCountEstimator).unwrap();
+        let b = cache.get_or_analyze(&program, "f", "m", &InterCountEstimator).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!((cache.hits(), cache.misses(), cache.len()), (1, 1, 1));
         assert!((cache.hit_rate() - 0.5).abs() < 1e-9);
     }
 
     #[test]
-    fn distinct_text_model_and_limits_all_miss() {
+    fn distinct_text_and_model_all_miss() {
         let a = parse_program(SRC_A).unwrap();
         let b = parse_program(SRC_B).unwrap();
         let cache = AnalysisCache::new(8);
-        let limits = EnumLimits::default();
-        cache.get_or_analyze(&a, "f", "m", &InterCountEstimator, limits).unwrap();
-        cache.get_or_analyze(&b, "f", "m", &InterCountEstimator, limits).unwrap();
-        cache.get_or_analyze(&a, "f", "other-model", &InterCountEstimator, limits).unwrap();
-        let tight = EnumLimits { max_paths: 2, max_len: 64 };
-        cache.get_or_analyze(&a, "f", "m", &InterCountEstimator, tight).unwrap();
-        assert_eq!((cache.hits(), cache.misses()), (0, 4));
+        cache.get_or_analyze(&a, "f", "m", &InterCountEstimator).unwrap();
+        cache.get_or_analyze(&b, "f", "m", &InterCountEstimator).unwrap();
+        cache.get_or_analyze(&a, "f", "other-model", &InterCountEstimator).unwrap();
+        assert_eq!((cache.hits(), cache.misses()), (0, 3));
     }
 
     #[test]
@@ -330,9 +303,8 @@ mod tests {
         let first = parse_program(SRC_A).unwrap();
         let second = parse_program(SRC_A).unwrap();
         let cache = AnalysisCache::new(4);
-        let limits = EnumLimits::default();
-        let a = cache.get_or_analyze(&first, "f", "m", &InterCountEstimator, limits).unwrap();
-        let b = cache.get_or_analyze(&second, "f", "m", &InterCountEstimator, limits).unwrap();
+        let a = cache.get_or_analyze(&first, "f", "m", &InterCountEstimator).unwrap();
+        let b = cache.get_or_analyze(&second, "f", "m", &InterCountEstimator).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(cache.hits(), 1);
     }
@@ -345,18 +317,17 @@ mod tests {
             })
             .collect();
         let cache = AnalysisCache::new(2);
-        let limits = EnumLimits::default();
-        cache.get_or_analyze(&programs[0], "f", "m", &InterCountEstimator, limits).unwrap();
-        cache.get_or_analyze(&programs[1], "f", "m", &InterCountEstimator, limits).unwrap();
+        cache.get_or_analyze(&programs[0], "f", "m", &InterCountEstimator).unwrap();
+        cache.get_or_analyze(&programs[1], "f", "m", &InterCountEstimator).unwrap();
         // Touch 0 so 1 becomes the LRU victim.
-        cache.get_or_analyze(&programs[0], "f", "m", &InterCountEstimator, limits).unwrap();
-        cache.get_or_analyze(&programs[2], "f", "m", &InterCountEstimator, limits).unwrap();
+        cache.get_or_analyze(&programs[0], "f", "m", &InterCountEstimator).unwrap();
+        cache.get_or_analyze(&programs[2], "f", "m", &InterCountEstimator).unwrap();
         assert_eq!(cache.evictions(), 1);
         assert_eq!(cache.len(), 2);
         // 0 survived (hit), 1 was evicted (miss).
-        cache.get_or_analyze(&programs[0], "f", "m", &InterCountEstimator, limits).unwrap();
+        cache.get_or_analyze(&programs[0], "f", "m", &InterCountEstimator).unwrap();
         let misses_before = cache.misses();
-        cache.get_or_analyze(&programs[1], "f", "m", &InterCountEstimator, limits).unwrap();
+        cache.get_or_analyze(&programs[1], "f", "m", &InterCountEstimator).unwrap();
         assert_eq!(cache.misses(), misses_before + 1);
     }
 
@@ -364,20 +335,19 @@ mod tests {
     fn second_entry_counters_track_repricing() {
         let program = parse_program(SRC_A).unwrap();
         let cache = AnalysisCache::new(8);
-        let limits = EnumLimits::default();
         // First model: a plain miss, not a re-pricing.
-        cache.get_or_analyze(&program, "f", "m", &InterCountEstimator, limits).unwrap();
+        cache.get_or_analyze(&program, "f", "m", &InterCountEstimator).unwrap();
         assert_eq!((cache.second_entry_hits(), cache.second_entry_misses()), (0, 0));
         // Second model over the same handler: a miss once...
-        cache.get_or_analyze(&program, "f", "other", &InterCountEstimator, limits).unwrap();
+        cache.get_or_analyze(&program, "f", "other", &InterCountEstimator).unwrap();
         assert_eq!((cache.second_entry_hits(), cache.second_entry_misses()), (0, 1));
         // ...and a hit thereafter, from either side of the switch.
-        cache.get_or_analyze(&program, "f", "other", &InterCountEstimator, limits).unwrap();
-        cache.get_or_analyze(&program, "f", "m", &InterCountEstimator, limits).unwrap();
+        cache.get_or_analyze(&program, "f", "other", &InterCountEstimator).unwrap();
+        cache.get_or_analyze(&program, "f", "m", &InterCountEstimator).unwrap();
         assert_eq!((cache.second_entry_hits(), cache.second_entry_misses()), (2, 1));
         // A different handler text is unrelated: no re-pricing counted.
         let other = parse_program(SRC_B).unwrap();
-        cache.get_or_analyze(&other, "f", "m", &InterCountEstimator, limits).unwrap();
+        cache.get_or_analyze(&other, "f", "m", &InterCountEstimator).unwrap();
         assert_eq!((cache.second_entry_hits(), cache.second_entry_misses()), (2, 1));
     }
 
@@ -385,10 +355,7 @@ mod tests {
     fn failed_analyses_are_not_cached() {
         let program = parse_program(SRC_A).unwrap();
         let cache = AnalysisCache::new(4);
-        let limits = EnumLimits::default();
-        assert!(cache
-            .get_or_analyze(&program, "missing", "m", &InterCountEstimator, limits)
-            .is_err());
+        assert!(cache.get_or_analyze(&program, "missing", "m", &InterCountEstimator).is_err());
         assert!(cache.is_empty());
     }
 }

@@ -15,16 +15,30 @@
 //! The infinite marking guarantees *convex* partitions: cutting an edge on
 //! a use→def control path would let data defined on the demodulator side
 //! flow back to a modulator-side use on a later loop iteration.
+//!
+//! Steps 6-7 run on the [`TargetDag`] instead of a path list. Each edge has
+//! one price, at its [`EdgePos`](crate::cost::EdgePos), and
+//! `MinCostEdgeSet(p)` keeps an edge of `p` unless another edge of `p` is
+//! determinably cheaper, or determinably equal and earlier (the paper
+//! removes one of an identical pair "arbitrarily"; we keep the earliest).
+//! So an edge `e` is a PSE iff some target path through it passes both
+//! tests, which splits at `e` into two reachability questions:
+//!
+//! * the start node reaches `e.from` over edges (the entry edge included)
+//!   neither determinably cheaper than `e` nor determinably equal to it;
+//! * `e.to` reaches a terminal over edges not determinably cheaper than `e`.
+//!
+//! That is two walks per edge, O(E·(V+E)) at any handler size.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use mpart_ir::func::Function;
-use mpart_ir::instr::{Pc, Var};
+use mpart_ir::instr::Var;
 
 use crate::cost::{EdgeCostEstimator, EstimatorCx, StaticCost};
+use crate::dag::TargetDag;
 use crate::ddg::Ddg;
 use crate::liveness::Liveness;
-use crate::paths::TargetPaths;
 use crate::ug::{Edge, UnitGraph};
 
 /// A Potential Split Edge with its statically-computed metadata.
@@ -34,19 +48,16 @@ pub struct PseInfo {
     pub edge: Edge,
     /// `INTER(edge)` — live variables a continuation must carry, sorted.
     pub inter: Vec<Var>,
-    /// Static cost under the analysis' cost model (from the first target
-    /// path that selected this edge; runtime profiling refines it).
+    /// Static cost under the analysis' cost model, at the edge's longest
+    /// position on the target paths (runtime profiling refines it).
     pub static_cost: StaticCost,
 }
 
 /// Output of the convex-cut analysis.
 #[derive(Debug, Clone)]
 pub struct ConvexCut {
-    /// The PSE set, sorted by edge.
+    /// The PSE set, sorted by edge (the entry edge last).
     pub pses: Vec<PseInfo>,
-    /// For each target path, the indices into `pses` of the candidate
-    /// split edges lying on that path.
-    pub path_pses: Vec<Vec<usize>>,
     /// Edges priced at infinity by the convexity rule.
     pub infinite_edges: HashSet<Edge>,
 }
@@ -56,9 +67,9 @@ impl ConvexCut {
     pub fn run(
         func: &Function,
         ug: &UnitGraph,
+        dag: &TargetDag,
         liveness: &Liveness,
         ddg: &Ddg,
-        paths: &TargetPaths,
         cx: &EstimatorCx<'_>,
         estimator: &dyn EdgeCostEstimator,
     ) -> Self {
@@ -76,96 +87,56 @@ impl ConvexCut {
             }
         }
 
-        // Steps 6-9: per-path minimal cost edge sets.
-        let mut pse_index: HashMap<Edge, usize> = HashMap::new();
-        let mut pses: Vec<PseInfo> = Vec::new();
-        let mut path_pses: Vec<Vec<usize>> = Vec::new();
-
-        for path in &paths.paths {
-            let edges = path_edges(ug.start(), path);
-            // Price each edge.
-            let priced: Vec<(Edge, Vec<Var>, StaticCost)> = edges
-                .iter()
-                .enumerate()
-                .map(|(idx, &e)| {
-                    let inter = liveness.inter(func, e);
-                    let cost = if infinite_edges.contains(&e) {
-                        StaticCost::Infinite
-                    } else {
-                        let c = estimator.edge_cost(cx, path, idx, e, &inter);
-                        canonicalize(c, cx)
-                    };
-                    (e, inter, cost)
-                })
-                .collect();
-            let min_set = min_cost_edge_set(&priced);
-            let mut on_path = Vec::new();
-            for idx in min_set {
-                let (e, inter, cost) = &priced[idx];
-                let pse_idx = *pse_index.entry(*e).or_insert_with(|| {
-                    pses.push(PseInfo {
-                        edge: *e,
-                        inter: inter.clone(),
-                        static_cost: cost.clone(),
-                    });
-                    pses.len() - 1
-                });
-                on_path.push(pse_idx);
-            }
-            path_pses.push(on_path);
-        }
-
-        ConvexCut { pses, path_pses, infinite_edges }
+        // Steps 6-7: one price per target-path edge, then the two walks.
+        let priced: Vec<PseInfo> = dag
+            .edges()
+            .into_iter()
+            .map(|edge| {
+                let inter = liveness.inter(func, edge);
+                let static_cost = if infinite_edges.contains(&edge) {
+                    StaticCost::Infinite
+                } else {
+                    canonicalize(estimator.edge_cost(cx, dag.position(edge), edge, &inter), cx)
+                };
+                PseInfo { edge, inter, static_cost }
+            })
+            .collect();
+        // `dag.edges()` is sorted, so `priced` is too.
+        let cost = |e: Edge| {
+            priced.binary_search_by_key(&e, |p| p.edge).ok().map(|i| &priced[i].static_cost)
+        };
+        let entry = Edge::entry(dag.start());
+        let pses: Vec<PseInfo> = priced
+            .iter()
+            .filter(|pse| {
+                let c = &pse.static_cost;
+                if matches!(c, StaticCost::Infinite) {
+                    return false;
+                }
+                let prefix_ok = |e: Edge| {
+                    cost(e).is_some_and(|o| !c.determinably_greater(o) && !o.determinably_equal(c))
+                };
+                let suffix_ok = |e: Edge| cost(e).is_some_and(|o| !c.determinably_greater(o));
+                let reached = pse.edge.is_entry()
+                    || (prefix_ok(entry)
+                        && dag.reaches(dag.start(), prefix_ok, |n| n == pse.edge.from));
+                reached && dag.reaches(pse.edge.to, suffix_ok, |n| dag.is_terminal(n))
+            })
+            .cloned()
+            .collect();
+        ConvexCut { pses, infinite_edges }
     }
 }
 
-/// The candidate edges of a path: the synthetic entry edge followed by
-/// every consecutive pair.
-pub fn path_edges(start: Pc, path: &[Pc]) -> Vec<Edge> {
-    let mut out = Vec::with_capacity(path.len());
-    debug_assert_eq!(path.first().copied(), Some(start));
-    out.push(Edge::entry(start));
-    for w in path.windows(2) {
-        out.push(Edge::new(w[0], w[1]));
-    }
-    out
-}
-
-fn canonicalize(cost: StaticCost, cx: &EstimatorCx<'_>) -> StaticCost {
+/// Re-expresses a lower bound's unknown variables through the alias
+/// classes, so renamed copies of one object compare equal.
+pub(crate) fn canonicalize(cost: StaticCost, cx: &EstimatorCx<'_>) -> StaticCost {
     match cost {
         StaticCost::LowerBounded { det, vars } => {
             StaticCost::LowerBounded { det, vars: cx.aliases.canon_set(&vars) }
         }
         other => other,
     }
-}
-
-/// `MinCostEdgeSet(p)`: indices (into the priced edge list) of edges that
-/// are not determinably more expensive than any other edge on the path,
-/// with determinably-equal duplicates removed (keeping the earliest, as the
-/// paper "arbitrarily" removes one of an identical pair).
-fn min_cost_edge_set(priced: &[(Edge, Vec<Var>, StaticCost)]) -> Vec<usize> {
-    let mut keep: Vec<usize> = Vec::new();
-    'outer: for i in 0..priced.len() {
-        let ci = &priced[i].2;
-        if matches!(ci, StaticCost::Infinite) {
-            continue;
-        }
-        for (j, other) in priced.iter().enumerate() {
-            if i != j && ci.determinably_greater(&other.2) {
-                continue 'outer;
-            }
-        }
-        // Dedup determinably-equal edges (same INTER after aliasing, or
-        // equal costs): keep the earliest occurrence.
-        for &k in &keep {
-            if priced[k].2.determinably_equal(ci) {
-                continue 'outer;
-            }
-        }
-        keep.push(i);
-    }
-    keep
 }
 
 #[cfg(test)]
@@ -178,7 +149,7 @@ mod tests {
     use crate::varkinds::VarKinds;
     use mpart_ir::parse::parse_program;
 
-    fn run(src: &str) -> (mpart_ir::Program, ConvexCut) {
+    fn run(src: &str) -> (mpart_ir::Program, ConvexCut, TargetDag) {
         let p = parse_program(src).unwrap();
         let f = p.function("f").unwrap();
         let ug = UnitGraph::build(f);
@@ -186,12 +157,12 @@ mod tests {
         let live = Liveness::compute(f, &ug);
         let rd = ReachingDefs::compute(f, &ug);
         let ddg = Ddg::build(f, &ug, &rd);
-        let paths = crate::paths::target_paths(&ug, &stops, Default::default());
+        let dag = TargetDag::build(&ug, &stops);
         let kinds = VarKinds::compute(f);
         let aliases = AliasClasses::compute(f);
         let cx = EstimatorCx { func: f, kinds: &kinds, aliases: &aliases };
-        let cut = ConvexCut::run(f, &ug, &live, &ddg, &paths, &cx, &InterCountEstimator);
-        (p, cut)
+        let cut = ConvexCut::run(f, &ug, &dag, &live, &ddg, &cx, &InterCountEstimator);
+        (p, cut, dag)
     }
 
     #[test]
@@ -209,10 +180,10 @@ mod tests {
                 return
             }
         "#;
-        let (_, cut) = run(src);
-        for (i, on_path) in cut.path_pses.iter().enumerate() {
-            assert!(!on_path.is_empty(), "path {i} has no PSE");
-        }
+        let (_, cut, dag) = run(src);
+        // Without its PSE edges, the DAG leaves no target path intact.
+        let pse = |e: Edge| cut.pses.iter().any(|p| p.edge == e);
+        assert!(pse(Edge::entry(0)) || !dag.reaches(0, |e| !pse(e), |n| dag.is_terminal(n)));
         assert!(!cut.pses.is_empty());
     }
 
@@ -229,7 +200,7 @@ mod tests {
                 return i
             }
         "#;
-        let (_, cut) = run(src);
+        let (_, cut, _) = run(src);
         // The loop body edges (1->2), (2->3), (3->1) carry the loop-carried
         // dependency i@2 -> i@1 and must be infinite.
         assert!(cut.infinite_edges.contains(&Edge::new(1, 2)));
@@ -254,7 +225,7 @@ mod tests {
                 return b
             }
         "#;
-        let (_, cut) = run(src);
+        let (_, cut, _) = run(src);
         // Path edges: entry{x,y}=2, (0,1){a}=1, (1,2){b}=1.
         // entry is dominated; (0,1) kept; (1,2) has equal cost but distinct
         // vars under InterCountEstimator (Known(1) == Known(1)) -> deduped.
@@ -265,7 +236,7 @@ mod tests {
     #[test]
     fn entry_edge_survives_for_trivial_handler() {
         let src = "fn f(x) {\n  native consume(x)\n  return\n}\n";
-        let (_, cut) = run(src);
+        let (_, cut, _) = run(src);
         // Path: [0]; edges: entry only (native node is terminal).
         assert_eq!(cut.pses.len(), 1);
         assert!(cut.pses[0].edge.is_entry());
@@ -274,7 +245,7 @@ mod tests {
     #[test]
     fn inter_sets_recorded_sorted() {
         let src = "fn f(x, y) {\n  a = x + y\n  b = a + x\n  return b\n}\n";
-        let (p, cut) = run(src);
+        let (p, cut, _) = run(src);
         let f = p.function("f").unwrap();
         for pse in &cut.pses {
             let mut sorted = pse.inter.clone();

@@ -9,7 +9,7 @@
 use std::cmp::Ordering;
 
 use mpart_ir::func::Function;
-use mpart_ir::instr::{Pc, Var};
+use mpart_ir::instr::Var;
 
 use crate::points_to::AliasClasses;
 use crate::ug::Edge;
@@ -126,20 +126,30 @@ pub struct EstimatorCx<'a> {
     pub aliases: &'a AliasClasses,
 }
 
-/// A cost model's static half: prices cutting a given edge of a given
-/// target path.
+/// Where an edge sits on the target paths through it, in instruction
+/// counts on the loop-collapsed DAG (see [`crate::dag::TargetDag`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EdgePos {
+    /// Instructions on the longest path from the start node up to and
+    /// including the edge's tail — the modulator's share (0 for the entry
+    /// edge).
+    pub before: u64,
+    /// Instructions on the longest path from the edge's head up to and
+    /// including a terminal — the demodulator's share.
+    pub after: u64,
+}
+
+/// A cost model's static half: prices cutting a given edge at its
+/// position on the target paths.
 ///
-/// Implementations receive the path and the index of the edge within it
-/// (`idx == 0` is the entry edge; otherwise the edge is
-/// `(path[idx-1], path[idx])`), plus the `INTER` live-variable set of the
-/// edge.
+/// Implementations receive the edge's [`EdgePos`] plus its `INTER`
+/// live-variable set.
 pub trait EdgeCostEstimator {
     /// Static cost of splitting at this edge.
     fn edge_cost(
         &self,
         cx: &EstimatorCx<'_>,
-        path: &[Pc],
-        idx: usize,
+        pos: EdgePos,
         edge: Edge,
         inter: &[Var],
     ) -> StaticCost;
@@ -154,8 +164,7 @@ impl EdgeCostEstimator for InterCountEstimator {
     fn edge_cost(
         &self,
         _cx: &EstimatorCx<'_>,
-        _path: &[Pc],
-        _idx: usize,
+        _pos: EdgePos,
         _edge: Edge,
         inter: &[Var],
     ) -> StaticCost {

@@ -14,14 +14,14 @@
 //! 4. [`reaching::ReachingDefs`] → [`ddg::Ddg`] — data dependencies;
 //! 5. [`points_to::AliasClasses`] — unification-based points-to;
 //! 6. [`varkinds::VarKinds`] — size determinability;
-//! 7. [`paths::target_paths`] — TargetPath enumeration;
+//! 7. [`dag::TargetDag`] — the target paths as a loop-collapsed DAG;
 //! 8. [`convex::ConvexCut`] — infinite pricing of convexity-violating
-//!    edges and `MinCostEdgeSet` per path.
+//!    edges and `MinCostEdgeSet` as reachability on that DAG.
 //!
 //! [`analyze`] runs the whole pipeline and returns a [`HandlerAnalysis`].
 //! The result is pure — a function of the program text, handler name,
-//! cost model, and enumeration limits — so multi-session runtimes share
-//! one analysis per distinct handler through the content-addressed
+//! and cost model — so multi-session runtimes share one analysis per
+//! distinct handler through the content-addressed
 //! [`cache::AnalysisCache`] instead of re-running the pipeline per
 //! session (see `ARCHITECTURE.md` §"mpart-analysis" and §"Throughput
 //! layer" for where this sits in the crate map).
@@ -34,8 +34,7 @@
 //! let program = parse_program(
 //!     "fn watch(x) {\n  y = x * 3\n  native emit(y)\n  return y\n}\n",
 //! ).unwrap();
-//! let analysis =
-//!     analyze(&program, "watch", &InterCountEstimator, Default::default()).unwrap();
+//! let analysis = analyze(&program, "watch", &InterCountEstimator).unwrap();
 //! // Every handler exposes at least the trivial entry split.
 //! assert!(analysis.pses().iter().any(|p| p.edge.is_entry()));
 //! ```
@@ -44,9 +43,9 @@ pub mod bitset;
 pub mod cache;
 pub mod convex;
 pub mod cost;
+pub mod dag;
 pub mod ddg;
 pub mod liveness;
-pub mod paths;
 pub mod points_to;
 pub mod reaching;
 pub mod stop;
@@ -61,7 +60,7 @@ use mpart_ir::{IrError, Program};
 
 pub use cache::{AnalysisCache, DEFAULT_CACHE_CAPACITY};
 pub use convex::{ConvexCut, PseInfo};
-pub use cost::{EdgeCostEstimator, EstimatorCx, StaticCost};
+pub use cost::{EdgeCostEstimator, EdgePos, EstimatorCx, StaticCost};
 pub use ug::{Edge, ENTRY};
 
 /// Complete static-analysis results for one handler under one cost model.
@@ -81,14 +80,12 @@ pub struct HandlerAnalysis {
     pub aliases: points_to::AliasClasses,
     /// Variable size classification.
     pub kinds: varkinds::VarKinds,
-    /// Enumerated target paths.
-    pub paths: paths::TargetPaths,
-    /// The convex-cut result: PSEs and per-path candidates.
+    /// The convex-cut result: PSEs and infinitely-priced edges.
     pub cut: ConvexCut,
 }
 
 impl HandlerAnalysis {
-    /// The PSE list (sorted by discovery order; stable across runs).
+    /// The PSE list, in ascending edge order (the entry edge last).
     pub fn pses(&self) -> &[PseInfo] {
         &self.cut.pses
     }
@@ -96,6 +93,12 @@ impl HandlerAnalysis {
     /// Index of the PSE covering `edge`, if any.
     pub fn pse_for_edge(&self, edge: Edge) -> Option<usize> {
         self.cut.pses.iter().position(|p| p.edge == edge)
+    }
+
+    /// The target paths as a DAG (rebuilt from the Unit Graph and stop
+    /// nodes; linear in the handler's size).
+    pub fn dag(&self) -> dag::TargetDag {
+        dag::TargetDag::build(&self.ug, &self.stops)
     }
 
     /// Derives bytecode-compilation hints from the static pipeline (see
@@ -131,18 +134,16 @@ impl HandlerAnalysis {
 
     /// Re-prices this analysis's PSE set under a different estimator,
     /// sharing every graph structure (Unit Graph, liveness, DDG, alias
-    /// classes, enumerated paths) — none of the static pipeline re-runs.
+    /// classes) — none of the static pipeline re-runs.
     ///
-    /// The PSE list, its order, and the per-path candidate indices are
-    /// preserved exactly, so plan flags, profiling statistics, and
-    /// edge↔PSE maps built against this analysis stay valid; only each
-    /// PSE's `static_cost` is recomputed. This is the runtime
-    /// model-switch path: a fresh [`analyze`] under the new model would
-    /// prune a *different* PSE set (dominance pruning depends on the
-    /// estimator), breaking PSE-id indexing.
+    /// The PSE list and its order are preserved exactly, so plan flags,
+    /// profiling statistics, and edge↔PSE maps built against this
+    /// analysis stay valid; only each PSE's `static_cost` is recomputed.
+    /// This is the runtime model-switch path: a fresh [`analyze`] under
+    /// the new model would prune a *different* PSE set (dominance pruning
+    /// depends on the estimator), breaking PSE-id indexing.
     ///
-    /// Each PSE is priced on the first enumerated path containing its
-    /// edge, matching [`ConvexCut::run`]'s first-path pricing.
+    /// Each PSE is priced at its [`EdgePos`], as [`ConvexCut::run`] does.
     ///
     /// # Errors
     ///
@@ -155,22 +156,11 @@ impl HandlerAnalysis {
     ) -> Result<HandlerAnalysis, IrError> {
         let func = program.function_or_err(&self.func_name)?;
         let cx = EstimatorCx { func, kinds: &self.kinds, aliases: &self.aliases };
+        let dag = self.dag();
         let mut out = self.clone();
-        let mut priced = vec![false; out.cut.pses.len()];
-        for path in &self.paths.paths {
-            for (idx, edge) in convex::path_edges(self.ug.start(), path).into_iter().enumerate() {
-                let Some(p) = self.pse_for_edge(edge) else { continue };
-                if std::mem::replace(&mut priced[p], true) {
-                    continue;
-                }
-                let cost = estimator.edge_cost(&cx, path, idx, edge, &out.cut.pses[p].inter);
-                out.cut.pses[p].static_cost = match cost {
-                    StaticCost::LowerBounded { det, vars } => {
-                        StaticCost::LowerBounded { det, vars: cx.aliases.canon_set(&vars) }
-                    }
-                    other => other,
-                };
-            }
+        for pse in &mut out.cut.pses {
+            let cost = estimator.edge_cost(&cx, dag.position(pse.edge), pse.edge, &pse.inter);
+            pse.static_cost = convex::canonicalize(cost, &cx);
         }
         Ok(out)
     }
@@ -209,7 +199,6 @@ pub fn analyze(
     program: &Program,
     func_name: &str,
     estimator: &dyn EdgeCostEstimator,
-    limits: paths::EnumLimits,
 ) -> Result<HandlerAnalysis, IrError> {
     let func = program.function_or_err(func_name)?;
     if func.instrs.is_empty() {
@@ -220,12 +209,12 @@ pub fn analyze(
     let live = liveness::Liveness::compute(func, &ug);
     let rd = reaching::ReachingDefs::compute(func, &ug);
     let ddg = ddg::Ddg::build(func, &ug, &rd);
-    let paths = paths::target_paths(&ug, &stops, limits);
+    let dag = dag::TargetDag::build(&ug, &stops);
     let kinds = varkinds::VarKinds::compute(func);
     let aliases = points_to::AliasClasses::compute(func);
     let cx = EstimatorCx { func, kinds: &kinds, aliases: &aliases };
-    let mut cut = ConvexCut::run(func, &ug, &live, &ddg, &paths, &cx, estimator);
-    ensure_entry_pse(func, &ug, &live, &paths, &cx, estimator, &mut cut);
+    let mut cut = ConvexCut::run(func, &ug, &dag, &live, &ddg, &cx, estimator);
+    ensure_entry_pse(func, &dag, &live, &cx, estimator, &mut cut);
     Ok(HandlerAnalysis {
         func_name: func_name.to_string(),
         ug,
@@ -234,7 +223,6 @@ pub fn analyze(
         stops,
         aliases,
         kinds,
-        paths,
         cut,
     })
 }
@@ -246,39 +234,31 @@ pub fn analyze(
 /// receiver — is always a *valid* cut, and the runtime relies on it as the
 /// trivial fallback plan when the link degrades. Static dominance pruning
 /// is only a search-space reduction; it must not remove the one plan that
-/// needs no link quality and no profiling data to be safe. The entry edge
-/// lies on every target path, so it is appended to every path's candidate
-/// list, priced at its true static cost (never infinity: no data
-/// dependency can cross an edge with no modulator side).
+/// needs no link quality and no profiling data to be safe. It is priced
+/// at its true static cost (never infinity: no data dependency can cross
+/// an edge with no modulator side) and, as the greatest edge, goes last.
 fn ensure_entry_pse(
     func: &mpart_ir::Function,
-    ug: &ug::UnitGraph,
+    dag: &dag::TargetDag,
     liveness: &liveness::Liveness,
-    paths: &paths::TargetPaths,
     cx: &EstimatorCx<'_>,
     estimator: &dyn EdgeCostEstimator,
     cut: &mut ConvexCut,
 ) {
-    if cut.pses.iter().any(|p| p.edge.is_entry()) {
+    let edge = Edge::entry(dag.start());
+    if cut.pses.iter().any(|p| p.edge.is_entry()) || !dag.edges().contains(&edge) {
         return;
     }
-    let Some(first_path) = paths.paths.first() else {
-        return;
-    };
-    let edge = Edge::entry(ug.start());
     let inter = liveness.inter(func, edge);
-    let static_cost = estimator.edge_cost(cx, first_path, 0, edge, &inter);
+    let static_cost = estimator.edge_cost(cx, dag.position(edge), edge, &inter);
     cut.pses.push(PseInfo { edge, inter, static_cost });
-    let idx = cut.pses.len() - 1;
-    for on_path in &mut cut.path_pses {
-        on_path.push(idx);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cost::InterCountEstimator;
+    use mpart_ir::instr::Var;
     use mpart_ir::parse::parse_program;
 
     #[test]
@@ -297,20 +277,20 @@ mod tests {
             }
         "#;
         let program = parse_program(src).unwrap();
-        let ha = analyze(&program, "push", &InterCountEstimator, Default::default()).unwrap();
+        let ha = analyze(&program, "push", &InterCountEstimator).unwrap();
         assert_eq!(ha.func_name, "push");
-        assert_eq!(ha.paths.paths.len(), 2);
+        assert_eq!(ha.dag().path_count(), 2);
         assert!(!ha.pses().is_empty());
         // Every target path must have at least one candidate split edge.
-        for on_path in &ha.cut.path_pses {
-            assert!(!on_path.is_empty());
-        }
+        let dag = ha.dag();
+        let pse = |e: Edge| ha.pse_for_edge(e).is_some();
+        assert!(pse(Edge::entry(0)) || !dag.reaches(0, |e| !pse(e), |n| dag.is_terminal(n)));
     }
 
     #[test]
     fn analyze_missing_function_errors() {
         let program = parse_program("fn f() {\n  return\n}\n").unwrap();
-        assert!(analyze(&program, "nope", &InterCountEstimator, Default::default()).is_err());
+        assert!(analyze(&program, "nope", &InterCountEstimator).is_err());
     }
 
     #[test]
@@ -320,12 +300,10 @@ mod tests {
         // as the runtime's trivial fallback plan.
         let src = "fn f(x, y) {\n  a = x + y\n  b = a * 2\n  return b\n}\n";
         let program = parse_program(src).unwrap();
-        let ha = analyze(&program, "f", &InterCountEstimator, Default::default()).unwrap();
+        let ha = analyze(&program, "f", &InterCountEstimator).unwrap();
         let entry = ha.pses().iter().position(|p| p.edge.is_entry()).expect("entry PSE reinstated");
-        // It is a candidate on every target path (it lies on all of them).
-        for on_path in &ha.cut.path_pses {
-            assert!(on_path.contains(&entry));
-        }
+        // It sorts last, as the greatest edge.
+        assert_eq!(entry, ha.pses().len() - 1);
         // And it is priced at its real cost, not infinity.
         assert!(!matches!(ha.pses()[entry].static_cost, StaticCost::Infinite));
     }
@@ -333,9 +311,101 @@ mod tests {
     #[test]
     fn pse_for_edge_lookup() {
         let program = parse_program("fn f(x) {\n  a = x + 1\n  return a\n}\n").unwrap();
-        let ha = analyze(&program, "f", &InterCountEstimator, Default::default()).unwrap();
+        let ha = analyze(&program, "f", &InterCountEstimator).unwrap();
         let pse0 = &ha.pses()[0];
         assert_eq!(ha.pse_for_edge(pse0.edge), Some(0));
         assert_eq!(ha.pse_for_edge(Edge::new(97, 98)), None);
+    }
+
+    /// Prices like the data-size model with every size unknown: a lower
+    /// bound of one per live variable, over the variables themselves.
+    struct UnknownSizes;
+
+    impl EdgeCostEstimator for UnknownSizes {
+        fn edge_cost(
+            &self,
+            cx: &EstimatorCx<'_>,
+            _: EdgePos,
+            _: Edge,
+            inter: &[Var],
+        ) -> StaticCost {
+            StaticCost::LowerBounded { det: inter.len() as u64, vars: cx.aliases.canon_set(inter) }
+        }
+    }
+
+    /// A ladder of `diamonds` sequential branches (2^diamonds paths into
+    /// `sink`), optionally behind an early `if x == 99 goto alt`.
+    fn churn(diamonds: usize, early_exit: bool) -> Program {
+        let mut src = String::from("fn churn(x) {\n");
+        if early_exit {
+            src.push_str("  if x == 99 goto alt\n");
+        }
+        src.push_str("  t = x\n");
+        for i in 0..diamonds {
+            let step = i + 1;
+            src.push_str(&format!(
+                "  b{i} = t - {i}\n  if b{i} == 0 goto skip{i}\n  t = t + {step}\nskip{i}:\n"
+            ));
+        }
+        src.push_str("  native sink(t)\n  return t\n");
+        if early_exit {
+            src.push_str("alt:\n  y = x * 2\n  native other(y)\n  return 0\n");
+        }
+        src.push_str("}\n");
+        parse_program(&src).unwrap()
+    }
+
+    #[test]
+    fn branch_behind_a_long_ladder_still_gets_its_pse() {
+        // 4 096 ladder paths come first in depth-first order; `alt`'s
+        // split edge must be found all the same.
+        let ha = analyze(&churn(12, true), "churn", &UnknownSizes).unwrap();
+        assert_eq!(ha.dag().path_count(), 4097);
+        assert!(ha.pse_for_edge(Edge::new(40, 41)).is_some(), "{:?}", ha.pses());
+    }
+
+    #[test]
+    fn forty_diamond_ladder_analyzes_in_full() {
+        // 2^40 target paths: the entry edge plus each diamond's `{t, bI}`
+        // edge (the `{t}` edges equal the entry edge's `{x}`, an alias).
+        let ha = analyze(&churn(40, false), "churn", &UnknownSizes).unwrap();
+        assert_eq!(ha.dag().path_count(), 1 << 40);
+        assert_eq!(ha.pses().len(), 41);
+    }
+
+    /// Prices back edges (`to <= from`) cheapest of all, the entry edge
+    /// dearest.
+    struct BackEdgesCheap;
+
+    impl EdgeCostEstimator for BackEdgesCheap {
+        fn edge_cost(&self, _: &EstimatorCx<'_>, _: EdgePos, e: Edge, _: &[Var]) -> StaticCost {
+            StaticCost::Known(match e {
+                e if e.is_entry() => 20,
+                e if e.to <= e.from => 1,
+                _ => 10,
+            })
+        }
+    }
+
+    #[test]
+    fn loop_back_edge_is_never_a_pse() {
+        // Nothing is carried around the loop, so convexity prices no edge
+        // infinite, and the back edge (2,0) leaves a node that also reaches
+        // the exit. It is still no PSE, because no target path — a simple
+        // path — can take it.
+        let src = r#"
+            fn f(x) {
+            head:
+                if x == 0 goto done
+                y = x + 1
+                if x != 5 goto head
+            done:
+                return x
+            }
+        "#;
+        let ha = analyze(&parse_program(src).unwrap(), "f", &BackEdgesCheap).unwrap();
+        assert!(ha.cut.infinite_edges.is_empty());
+        let edges: Vec<Edge> = ha.pses().iter().map(|p| p.edge).collect();
+        assert_eq!(edges, vec![Edge::new(0, 1), Edge::new(0, 3), Edge::entry(0)]);
     }
 }

@@ -285,17 +285,18 @@ pub fn sensor_cost_model() -> Arc<dyn CostModel> {
     Arc::new(ExecTimeModel::new())
 }
 
-/// Finds the instruction index of `call <callee>` in the handler.
-fn call_pc(program: &Program, callee: &str) -> Option<usize> {
-    let f = program.function("process")?;
-    f.instrs.iter().position(|i| {
+/// The PSE on the edge out of the handler's `call <callee>`.
+fn pse_after_call(handler: &PartitionedHandler, callee: &str) -> PseId {
+    let pc = handler.func().instrs.iter().position(|i| {
         matches!(i, Instr::Assign { rvalue: Rvalue::Invoke { callee: c, .. }, .. } if c == callee)
-    })
+    });
+    let pses = handler.analysis().pses();
+    pses.iter().position(|p| Some(p.edge.from) == pc).expect("a PSE after the stage")
 }
 
 /// PSEs with an empty live set (the filtered-path edges) — included in
 /// every fixed plan so non-`SensorData` events stay coverable.
-fn side_path_pses(handler: &PartitionedHandler) -> Vec<PseId> {
+fn side_branch_pses(handler: &PartitionedHandler) -> Vec<PseId> {
     handler
         .analysis()
         .pses()
@@ -306,49 +307,37 @@ fn side_path_pses(handler: &PartitionedHandler) -> Vec<PseId> {
         .collect()
 }
 
+/// The processing path's earliest split: the non-entry PSE that ships
+/// data (filtered-path edges ship nothing) nearest the start node.
+fn earliest_processing_pse(handler: &PartitionedHandler) -> PseId {
+    let dag = handler.analysis().dag();
+    let pses = handler.analysis().pses().iter().enumerate();
+    pses.filter(|(_, p)| !p.edge.is_entry() && !p.inter.is_empty())
+        .min_by_key(|(_, p)| dag.position(p.edge).before)
+        .map(|(i, _)| i)
+        .expect("a processing-path PSE")
+}
+
 /// The fixed plan of a manual version.
 ///
 /// # Panics
 ///
 /// Panics for the adaptive version or if the handler shape is unexpected.
 pub fn fixed_plan(version: SensorVersion, handler: &PartitionedHandler) -> Vec<PseId> {
-    let program = handler.program();
-    let mut plan = side_path_pses(handler);
-    match version {
-        SensorVersion::Consumer => {
-            // Earliest split on the processing path: everything except the
-            // type check runs in the consumer. (The entry edge itself is
-            // deduped away by the points-to analysis: the post-cast edge
-            // ships the identical object.)
-            let main =
-                handler.analysis().cut.path_pses.iter().max_by_key(|v| v.len()).expect("main path");
-            plan.push(*main.first().expect("main-path PSE"));
-        }
-        SensorVersion::Producer => {
-            // Split right after the last stage: the edge out of the final
-            // call instruction.
-            let pc = call_pc(program, "stage_annotate").expect("final stage");
-            let pse = handler
-                .analysis()
-                .pses()
-                .iter()
-                .position(|p| p.edge.from == pc)
-                .expect("PSE after final stage");
-            plan.push(pse);
-        }
-        SensorVersion::Divided => {
-            // Stage-count midpoint: after stage 6 of 12.
-            let pc = call_pc(program, "stage_decimate").expect("midpoint stage");
-            let pse = handler
-                .analysis()
-                .pses()
-                .iter()
-                .position(|p| p.edge.from == pc)
-                .expect("PSE after midpoint stage");
-            plan.push(pse);
-        }
+    let mut plan = side_branch_pses(handler);
+    plan.push(match version {
+        // Earliest split on the processing path: everything except the
+        // type check runs in the consumer. (The entry edge itself is
+        // deduped away by the points-to analysis: the post-cast edge
+        // ships the identical object.)
+        SensorVersion::Consumer => earliest_processing_pse(handler),
+        // Split right after the last stage: the edge out of the final
+        // call instruction.
+        SensorVersion::Producer => pse_after_call(handler, "stage_annotate"),
+        // Stage-count midpoint: after stage 6 of 12.
+        SensorVersion::Divided => pse_after_call(handler, "stage_decimate"),
         SensorVersion::MethodPartitioning => panic!("adaptive version has no fixed plan"),
-    }
+    });
     plan
 }
 
@@ -724,55 +713,12 @@ pub fn run_complexity_experiment(
 }
 
 fn complexity_fixed_plan(version: SensorVersion, handler: &PartitionedHandler) -> Vec<PseId> {
-    let program = handler.program();
-    let mut plan: Vec<PseId> = handler
-        .analysis()
-        .pses()
-        .iter()
-        .enumerate()
-        .filter(|(_, p)| p.inter.is_empty() && !p.edge.is_entry())
-        .map(|(i, _)| i)
-        .collect();
-    let call_pc_of = |callee: &str| -> usize {
-        program
-            .function("track")
-            .and_then(|f| {
-                f.instrs.iter().position(|i| {
-                    matches!(i, Instr::Assign { rvalue: Rvalue::Invoke { callee: c, .. }, .. } if c == callee)
-                })
-            })
-            .expect("stage present")
-    };
+    let mut plan = side_branch_pses(handler);
     match version {
-        SensorVersion::Consumer => {
-            plan.clear();
-            let main =
-                handler.analysis().cut.path_pses.iter().max_by_key(|v| v.len()).expect("main path");
-            plan.push(*main.first().expect("first candidate"));
-        }
-        SensorVersion::Producer => {
-            let pc = call_pc_of("stage_report");
-            plan.push(
-                handler
-                    .analysis()
-                    .pses()
-                    .iter()
-                    .position(|p| p.edge.from == pc)
-                    .expect("PSE after final stage"),
-            );
-        }
-        SensorVersion::Divided => {
-            // Stage-count midpoint of the 6 stages: after stage_refine.
-            let pc = call_pc_of("stage_refine");
-            plan.push(
-                handler
-                    .analysis()
-                    .pses()
-                    .iter()
-                    .position(|p| p.edge.from == pc)
-                    .expect("PSE after midpoint stage"),
-            );
-        }
+        SensorVersion::Consumer => return vec![earliest_processing_pse(handler)],
+        SensorVersion::Producer => plan.push(pse_after_call(handler, "stage_report")),
+        // Stage-count midpoint of the 6 stages: after stage_refine.
+        SensorVersion::Divided => plan.push(pse_after_call(handler, "stage_refine")),
         SensorVersion::MethodPartitioning => panic!("adaptive version has no fixed plan"),
     }
     plan
@@ -815,6 +761,17 @@ mod tests {
             let plan = fixed_plan(version, &h);
             h.plan().install(&plan);
             h.plan().validate_cut(h.analysis()).unwrap();
+        }
+    }
+
+    #[test]
+    fn consumer_splits_right_after_the_type_check() {
+        // The processing path's first candidate: (0,1), for both programs.
+        for (program, func) in [(sensor_program(), "process"), (complexity_program(), "track")] {
+            let h =
+                PartitionedHandler::analyze(program.unwrap(), func, sensor_cost_model()).unwrap();
+            let consumer = earliest_processing_pse(&h);
+            assert_eq!(h.analysis().pses()[consumer].edge, mpart_analysis::Edge::new(0, 1));
         }
     }
 

@@ -21,13 +21,7 @@ fn bench_reconfig(c: &mut Criterion) {
     let mut group = c.benchmark_group("reconfig");
     group.bench_function("static_analysis_sensor_handler", |b| {
         b.iter(|| {
-            analyze(
-                black_box(&program),
-                "process",
-                &mpart_cost::ExecTimeModel::new(),
-                Default::default(),
-            )
-            .unwrap()
+            analyze(black_box(&program), "process", &mpart_cost::ExecTimeModel::new()).unwrap()
         })
     });
     group.bench_function("min_cut_select_16_pses", |b| {

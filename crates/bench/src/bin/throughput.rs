@@ -3,8 +3,8 @@
 //!
 //! Each cell opens N concurrent handler sessions, builds every handler
 //! through a fresh shared [`AnalysisCache`] (so the static analysis — UG
-//! construction, path enumeration, liveness, ConvexCut, min-cut — is paid
-//! once and shared N−1 times), and drives M messages per session through
+//! construction, liveness, the target-path DAG, ConvexCut, min-cut — is
+//! paid once and shared N−1 times), and drives M messages per session through
 //! the supervised sim wire with envelope batching at the given K. The
 //! timed region deliberately *includes* handler construction: amortizing
 //! the analysis across sessions is exactly the speedup the cache exists
@@ -12,10 +12,10 @@
 //! visible.
 //!
 //! The handler under test is a *branchy* synthetic pipeline: one message
-//! walks a single path (a few dozen statements), but static analysis
-//! enumerates up to `EnumLimits::max_paths` control-flow paths through
-//! the diamond ladder — the regime where per-session re-analysis
-//! dominates a session's lifetime cost and the cache pays off.
+//! walks a single path (a few dozen statements) out of `2^depth`. Static
+//! analysis never lists those paths; it costs about a quarter of a
+//! millisecond at the default depth (Intel Xeon, release build), a few
+//! session opens' worth, so the cache's share of the speedup is small.
 //!
 //! Wall-clock time measures real CPU work (this is a single-machine
 //! harness; the virtual-time pipeline inside each session is unrelated to
@@ -50,9 +50,8 @@ use mpart_jecho::{RetryPolicy, SimConfig, SimSession, Supervisor, TcpReceiver};
 use mpart_simnet::{FaultPlan, Host, Link, SimTime};
 
 /// A handler with `depth` sequential diamond branches ahead of the
-/// delivery call. One execution follows one path; path enumeration
-/// during analysis explores up to `2^depth` of them (capped by
-/// `EnumLimits`), so analysis cost dwarfs per-message cost.
+/// delivery call: `2^depth` target paths, of which one execution follows
+/// one. Analysis cost grows with the ladder's size, not its path count.
 fn synthetic_source(depth: usize) -> String {
     let mut s = String::from("fn churn(x) {\n    t = x\n");
     for i in 0..depth {

@@ -50,6 +50,7 @@ use std::sync::Arc;
 use mpart::codegen::{demodulator_text, generated_sizes, modulator_text};
 use mpart::journal::SessionJournal;
 use mpart::profile::TriggerPolicy;
+use mpart::reconfig::plan_through;
 use mpart::router::{LocalNode, Router, RouterConfig, SessionSpec};
 use mpart::session::{EngineChoice, SessionConfig, SessionManager};
 use mpart::PartitionedHandler;
@@ -310,15 +311,11 @@ fn cmd_analyze(file: &str, func: &str, rest: &[String]) -> Result<String, CliErr
     let _ = writeln!(out, "function `{func}` under cost model `{model_name}`");
     let _ = writeln!(
         out,
-        "{} instructions, {} stop nodes, {} target paths{}",
+        "{} instructions, {} stop nodes, {} target paths",
         analysis.ug.len(),
         analysis.stops.len(),
-        analysis.paths.paths.len(),
-        if analysis.paths.truncated { " (truncated)" } else { "" }
+        analysis.dag().path_count(),
     );
-    for (i, path) in analysis.paths.paths.iter().enumerate() {
-        let _ = writeln!(out, "  path {i}: {path:?}");
-    }
     let _ = writeln!(out, "potential split edges:");
     for (i, pse) in analysis.pses().iter().enumerate() {
         let vars: Vec<&str> = pse.inter.iter().map(|v| f.var_name(*v)).collect();
@@ -375,15 +372,7 @@ fn cmd_split(file: &str, func: &str, rest: &[String]) -> Result<String, CliError
             analysis.pses().len()
         )));
     }
-    // Cover every path: the chosen PSE plus first candidates elsewhere.
-    let mut plan = vec![pse_idx];
-    for (path, candidates) in analysis.paths.paths.iter().zip(&analysis.cut.path_pses) {
-        let edges = mpart_analysis::convex::path_edges(analysis.ug.start(), path);
-        if !plan.iter().any(|&p| edges.contains(&analysis.pses()[p].edge)) {
-            plan.push(candidates[0]);
-        }
-    }
-    handler.plan().install(&plan);
+    handler.plan().install(&plan_through(analysis, pse_idx)?);
     handler.plan().validate_cut(analysis)?;
 
     let mut sender = stubbed_ctx(&program);

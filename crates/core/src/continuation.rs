@@ -132,7 +132,7 @@ mod tests {
         "#;
         let program = parse_program(src).unwrap();
         let model = DataSizeModel::new();
-        let ha = analyze(&program, "f", &model, Default::default()).unwrap();
+        let ha = analyze(&program, "f", &model).unwrap();
         (program, ha)
     }
 

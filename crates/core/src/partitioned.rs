@@ -5,7 +5,6 @@ use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, RwLock};
 
 use mpart_analysis::cache::AnalysisCache;
-use mpart_analysis::paths::EnumLimits;
 use mpart_analysis::{analyze, EdgeCostEstimator, HandlerAnalysis, StaticCost};
 use mpart_cost::CostModel;
 use mpart_ir::compile::{CompileHints, CompileOptions, Observed};
@@ -79,23 +78,8 @@ impl PartitionedHandler {
         func_name: &str,
         model: Arc<dyn CostModel>,
     ) -> Result<Arc<Self>, IrError> {
-        Self::analyze_with_limits(program, func_name, model, EnumLimits::default())
-    }
-
-    /// Like [`analyze`](Self::analyze) with explicit path-enumeration
-    /// limits.
-    ///
-    /// # Errors
-    ///
-    /// Propagates analysis failures; [`IrError::Invalid`] above 64 PSEs.
-    pub fn analyze_with_limits(
-        program: Arc<Program>,
-        func_name: &str,
-        model: Arc<dyn CostModel>,
-        limits: EnumLimits,
-    ) -> Result<Arc<Self>, IrError> {
         let estimator: &dyn EdgeCostEstimator = model.as_ref();
-        let analysis = Arc::new(analyze(&program, func_name, estimator, limits)?);
+        let analysis = Arc::new(analyze(&program, func_name, estimator)?);
         Self::from_analysis(program, analysis, model)
     }
 
@@ -115,29 +99,8 @@ impl PartitionedHandler {
         model: Arc<dyn CostModel>,
         cache: &AnalysisCache,
     ) -> Result<Arc<Self>, IrError> {
-        Self::analyze_cached_with_limits(program, func_name, model, cache, EnumLimits::default())
-    }
-
-    /// Like [`analyze_cached`](Self::analyze_cached) with explicit
-    /// path-enumeration limits (part of the cache key).
-    ///
-    /// # Errors
-    ///
-    /// Propagates analysis failures; [`IrError::Invalid`] above 64 PSEs.
-    pub fn analyze_cached_with_limits(
-        program: Arc<Program>,
-        func_name: &str,
-        model: Arc<dyn CostModel>,
-        cache: &AnalysisCache,
-        limits: EnumLimits,
-    ) -> Result<Arc<Self>, IrError> {
-        let analysis = cache.get_or_analyze(
-            &program,
-            func_name,
-            &model.cache_key(),
-            model.as_ref(),
-            limits,
-        )?;
+        let analysis =
+            cache.get_or_analyze(&program, func_name, &model.cache_key(), model.as_ref())?;
         Self::from_analysis(program, analysis, model)
     }
 
@@ -214,7 +177,7 @@ impl PartitionedHandler {
 
     /// Validates a candidate active set without touching the serving
     /// plan: it must be non-empty, name only known PSEs, and form a cut
-    /// of every target path. This is the endpoint-side check of the
+    /// (see [`PartitionPlan::validate_cut`]). This is the endpoint-side check of the
     /// two-phase `Prepare` step (DESIGN.md §16) — a candidate rejected
     /// here never reaches [`install_plan`](Self::install_plan).
     ///
@@ -287,7 +250,7 @@ impl PartitionedHandler {
     /// Re-prices the handler's PSEs under `model`, answering from
     /// `cache`, and makes `model` the live cost model for subsequent
     /// modulation/demodulation profiling. The static pipeline (Unit
-    /// Graph, DDG, liveness, path enumeration) never re-runs — a switch
+    /// Graph, DDG, liveness, target-path DAG) never re-runs — a switch
     /// is a *second cache entry* sharing the original graphs (see
     /// [`AnalysisCache::get_or_reprice`]): a pricing-only pass the first
     /// time a model touches this handler, one cache probe on every later
@@ -309,7 +272,6 @@ impl PartitionedHandler {
         &self,
         model: Arc<dyn CostModel>,
         cache: &AnalysisCache,
-        limits: EnumLimits,
     ) -> Result<Arc<HandlerAnalysis>, IrError> {
         let model_key = model.cache_key();
         let analysis = if model_key == self.base_model_key {
@@ -321,7 +283,6 @@ impl PartitionedHandler {
                 &format!("{}>{}", self.base_model_key, model_key),
                 &self.analysis,
                 model.as_ref(),
-                limits,
             )?
         };
         *self.model.write().expect("model lock poisoned") = model;
@@ -591,8 +552,7 @@ pub(crate) mod tests {
         .unwrap();
         let before = Arc::clone(h.analysis());
         // First switch to exec-time: a second entry, miss once.
-        let limits = EnumLimits::default();
-        let repriced = h.reprice(Arc::new(ExecTimeModel::new()), &cache, limits).unwrap();
+        let repriced = h.reprice(Arc::new(ExecTimeModel::new()), &cache).unwrap();
         assert_eq!(h.model().name(), "exec-time");
         assert_eq!((cache.second_entry_hits(), cache.second_entry_misses()), (0, 1));
         // PSE identity is preserved; only prices moved.
@@ -604,10 +564,10 @@ pub(crate) mod tests {
         // Flipping back to the deployment model is free (its prices are
         // the handler's own analysis); flipping forward again is one
         // cache probe — a hit.
-        let back = h.reprice(Arc::new(DataSizeModel::new()), &cache, limits).unwrap();
+        let back = h.reprice(Arc::new(DataSizeModel::new()), &cache).unwrap();
         assert!(Arc::ptr_eq(&back, &before));
         assert_eq!(h.model().name(), "data-size");
-        let again = h.reprice(Arc::new(ExecTimeModel::new()), &cache, limits).unwrap();
+        let again = h.reprice(Arc::new(ExecTimeModel::new()), &cache).unwrap();
         assert!(Arc::ptr_eq(&again, &repriced), "later flips share the cached entry");
         assert_eq!((cache.second_entry_hits(), cache.second_entry_misses()), (1, 1));
     }

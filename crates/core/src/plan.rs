@@ -46,7 +46,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{fence, AtomicU64, Ordering::*};
 use std::sync::{Arc, Mutex};
 
-use mpart_analysis::HandlerAnalysis;
+use mpart_analysis::{Edge, HandlerAnalysis};
 use mpart_ir::IrError;
 use mpart_obs::{mask_to_pses, pse_mask};
 
@@ -268,18 +268,18 @@ impl PartitionPlan {
         active.iter().all(|&p| p < self.len()) && pse_mask(active) == self.snapshot().split
     }
 
-    /// Validates that the active set forms a *cut*: every target path of
-    /// `analysis` crosses at least one active PSE edge. A plan that is not
-    /// a cut would let the modulator run into a stop node.
+    /// Validates that the active set forms a *cut*: with the active PSE
+    /// edges removed, no terminal — stop node or exit — is reachable from
+    /// the start node. A plan that is not a cut would let the modulator
+    /// run into a stop node.
     ///
-    /// Note this checks edge membership on each path, not just the per-path
-    /// candidate sets — the min cut may legitimately cover a path with a
-    /// PSE that `MinCostEdgeSet` pruned for that particular path (e.g. the
-    /// entry edge covering every path at once).
+    /// The walk covers the whole Unit Graph, loop back edges included, in
+    /// time linear in its size; it is what "every target path crosses an
+    /// active edge" means, without listing the paths.
     ///
     /// # Errors
     ///
-    /// Returns [`IrError::Continuation`] naming the first uncovered path.
+    /// Returns [`IrError::Continuation`] naming the first terminal reached.
     pub fn validate_cut(&self, analysis: &HandlerAnalysis) -> Result<(), IrError> {
         validate_mask(self.snapshot().split, analysis)
     }
@@ -289,12 +289,22 @@ impl PartitionPlan {
 /// anywhere (a candidate under `Prepare`).
 pub(crate) fn validate_mask(split: u64, analysis: &HandlerAnalysis) -> Result<(), IrError> {
     let active = mask_to_pses(split);
-    for (i, path) in analysis.paths.paths.iter().enumerate() {
-        let edges = mpart_analysis::convex::path_edges(analysis.ug.start(), path);
-        if !active.iter().any(|&p| edges.contains(&analysis.pses()[p].edge)) {
-            let msg = format!("plan {active:?} does not cover target path {i} ({path:?})");
+    let cut: Vec<Edge> = active.iter().map(|&p| analysis.pses()[p].edge).collect();
+    let ug = &analysis.ug;
+    let mut seen = vec![false; ug.len()];
+    let mut stack = Vec::new();
+    if !cut.contains(&Edge::entry(ug.start())) {
+        stack.push(ug.start());
+    }
+    while let Some(u) = stack.pop() {
+        if std::mem::replace(&mut seen[u], true) {
+            continue;
+        }
+        if analysis.stops.is_stop(u) || ug.succs(u).is_empty() {
+            let msg = format!("plan {active:?} leaves a path from the start to pc {u} uncut");
             return Err(IrError::Continuation(msg));
         }
+        stack.extend(ug.succs(u).iter().copied().filter(|&v| !cut.contains(&Edge::new(u, v))));
     }
     Ok(())
 }
@@ -381,12 +391,86 @@ mod tests {
         "#;
         let program = parse_program(src).unwrap();
         let model = DataSizeModel::new();
-        let ha = analyze(&program, "f", &model, Default::default()).unwrap();
+        let ha = analyze(&program, "f", &model).unwrap();
         let plan = PartitionPlan::new(ha.pses().len()).unwrap();
         assert!(plan.validate_cut(&ha).is_err(), "empty plan is not a cut");
         // Activating every PSE is always a valid cut.
         plan.install(&(0..ha.pses().len()).collect::<Vec<_>>());
         plan.validate_cut(&ha).unwrap();
+    }
+
+    /// A ladder of `diamonds` sequential branches (2^diamonds paths into
+    /// `sink`), optionally behind an early `if x == 99 goto alt`.
+    fn churn(diamonds: usize, early_exit: bool) -> Arc<mpart_ir::Program> {
+        let mut src = String::from("fn churn(x) {\n");
+        if early_exit {
+            src.push_str("  if x == 99 goto alt\n");
+        }
+        src.push_str("  t = x\n");
+        for i in 0..diamonds {
+            let step = i + 1;
+            src.push_str(&format!(
+                "  b{i} = t - {i}\n  if b{i} == 0 goto skip{i}\n  t = t + {step}\nskip{i}:\n"
+            ));
+        }
+        src.push_str("  native sink(t)\n  return t\n");
+        if early_exit {
+            src.push_str("alt:\n  y = x * 2\n  native other(y)\n  return 0\n");
+        }
+        src.push_str("}\n");
+        Arc::new(parse_program(&src).unwrap())
+    }
+
+    #[test]
+    fn a_cut_of_every_ladder_path_that_misses_the_early_exit_is_refused() {
+        // 4 096 ladder paths precede `alt` in depth-first order. `{(2,3)}`
+        // crosses every one of them, but not `alt`'s path to `other`.
+        let handler = crate::PartitionedHandler::analyze(
+            churn(12, true),
+            "churn",
+            Arc::new(DataSizeModel::new()),
+        )
+        .unwrap();
+        let ha = handler.analysis();
+        assert!(ha.pse_for_edge(Edge::new(40, 41)).is_some(), "alt's split edge is a PSE");
+        let ladder = ha.pse_for_edge(Edge::new(2, 3)).expect("(2,3) is a PSE");
+        assert!(handler.validate_candidate(&[ladder]).is_err());
+        let plan = PartitionPlan::new(ha.pses().len()).unwrap();
+        plan.install(&[ladder]);
+        assert!(plan.validate_cut(ha).is_err());
+        let alt = ha.pse_for_edge(Edge::new(40, 41)).unwrap();
+        handler.validate_candidate(&[ladder, alt]).unwrap();
+    }
+
+    #[test]
+    fn forty_diamond_ladder_has_a_pse_per_diamond() {
+        let ha = analyze(&churn(40, false), "churn", &DataSizeModel::new()).unwrap();
+        assert_eq!(ha.dag().path_count(), 1 << 40);
+        assert_eq!(ha.pses().len(), 41);
+        let entry = PartitionPlan::new(41).unwrap();
+        entry.install(&[40]);
+        entry.validate_cut(&ha).unwrap();
+    }
+
+    #[test]
+    fn a_stop_node_reached_before_the_cut_is_refused() {
+        // The native call in one arm ends that arm's target path, so a cut
+        // after the merge leaves it uncut even though no exit is reachable.
+        let src = r#"
+            fn f(x) {
+                if x == 0 goto quiet
+                native log(x)
+            quiet:
+                y = x + 1
+                native out(y)
+                return y
+            }
+        "#;
+        let ha = analyze(&parse_program(src).unwrap(), "f", &DataSizeModel::new()).unwrap();
+        let merged = ha.pse_for_edge(Edge::new(2, 3)).expect("(2,3) is a PSE");
+        let plan = PartitionPlan::new(ha.pses().len()).unwrap();
+        plan.install(&[merged]);
+        assert!(plan.validate_cut(&ha).is_err());
     }
 
     pub(super) use interleave::step;

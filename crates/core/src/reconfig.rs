@@ -94,6 +94,32 @@ pub fn select_active_set(
     Ok(active)
 }
 
+/// A plan that splits at `pse` whenever control crosses it: the min cut
+/// with `pse` free, the PSEs it is reachable from at a prohibitive weight
+/// and every other PSE at 1 — plus `pse` itself, should that cut route
+/// around it.
+///
+/// # Errors
+///
+/// As [`select_active_set`].
+pub fn plan_through(analysis: &HandlerAnalysis, pse: PseId) -> Result<Vec<PseId>, IrError> {
+    // Empty for the entry edge: nothing lies upstream of it.
+    let upstream = analysis.ug.reaches(analysis.pses()[pse].edge.from);
+    let weights: Vec<u64> = (0..analysis.pses().len())
+        .map(|p| match p {
+            _ if p == pse => 0,
+            _ if upstream.contains(analysis.pses()[p].edge.to) => 1 << 32,
+            _ => 1,
+        })
+        .collect();
+    let mut plan = select_active_set(analysis, &weights)?;
+    if !plan.contains(&pse) {
+        plan.push(pse);
+        plan.sort_unstable();
+    }
+    Ok(plan)
+}
+
 /// Computes per-PSE weights from profiled statistics under the given cost
 /// model kind, falling back to static costs for unprofiled PSEs.
 ///
@@ -1041,7 +1067,7 @@ mod tests {
 
     fn analysis() -> Arc<HandlerAnalysis> {
         let program = parse_program(SRC).unwrap();
-        Arc::new(analyze(&program, "push", &DataSizeModel::new(), Default::default()).unwrap())
+        Arc::new(analyze(&program, "push", &DataSizeModel::new()).unwrap())
     }
 
     #[test]

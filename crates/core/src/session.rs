@@ -62,7 +62,6 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use mpart_analysis::cache::{AnalysisCache, DEFAULT_CACHE_CAPACITY};
-use mpart_analysis::paths::EnumLimits;
 use mpart_cost::{CostModel, RuntimeCostKind};
 use mpart_ir::interp::{BuiltinRegistry, ExecCtx};
 use mpart_ir::{IrError, Program, Value};
@@ -96,8 +95,6 @@ pub struct SessionConfig {
     /// Per-session reconfiguration trigger ([`TriggerPolicy::Never`]
     /// freezes every session's initial static plan).
     pub trigger: TriggerPolicy,
-    /// Path-enumeration limits (part of the analysis cache key).
-    pub limits: EnumLimits,
     /// When set, every session runs a [`ModelSelector`] that watches the
     /// envelope-byte EWMA against the profiled work signal and switches
     /// the live cost model when the workload's regime changes. A switch
@@ -141,7 +138,6 @@ impl Default for SessionConfig {
             workers: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
             cache_capacity: DEFAULT_CACHE_CAPACITY,
             trigger: TriggerPolicy::Never,
-            limits: EnumLimits::default(),
             auto_model: None,
             failure: FailureConfig::default(),
             ingress_capacity: 1024,
@@ -170,12 +166,6 @@ impl SessionConfig {
     /// Sets the per-session reconfiguration trigger.
     pub fn with_trigger(mut self, trigger: TriggerPolicy) -> Self {
         self.trigger = trigger;
-        self
-    }
-
-    /// Sets the path-enumeration limits.
-    pub fn with_limits(mut self, limits: EnumLimits) -> Self {
-        self.limits = limits;
         self
     }
 
@@ -428,7 +418,6 @@ struct AutoModel {
     /// The manager's shared cache; re-priced analyses become second
     /// entries here, so sibling sessions switching the same way hit.
     cache: Arc<AnalysisCache>,
-    limits: EnumLimits,
 }
 
 impl SessionState {
@@ -743,8 +732,7 @@ impl SessionState {
                 // re-priced analysis, and re-select the plan under the
                 // new pricing, which supersedes a re-selection made under
                 // the old pricing on this same envelope.
-                let analysis =
-                    self.handler.reprice(choice.instantiate(), &auto.cache, auto.limits)?;
+                let analysis = self.handler.reprice(choice.instantiate(), &auto.cache)?;
                 let repriced = self.subscriber.switch_model(analysis, choice.kind())?;
                 reconfigured = self.try_switch_plan(repriced, PlanReason::Reconfig);
                 let obs = self.handler.obs();
@@ -1145,12 +1133,11 @@ impl SessionManager {
     ) -> Result<SessionId, IrError> {
         let kind = model.kind();
         let model_name = model.name().to_string();
-        let handler = PartitionedHandler::analyze_cached_with_limits(
+        let handler = PartitionedHandler::analyze_cached(
             Arc::clone(&program),
             func_name,
             model,
             &self.cache,
-            self.config.limits,
         )?;
         if let Some(snap) = restore {
             if snap.active != handler.plan().active() {
@@ -1174,7 +1161,6 @@ impl SessionManager {
             AutoModel {
                 selector: ModelSelector::new(initial, selector_config),
                 cache: Arc::clone(&self.cache),
-                limits: self.config.limits,
             }
         });
         let receiver_ctx = ExecCtx::without_digests(&program, receiver_builtins);

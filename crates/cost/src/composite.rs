@@ -12,10 +12,10 @@
 
 use std::sync::Arc;
 
-use mpart_analysis::cost::{EdgeCostEstimator, EstimatorCx, StaticCost};
+use mpart_analysis::cost::{EdgeCostEstimator, EdgePos, EstimatorCx, StaticCost};
 use mpart_analysis::ug::Edge;
 use mpart_ir::heap::Heap;
-use mpart_ir::instr::{Pc, Var};
+use mpart_ir::instr::Var;
 use mpart_ir::types::ClassTable;
 use mpart_ir::Value;
 
@@ -76,13 +76,12 @@ impl EdgeCostEstimator for CompositeModel {
     fn edge_cost(
         &self,
         cx: &EstimatorCx<'_>,
-        path: &[Pc],
-        idx: usize,
+        pos: EdgePos,
         edge: Edge,
         inter: &[Var],
     ) -> StaticCost {
-        let a = self.first.edge_cost(cx, path, idx, edge, inter);
-        let b = self.second.edge_cost(cx, path, idx, edge, inter);
+        let a = self.first.edge_cost(cx, pos, edge, inter);
+        let b = self.second.edge_cost(cx, pos, edge, inter);
         combine(self.scale_cost(0, a), self.scale_cost(1, b), cx)
     }
 }
@@ -178,11 +177,12 @@ mod tests {
             Arc::new(PowerModel::new()),
             0.3,
         );
-        let ha = analyze(&program, "handle", &model, Default::default()).unwrap();
+        let ha = analyze(&program, "handle", &model).unwrap();
         assert!(!ha.pses().is_empty());
-        for on_path in &ha.cut.path_pses {
-            assert!(!on_path.is_empty());
-        }
+        // Every target path crosses a PSE.
+        let dag = ha.dag();
+        let pse = |e| ha.pse_for_edge(e).is_some();
+        assert!(pse(Edge::entry(0)) || !dag.reaches(0, |e| !pse(e), |n| dag.is_terminal(n)));
     }
 
     #[test]

@@ -15,10 +15,10 @@
 //! the generic heap walk ([`mpart_ir::marshal::calculated_size`]) or the
 //! per-class self-describing `sizeOf` fast path (Table 1).
 
-use mpart_analysis::cost::{EdgeCostEstimator, EstimatorCx, StaticCost};
+use mpart_analysis::cost::{EdgeCostEstimator, EdgePos, EstimatorCx, StaticCost};
 use mpart_analysis::ug::Edge;
 use mpart_ir::heap::Heap;
-use mpart_ir::instr::{Pc, Var};
+use mpart_ir::instr::Var;
 use mpart_ir::marshal::{calculated_size, SelfSizerRegistry, REF_SIZE};
 use mpart_ir::types::ClassTable;
 use mpart_ir::Value;
@@ -64,8 +64,7 @@ impl EdgeCostEstimator for DataSizeModel {
     fn edge_cost(
         &self,
         cx: &EstimatorCx<'_>,
-        _path: &[Pc],
-        _idx: usize,
+        _pos: EdgePos,
         _edge: Edge,
         inter: &[Var],
     ) -> StaticCost {
@@ -150,7 +149,7 @@ mod tests {
     fn push_example_reproduces_paper_pse_structure() {
         let program = parse_program(PUSH).unwrap();
         let model = DataSizeModel::new();
-        let ha = analyze(&program, "push", &model, Default::default()).unwrap();
+        let ha = analyze(&program, "push", &model).unwrap();
         let edges: Vec<Edge> = ha.pses().iter().map(|p| p.edge).collect();
 
         // Analogue of the paper's PSESet {Edge(4,10), Edge(2,3), Edge(8,9)}:
@@ -169,7 +168,7 @@ mod tests {
         // Edges carrying {event} and {r2 = (cast) event} must collapse.
         let program = parse_program(PUSH).unwrap();
         let model = DataSizeModel::new();
-        let ha = analyze(&program, "push", &model, Default::default()).unwrap();
+        let ha = analyze(&program, "push", &model).unwrap();
         let f = program.function("push").unwrap();
         let event = f.var_by_name("event").unwrap();
         let r2 = f.var_by_name("r2").unwrap();
@@ -190,7 +189,7 @@ mod tests {
     fn skip_path_edge_costs_zero() {
         let program = parse_program(PUSH).unwrap();
         let model = DataSizeModel::new();
-        let ha = analyze(&program, "push", &model, Default::default()).unwrap();
+        let ha = analyze(&program, "push", &model).unwrap();
         let skip = ha.pses().iter().find(|p| p.edge == Edge::new(1, 6)).expect("skip-path PSE");
         assert_eq!(skip.static_cost, StaticCost::Known(0));
         assert!(skip.inter.is_empty());

@@ -10,15 +10,17 @@
 //! differences in the edge's distances (in terms of number of
 //! instructions) from the start of a path and to the end of the path":
 //! we price edge `e` at `max(prefix(e), suffix(e))` in instruction counts,
-//! so the statically-balanced midpoint wins. Runtime profiling then
+//! so the statically-balanced midpoint wins. Both distances are the
+//! longest over the target paths through `e` (its [`EdgePos`]): one
+//! price per edge, however many paths share it. Runtime profiling then
 //! replaces instruction counts with measured per-message work
 //! (`T_mod` at the modulator, `T_demod` at the demodulator) scaled by each
 //! host's current effective speed.
 
-use mpart_analysis::cost::{EdgeCostEstimator, EstimatorCx, StaticCost};
+use mpart_analysis::cost::{EdgeCostEstimator, EdgePos, EstimatorCx, StaticCost};
 use mpart_analysis::ug::Edge;
 use mpart_ir::heap::Heap;
-use mpart_ir::instr::{Pc, Var};
+use mpart_ir::instr::Var;
 use mpart_ir::marshal::calculated_size;
 use mpart_ir::types::ClassTable;
 use mpart_ir::Value;
@@ -56,21 +58,19 @@ impl EdgeCostEstimator for ExecTimeModel {
     fn edge_cost(
         &self,
         cx: &EstimatorCx<'_>,
-        path: &[Pc],
-        idx: usize,
+        pos: EdgePos,
         _edge: Edge,
         inter: &[Var],
     ) -> StaticCost {
-        // Edge `idx` leaves `idx` instructions on the modulator side and
-        // `path.len() - idx` on the demodulator side. The instruction-
+        // The edge leaves `pos.before` instructions on the modulator side
+        // and `pos.after` on the demodulator side. The instruction-
         // distance estimate orders edges for the *initial* plan, but true
         // execution times of the opaque invocations are runtime-only, so
         // every edge stays a lower-bounded candidate (this is how the
         // paper's sensor handler retains 21 PSEs "almost all along the
         // same path" for the profiler to choose among). Only edges whose
         // live sets canonicalize identically collapse.
-        let prefix = idx as u64;
-        let suffix = (path.len() - idx) as u64;
+        let (prefix, suffix) = (pos.before, pos.after);
         if inter.is_empty() {
             // Nothing flows across (e.g. a filtered-out path): the time
             // cost of the remaining suffix is fully known — zero-ish.
@@ -121,7 +121,7 @@ mod tests {
         "#;
         let program = mpart_ir::parse::parse_program(src).unwrap();
         let model = ExecTimeModel::new();
-        let ha = analyze(&program, "f", &model, Default::default()).unwrap();
+        let ha = analyze(&program, "f", &model).unwrap();
         // Every chain edge is retained as a runtime candidate (costs are
         // only lower-bounded statically), and the midpoint carries the
         // smallest deterministic part max(idx, 8-idx) = 4.
@@ -169,14 +169,12 @@ mod tests {
         src.push_str("  native out(a20)\n  return\n}\n");
         let program = mpart_ir::parse::parse_program(&src).unwrap();
         let model = ExecTimeModel::new();
-        let ha = analyze(&program, "f", &model, Default::default()).unwrap();
-        assert_eq!(ha.paths.paths.len(), 1);
+        let ha = analyze(&program, "f", &model).unwrap();
+        let dag = ha.dag();
+        assert_eq!(dag.path_count(), 1);
         // All 21 inter-stage edges plus the entry edge remain candidates —
         // the paper's "21 PSEs ... almost all along the same path".
-        assert!(
-            ha.cut.path_pses[0].len() >= 21,
-            "got {} PSEs on the pipeline path",
-            ha.cut.path_pses[0].len()
-        );
+        let on_path = ha.pses().iter().filter(|p| dag.edges().contains(&p.edge)).count();
+        assert!(on_path >= 21, "got {on_path} PSEs on the pipeline path");
     }
 }

@@ -15,10 +15,10 @@
 //! radio on raw data; late splits do the opposite — the optimum tracks the
 //! device's actual energy ratios.
 
-use mpart_analysis::cost::{EdgeCostEstimator, EstimatorCx, StaticCost};
+use mpart_analysis::cost::{EdgeCostEstimator, EdgePos, EstimatorCx, StaticCost};
 use mpart_analysis::ug::Edge;
 use mpart_ir::heap::Heap;
-use mpart_ir::instr::{Pc, Var};
+use mpart_ir::instr::Var;
 use mpart_ir::marshal::{calculated_size, REF_SIZE};
 use mpart_ir::types::ClassTable;
 use mpart_ir::Value;
@@ -64,14 +64,13 @@ impl EdgeCostEstimator for PowerModel {
     fn edge_cost(
         &self,
         cx: &EstimatorCx<'_>,
-        path: &[Pc],
-        idx: usize,
+        pos: EdgePos,
         _edge: Edge,
         inter: &[Var],
     ) -> StaticCost {
         // CPU component: instructions executed before the edge — fully
         // known statically in instruction counts.
-        let cpu = (self.cpu_nj_per_work * idx as f64).round() as u64;
+        let cpu = (self.cpu_nj_per_work * pos.before as f64).round() as u64;
         // Radio component: like the data-size model, scalars are known and
         // references are lower-bounded.
         let mut det = cpu;
@@ -85,7 +84,6 @@ impl EdgeCostEstimator for PowerModel {
                 }
             }
         }
-        let _ = path;
         if unknown.is_empty() {
             StaticCost::Known(det)
         } else {
@@ -146,7 +144,7 @@ mod tests {
     fn analyzes_and_prices_edges() {
         let program = parse_program(SRC).unwrap();
         let model = PowerModel::new();
-        let ha = analyze(&program, "handle", &model, Default::default()).unwrap();
+        let ha = analyze(&program, "handle", &model).unwrap();
         assert!(!ha.pses().is_empty());
         // Radio-dominant pricing: the empty-INTER skip edge costs only its
         // CPU prefix; data-carrying edges are lower-bounded above it.

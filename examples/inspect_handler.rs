@@ -49,15 +49,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let analysis = handler.analysis();
         println!("\n=== analysis under the `{}` cost model ===", model.name());
         println!(
-            "{} instructions, {} stop nodes, {} target paths{}",
+            "{} instructions, {} stop nodes, {} target paths",
             analysis.ug.len(),
             analysis.stops.len(),
-            analysis.paths.paths.len(),
-            if analysis.paths.truncated { " (truncated)" } else { "" },
+            analysis.dag().path_count(),
         );
-        for (i, path) in analysis.paths.paths.iter().enumerate() {
-            println!("  path {i}: {path:?}");
-        }
         println!("potential split edges:");
         let func = handler.func();
         for (i, pse) in analysis.pses().iter().enumerate() {

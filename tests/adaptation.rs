@@ -262,17 +262,16 @@ proptest::proptest! {
         prop_assume!(base_model.cache_key() != new_model.cache_key());
 
         let program = parse_program(SHIFT_SRC).unwrap();
-        let limits = Default::default();
 
         // Mirror the live flow: the deployment-time analysis enters the
         // cache first, then the switch re-prices it as a second entry.
         let cache = AnalysisCache::new(8);
         let base = cache
-            .get_or_analyze(&program, "show", &base_model.cache_key(), base_model.as_ref(), limits)
+            .get_or_analyze(&program, "show", &base_model.cache_key(), base_model.as_ref())
             .unwrap();
         let pair_key = format!("{}>{}", base_model.cache_key(), new_model.cache_key());
         let cached = cache
-            .get_or_reprice(&program, "show", &pair_key, &base, new_model.as_ref(), limits)
+            .get_or_reprice(&program, "show", &pair_key, &base, new_model.as_ref())
             .unwrap();
 
         // Re-pricing preserved the PSE set wholesale.
@@ -285,7 +284,7 @@ proptest::proptest! {
         // Where the fresh analysis keeps the same candidate edge, the
         // cached price equals the fresh price (the fresh PSE set may
         // differ: dominance pruning is estimator-dependent).
-        let fresh = analyze(&program, "show", new_model.as_ref(), limits).unwrap();
+        let fresh = analyze(&program, "show", new_model.as_ref()).unwrap();
         for c in cached.pses() {
             if let Some(f) = fresh.pses().iter().find(|f| f.edge == c.edge) {
                 prop_assert_eq!(
@@ -297,7 +296,7 @@ proptest::proptest! {
 
         // Steady state: the same switch is one cache probe, nothing more.
         let again = cache
-            .get_or_reprice(&program, "show", &pair_key, &base, new_model.as_ref(), limits)
+            .get_or_reprice(&program, "show", &pair_key, &base, new_model.as_ref())
             .unwrap();
         prop_assert!(Arc::ptr_eq(&cached, &again));
         prop_assert_eq!(cache.second_entry_misses(), 1);

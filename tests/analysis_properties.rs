@@ -1,6 +1,8 @@
 //! Property tests over the static-analysis invariants, on randomly
 //! generated handler programs (with branches and loops).
 
+mod support;
+
 use std::sync::Arc;
 
 use method_partitioning::analysis::{analyze, HandlerAnalysis};
@@ -43,10 +45,7 @@ fn analyses(src: &str) -> Vec<HandlerAnalysis> {
     let program = Arc::new(parse_program(src).expect("generated source parses"));
     let models: Vec<Arc<dyn CostModel>> =
         vec![Arc::new(DataSizeModel::new()), Arc::new(ExecTimeModel::new())];
-    models
-        .iter()
-        .map(|m| analyze(&program, "gen", m.as_ref(), Default::default()).expect("analysis"))
-        .collect()
+    models.iter().map(|m| analyze(&program, "gen", m.as_ref()).expect("analysis")).collect()
 }
 
 proptest! {
@@ -61,9 +60,12 @@ proptest! {
         with_loop in any::<bool>(),
     ) {
         for ha in analyses(&random_source(&ops, with_branch, with_loop)) {
-            prop_assert_eq!(ha.paths.paths.len(), ha.cut.path_pses.len());
-            for (i, cands) in ha.cut.path_pses.iter().enumerate() {
-                prop_assert!(!cands.is_empty(), "path {} of\n{:?}", i, ha.paths.paths[i]);
+            let paths = support::target_paths(&ha);
+            prop_assert_eq!(paths.len() as u64, ha.dag().path_count());
+            for (i, path) in paths.iter().enumerate() {
+                let edges = support::path_edges(path);
+                let cands = ha.pses().iter().filter(|p| edges.contains(&p.edge)).count();
+                prop_assert!(cands > 0, "path {} of\n{:?}", i, path);
             }
         }
     }
@@ -92,8 +94,8 @@ proptest! {
         }
     }
 
-    /// No candidate on a path may be determinably more expensive than a
-    /// sibling candidate on the same path (`MinCostEdgeSet` postcondition).
+    /// Every PSE is a candidate of some target path: on that path, no
+    /// other PSE is determinably cheaper (`MinCostEdgeSet` postcondition).
     /// The entry candidate is exempt: it is reinstated even when dominated,
     /// because the runtime needs the always-valid trivial plan as its
     /// degradation fallback.
@@ -104,21 +106,20 @@ proptest! {
         with_loop in any::<bool>(),
     ) {
         for ha in analyses(&random_source(&ops, with_branch, with_loop)) {
-            for cands in &ha.cut.path_pses {
-                for &a in cands {
-                    if ha.pses()[a].edge.is_entry() { continue; }
-                    for &b in cands {
-                        if a == b { continue; }
-                        let ca = &ha.pses()[a].static_cost;
-                        let cb = &ha.pses()[b].static_cost;
-                        prop_assert!(
-                            !ca.determinably_greater(cb),
-                            "candidate {:?} dominated by {:?}",
-                            ha.pses()[a].edge,
-                            ha.pses()[b].edge
-                        );
-                    }
-                }
+            let paths: Vec<_> = support::target_paths(&ha).iter().map(|p| support::path_edges(p)).collect();
+            for a in ha.pses() {
+                if a.edge.is_entry() { continue; }
+                let minimal_on = |edges: &Vec<_>| {
+                    edges.contains(&a.edge)
+                        && ha.pses().iter().filter(|b| edges.contains(&b.edge)).all(|b| {
+                            !a.static_cost.determinably_greater(&b.static_cost)
+                        })
+                };
+                prop_assert!(
+                    paths.iter().any(minimal_on),
+                    "candidate {:?} dominated on every path through it",
+                    a.edge
+                );
             }
         }
     }
@@ -135,7 +136,7 @@ proptest! {
         let src = random_source(&ops, with_branch, with_loop);
         let program = Arc::new(parse_program(&src).unwrap());
         let model = DataSizeModel::new();
-        let ha = analyze(&program, "gen", &model, Default::default()).unwrap();
+        let ha = analyze(&program, "gen", &model).unwrap();
         let func = program.function("gen").unwrap();
         for pse in ha.pses() {
             let expected = ha.liveness.inter(func, pse.edge);
@@ -143,8 +144,8 @@ proptest! {
         }
     }
 
-    /// Pretty-printing and re-parsing preserves the analysis: same paths,
-    /// same PSE edges.
+    /// Pretty-printing and re-parsing preserves the analysis: same target
+    /// paths, same PSE edges.
     #[test]
     fn analysis_survives_print_parse_round_trip(
         ops in proptest::collection::vec(0u8..=4, 0..8),
@@ -156,9 +157,10 @@ proptest! {
         let printed = program_to_string(&p1);
         let p2 = Arc::new(parse_program(&printed).expect("printed source re-parses"));
         let model = DataSizeModel::new();
-        let a1 = analyze(&p1, "gen", &model, Default::default()).unwrap();
-        let a2 = analyze(&p2, "gen", &model, Default::default()).unwrap();
-        prop_assert_eq!(&a1.paths.paths, &a2.paths.paths, "printed:\n{}", printed);
+        let a1 = analyze(&p1, "gen", &model).unwrap();
+        let a2 = analyze(&p2, "gen", &model).unwrap();
+        prop_assert_eq!(a1.dag().edges(), a2.dag().edges(), "printed:\n{}", printed);
+        prop_assert_eq!(a1.dag().path_count(), a2.dag().path_count(), "printed:\n{}", printed);
         let e1: Vec<_> = a1.pses().iter().map(|p| p.edge).collect();
         let e2: Vec<_> = a2.pses().iter().map(|p| p.edge).collect();
         prop_assert_eq!(e1, e2, "printed:\n{}", printed);

@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use method_partitioning::core::partitioned::PartitionedHandler;
 use method_partitioning::core::profile::TriggerPolicy;
-use method_partitioning::core::reconfig::ReconfigUnit;
+use method_partitioning::core::reconfig::{plan_through, ReconfigUnit};
 use method_partitioning::core::subscriber::{Subscriber, Timing};
 use method_partitioning::cost::{CostModel, DataSizeModel};
 use method_partitioning::ir::compile::CompileHints;
@@ -151,7 +151,7 @@ fn assert_engines_agree(src: &str, input: i64) {
 type Partitioned = (Option<Value>, Vec<String>, Vec<Value>, usize, usize, u64);
 
 /// Runs modulator → continuation → demodulator under `choice`, splitting
-/// at `main_pse` (plus first candidates of uncovered paths, as in
+/// at `main_pse` (under [`plan_through`]'s plan, as in
 /// tests/equivalence.rs).
 fn run_partitioned(
     program: &Arc<Program>,
@@ -162,16 +162,7 @@ fn run_partitioned(
     let model: Arc<dyn CostModel> = Arc::new(DataSizeModel::new());
     let handler = PartitionedHandler::analyze(Arc::clone(program), "gen", model)?;
     handler.select_engine(choice);
-    let mut plan: Vec<usize> = vec![main_pse];
-    let analysis = handler.analysis();
-    for (path, candidates) in analysis.paths.paths.iter().zip(&analysis.cut.path_pses) {
-        let edges = mpart_analysis::convex::path_edges(analysis.ug.start(), path);
-        let covered = plan.iter().any(|&p| edges.contains(&analysis.pses()[p].edge));
-        if !covered {
-            plan.push(*candidates.first().expect("every path has a candidate"));
-        }
-    }
-    handler.plan().install(&plan);
+    handler.plan().install(&plan_through(handler.analysis(), main_pse)?);
     handler.plan().validate_cut(handler.analysis())?;
 
     let mut sender = ExecCtx::with_builtins(program, gen_builtins());

@@ -13,6 +13,7 @@
 use std::sync::Arc;
 
 use method_partitioning::core::partitioned::PartitionedHandler;
+use method_partitioning::core::reconfig::plan_through;
 use method_partitioning::cost::{CostModel, DataSizeModel, ExecTimeModel};
 use method_partitioning::ir::interp::{BuiltinRegistry, ExecCtx, Interp};
 use method_partitioning::ir::parse::parse_program;
@@ -38,8 +39,7 @@ fn run_direct(
 }
 
 /// Runs the handler through modulator + continuation + demodulator, with
-/// the given single main split (plus all empty-INTER PSEs so every path
-/// is covered).
+/// the given single main split (completed to a cut by [`plan_through`]).
 fn run_partitioned(
     program: &Arc<Program>,
     builtins: &BuiltinRegistry,
@@ -49,18 +49,8 @@ fn run_partitioned(
     args_builder: impl FnOnce(&mut ExecCtx) -> Vec<Value>,
 ) -> Result<Observed, IrError> {
     let handler = PartitionedHandler::analyze(Arc::clone(program), name, model)?;
-    // Plan = the chosen main split, plus each uncovered path's first
-    // candidate so the active set forms a cut.
-    let mut plan: Vec<usize> = vec![main_pse];
-    let analysis = handler.analysis();
-    for (path, candidates) in analysis.paths.paths.iter().zip(&analysis.cut.path_pses) {
-        let edges = mpart_analysis::convex::path_edges(analysis.ug.start(), path);
-        let covered = plan.iter().any(|&p| edges.contains(&analysis.pses()[p].edge));
-        if !covered {
-            plan.push(*candidates.first().expect("every path has a candidate"));
-        }
-    }
-    handler.plan().install(&plan);
+    // Plan = the chosen main split, completed to a cut.
+    handler.plan().install(&plan_through(handler.analysis(), main_pse)?);
     handler.plan().validate_cut(handler.analysis())?;
 
     let mut sender = ExecCtx::with_builtins(program, builtins.clone());

@@ -63,28 +63,28 @@ proptest! {
         let cache = AnalysisCache::new(DEFAULT_CACHE_CAPACITY);
 
         let first = cache
-            .get_or_analyze(&program, "gen", model.name(), model.as_ref(), Default::default())
+            .get_or_analyze(&program, "gen", model.name(), model.as_ref())
             .unwrap();
         let second = cache
-            .get_or_analyze(&program, "gen", model.name(), model.as_ref(), Default::default())
+            .get_or_analyze(&program, "gen", model.name(), model.as_ref())
             .unwrap();
         prop_assert!(Arc::ptr_eq(&first, &second), "the hit must share the analysis Arc");
         prop_assert_eq!(cache.misses(), 1);
         prop_assert_eq!(cache.hits(), 1);
 
-        let fresh = analyze(&program, "gen", model.as_ref(), Default::default()).unwrap();
+        let fresh = analyze(&program, "gen", model.as_ref()).unwrap();
         prop_assert_eq!(fresh.pses().len(), second.pses().len());
         for (a, b) in fresh.pses().iter().zip(second.pses().iter()) {
             prop_assert_eq!(a.edge, b.edge);
             prop_assert_eq!(&a.inter, &b.inter, "INTER(e) must match the fresh analysis");
         }
-        prop_assert_eq!(fresh.paths.paths.len(), second.paths.paths.len());
+        prop_assert_eq!(fresh.dag().path_count(), second.dag().path_count());
         prop_assert_eq!(fresh.stops.len(), second.stops.len());
 
         // A different cost model is a different cache identity.
         let other: Arc<dyn CostModel> = Arc::new(ExecTimeModel::new());
         let third = cache
-            .get_or_analyze(&program, "gen", other.name(), other.as_ref(), Default::default())
+            .get_or_analyze(&program, "gen", other.name(), other.as_ref())
             .unwrap();
         prop_assert!(!Arc::ptr_eq(&second, &third));
         prop_assert_eq!(cache.misses(), 2);
