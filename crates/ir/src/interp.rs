@@ -418,7 +418,7 @@ impl<'p> Interp<'p> {
         }
     }
 
-    fn exec_frame(
+    pub(crate) fn exec_frame(
         &self,
         ctx: &mut ExecCtx,
         func: &Function,
