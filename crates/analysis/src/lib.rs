@@ -103,7 +103,7 @@ impl HandlerAnalysis {
 
     /// Derives bytecode-compilation hints from the static pipeline (see
     /// [`ExecHints`]): the watched edge set from the PSE list and stop
-    /// nodes, and superinstruction fusion candidates from the DDG.
+    /// nodes, and the former superinstruction candidates from the DDG.
     pub fn exec_hints(&self) -> ExecHints {
         let mut observed = HashSet::new();
         // Non-entry PSE edges: where the modulator may split and both
@@ -179,8 +179,8 @@ impl HandlerAnalysis {
 ///
 /// `fuse_at` lists instruction indices whose defined value is consumed by
 /// the immediately following instruction (a DDG `def → def+1` edge) — the
-/// superinstruction candidates. The compiler re-checks structural
-/// legality (leaders, watched interior edges) before fusing.
+/// candidates of the superinstructions the compiler used to fuse. It no
+/// longer fuses (blocks are metered whole), so the compiler ignores them.
 #[derive(Debug, Clone, Default)]
 pub struct ExecHints {
     /// Watched `(from, to)` control-flow edges.

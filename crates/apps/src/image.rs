@@ -23,11 +23,12 @@ use std::sync::Arc;
 use mpart::profile::TriggerPolicy;
 use mpart::PseId;
 use mpart_cost::{CostModel, DataSizeModel};
-use mpart_ir::heap::Heap;
+use mpart_ir::heap::{ArrayData, Heap, HeapCell};
 use mpart_ir::interp::{BuiltinRegistry, ExecCtx};
 use mpart_ir::marshal::{SelfSizerRegistry, ARRAY_HEADER_SIZE, OBJECT_HEADER_SIZE, REF_SIZE};
 use mpart_ir::parse::parse_program;
 use mpart_ir::types::{ClassTable, ElemType};
+use mpart_ir::value::ObjRef;
 use mpart_ir::{IrError, Program, Value};
 use mpart_jecho::{SimConfig, SimSession};
 use mpart_simnet::{Host, Link, SimTime};
@@ -189,8 +190,57 @@ fn resize_impl(classes: &ClassTable, heap: &mut Heap, args: &[Value]) -> Result<
     let src_h = heap.field(src, f_height)?.as_int("height")?.max(1);
     let src_buff = heap.field(src, f_buff)?.as_ref("buff")?;
 
+    let resized = resize_bytes(heap, src_buff, (src_w, src_h), (w, h));
     let out = heap.alloc_object(classes, class);
-    let out_buff = heap.alloc_array(ElemType::Byte, (w * h) as usize);
+    let out_buff = match resized {
+        Some(px) => heap.alloc_array_from(ArrayData::Byte(px)),
+        None => {
+            let out_buff = heap.alloc_array(ElemType::Byte, (w * h) as usize);
+            resize_values(heap, src_buff, out_buff, (src_w, src_h), (w, h))?;
+            out_buff
+        }
+    };
+    heap.set_field(out, f_width, Value::Int(w))?;
+    heap.set_field(out, f_height, Value::Int(h))?;
+    heap.set_field(out, f_buff, Value::Ref(out_buff))?;
+    Ok(Value::Ref(out))
+}
+
+/// Nearest-neighbour resize of a byte buffer holding every source pixel,
+/// read as a slice with the column map computed once. `None` — nothing
+/// read, nothing allocated — for any other buffer (another element type,
+/// too short, not an array), which [`resize_values`] handles with the
+/// identical result or error.
+fn resize_bytes(
+    heap: &Heap,
+    src_buff: ObjRef,
+    (src_w, src_h): (i64, i64),
+    (w, h): (i64, i64),
+) -> Option<Vec<u8>> {
+    let Ok(HeapCell::Array(ArrayData::Byte(px))) = heap.cell(src_buff) else {
+        return None;
+    };
+    if (px.len() as i64) < src_w.checked_mul(src_h)? {
+        return None;
+    }
+    let cols: Vec<usize> = (0..w).map(|x| (x * src_w / w) as usize).collect();
+    let mut out = Vec::with_capacity((w * h) as usize);
+    for y in 0..h {
+        let row = &px[(y * src_h / h * src_w) as usize..];
+        out.extend(cols.iter().map(|&sx| row[sx]));
+    }
+    Some(out)
+}
+
+/// The per-pixel resize through `Value`s: any element type, and the
+/// reference error (bounds index included) for a short buffer.
+fn resize_values(
+    heap: &mut Heap,
+    src_buff: ObjRef,
+    out_buff: ObjRef,
+    (src_w, src_h): (i64, i64),
+    (w, h): (i64, i64),
+) -> Result<(), IrError> {
     for y in 0..h {
         let sy = y * src_h / h;
         for x in 0..w {
@@ -199,10 +249,7 @@ fn resize_impl(classes: &ClassTable, heap: &mut Heap, args: &[Value]) -> Result<
             heap.array_set(out_buff, y * w + x, px)?;
         }
     }
-    heap.set_field(out, f_width, Value::Int(w))?;
-    heap.set_field(out, f_height, Value::Int(h))?;
-    heap.set_field(out, f_buff, Value::Ref(out_buff))?;
-    Ok(Value::Ref(out))
+    Ok(())
 }
 
 fn frame_pixels(classes: &ClassTable, heap: &Heap, args: &[Value]) -> u64 {
@@ -464,6 +511,57 @@ pub fn run_image_experiment_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A `side × side` byte buffer `len` bytes long, resized to
+    /// `w × h` by `resize_impl` and by the per-pixel reference loop.
+    fn both_resizes(side: i64, len: usize, (w, h): (i64, i64)) -> [Result<Vec<u8>, IrError>; 2] {
+        let program = image_program().unwrap();
+        let classes = &program.classes;
+        let mut ctx = ExecCtx::new(&program);
+        let px: Vec<u8> = (0..len).map(|i| (i * 37 + i / 7) as u8).collect();
+        let buff = ctx.heap.alloc_array_from(ArrayData::Byte(px));
+        let class = classes.id("ImageData").unwrap();
+        let decl = classes.decl(class);
+        let img = ctx.heap.alloc_object(classes, class);
+        ctx.heap.set_field(img, decl.field("width").unwrap(), Value::Int(side)).unwrap();
+        ctx.heap.set_field(img, decl.field("height").unwrap(), Value::Int(side)).unwrap();
+        ctx.heap.set_field(img, decl.field("buff").unwrap(), Value::Ref(buff)).unwrap();
+        let read = |heap: &Heap, out: ObjRef| match heap.cell(out).unwrap() {
+            HeapCell::Array(ArrayData::Byte(v)) => v.clone(),
+            other => panic!("not a byte array: {other:?}"),
+        };
+        let args = [Value::Ref(img), Value::Int(w), Value::Int(h)];
+        let fast = resize_impl(classes, &mut ctx.heap, &args).map(|v| {
+            let out = v.as_ref("out").unwrap();
+            let out_buff = ctx.heap.field(out, decl.field("buff").unwrap()).unwrap();
+            read(&ctx.heap, out_buff.as_ref("buff").unwrap())
+        });
+        let out_buff = ctx.heap.alloc_array(ElemType::Byte, (w * h) as usize);
+        let slow = resize_values(&mut ctx.heap, buff, out_buff, (side, side), (w, h))
+            .map(|()| read(&ctx.heap, out_buff));
+        [fast, slow]
+    }
+
+    #[test]
+    fn byte_slice_resize_matches_the_per_pixel_loop() {
+        let sides = [1i64, 79, 80, 160, 200, 317];
+        for &side in &sides {
+            for &target in &sides {
+                let [fast, slow] = both_resizes(side, (side * side) as usize, (target, target));
+                assert_eq!(fast.unwrap(), slow.unwrap(), "{side} -> {target}");
+            }
+            let [fast, slow] = both_resizes(side, (side * side) as usize, (DISPLAY_SIDE, 3));
+            assert_eq!(fast.unwrap(), slow.unwrap(), "{side} -> {DISPLAY_SIDE}x3");
+        }
+    }
+
+    #[test]
+    fn short_byte_buffer_fails_like_the_per_pixel_loop() {
+        let [fast, slow] = both_resizes(80, 80 * 80 - 5, (DISPLAY_SIDE, DISPLAY_SIDE));
+        let err = fast.unwrap_err();
+        assert!(matches!(err, IrError::Bounds { len: 6395, .. }), "{err:?}");
+        assert_eq!(err, slow.unwrap_err());
+    }
 
     #[test]
     fn scenarios_generate_expected_sides() {

@@ -30,7 +30,8 @@
 //!   builtin registry, and the edge-observation hook used to implement
 //!   remote continuation;
 //! * [`compile`] — the register-bytecode compile pass and dispatch-loop
-//!   VM: pre-resolved jumps, interned constants, superinstructions;
+//!   VM: typed integer registers, per-block metering, pre-resolved
+//!   jumps, interned constants;
 //! * [`engine`] — the [`Engine`](engine::Engine) trait putting the
 //!   interpreter (reference semantics) and the bytecode VM (fast path)
 //!   behind one execution contract, plus the `interp`/`compiled`/`auto`

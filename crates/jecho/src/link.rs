@@ -125,6 +125,8 @@ pub struct SenderHalf {
     /// Envelopes not yet acknowledged, in seq order, with their
     /// sender-side timing piggyback.
     window: VecDeque<(ModulatedEvent, u64)>,
+    /// Continuation bytes held in `window`.
+    in_flight_bytes: usize,
     /// Trailing window entries that have never been on the wire — the
     /// partially-filled batch awaiting a flush.
     unsent: usize,
@@ -148,6 +150,7 @@ impl SenderHalf {
             seq: 0,
             acked: 0,
             window: VecDeque::new(),
+            in_flight_bytes: 0,
             unsent: 0,
             batch_max: 1,
             batch_deadline: 0,
@@ -175,6 +178,20 @@ impl SenderHalf {
         self.window.len()
     }
 
+    /// Continuation bytes of the envelopes sent or pending but not yet
+    /// acknowledged (zero exactly when the window is empty).
+    pub fn in_flight_bytes(&self) -> usize {
+        self.in_flight_bytes
+    }
+
+    /// Continuation bytes of the envelopes on the wire and not yet
+    /// acknowledged: [`in_flight_bytes`](Self::in_flight_bytes) less the
+    /// unsent batch tail, which only a flush can make acknowledgeable.
+    pub fn unacked_wire_bytes(&self) -> usize {
+        let tail = self.window.iter().rev().take(self.unsent);
+        self.in_flight_bytes - tail.map(|(e, _)| e.continuation.wire_size()).sum::<usize>()
+    }
+
     /// Window entries put on the wire again after their first
     /// transmission.
     pub fn retransmissions(&self) -> u64 {
@@ -193,6 +210,7 @@ impl SenderHalf {
         now: Ticks,
     ) -> &ModulatedEvent {
         self.seq += 1;
+        self.in_flight_bytes += continuation.wire_size();
         let parked = self.window.len();
         self.window
             .push_back((ModulatedEvent { seq: self.seq, continuation, samples }, t_mod_nanos));
@@ -255,7 +273,9 @@ impl SenderHalf {
             self.last_progress = now;
         }
         while self.window.front().is_some_and(|(event, _)| event.seq <= self.acked) {
-            self.window.pop_front();
+            if let Some((event, _)) = self.window.pop_front() {
+                self.in_flight_bytes -= event.continuation.wire_size();
+            }
         }
         self.unsent = self.unsent.min(self.window.len());
     }
@@ -267,7 +287,9 @@ impl SenderHalf {
             if at >= self.window.len() - self.unsent {
                 self.unsent -= 1;
             }
-            self.window.remove(at);
+            if let Some((event, _)) = self.window.remove(at) {
+                self.in_flight_bytes -= event.continuation.wire_size();
+            }
         }
     }
 

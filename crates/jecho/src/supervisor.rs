@@ -105,6 +105,20 @@ impl RetryPolicy {
 /// probes the receiver.
 const DRAIN_POLL: Duration = Duration::from_millis(2);
 
+/// How often a [`Supervisor::publish`] blocked on a full window looks at
+/// the watermark: acks arrive continuously, and a whole drain poll would
+/// idle the link for dozens of envelopes.
+const WINDOW_POLL: Duration = Duration::from_micros(50);
+
+/// How far [`Supervisor::publish`] may run ahead of acknowledgements, in
+/// continuation bytes on the wire. Without a bound the window grows as
+/// far as the kernel's socket buffers let writes through, so the sender's
+/// memory follows their autotuning rather than the receiver's pace. The
+/// wait writes nothing — no early flush of a partial batch, no probe —
+/// so the frames a run puts on the wire do not depend on how fast acks
+/// come back; a stalled watermark still reconnects and replays.
+const MAX_UNACKED_BYTES: usize = 1 << 20;
+
 /// A supervised sender: drives the link machine's sender half over
 /// successive connections to one receiver port.
 pub struct Supervisor {
@@ -286,6 +300,9 @@ impl Supervisor {
         if self.link.flush_due(now) {
             self.flush(now)?;
         }
+        if self.link.unacked_wire_bytes() > MAX_UNACKED_BYTES {
+            self.wait_for_window(MAX_UNACKED_BYTES, None)?;
+        }
         Ok(())
     }
 
@@ -313,14 +330,28 @@ impl Supervisor {
     pub fn await_drain(&mut self, deadline: Duration) -> Result<(), IrError> {
         // A partially-filled batch never outlives the drain.
         self.flush(self.now())?;
+        self.wait_for_window(0, Some(deadline))
+    }
+
+    /// Blocks until at most `max_bytes` of continuations on the wire
+    /// await acknowledgement (see [`await_drain`](Self::await_drain) for
+    /// the liveness rules); `deadline`, if any, bounds the wait. Only a
+    /// full drain (`max_bytes == 0`) probes the receiver.
+    fn wait_for_window(
+        &mut self,
+        max_bytes: usize,
+        deadline: Option<Duration>,
+    ) -> Result<(), IrError> {
+        let draining = max_bytes == 0;
+        let poll = if draining { DRAIN_POLL } else { WINDOW_POLL };
         let start = Instant::now();
         loop {
             let now = self.now();
             self.link.on_ack(self.acked(), now);
-            if self.link.in_flight() == 0 {
+            if self.link.unacked_wire_bytes() <= max_bytes {
                 return Ok(());
             }
-            if start.elapsed() > deadline {
+            if deadline.is_some_and(|d| start.elapsed() > d) {
                 return Err(IrError::Continuation(format!(
                     "drain deadline: acked {} of {}",
                     self.acked(),
@@ -330,6 +361,7 @@ impl Supervisor {
             let dead = match self.link.tick(now) {
                 Tick::Idle => false,
                 Tick::Stalled => true,
+                Tick::Probe(_) if !draining => false,
                 Tick::Probe(probe) => {
                     self.heartbeats_metric.inc();
                     self.connected()?.send(&probe).is_err()
@@ -339,9 +371,10 @@ impl Supervisor {
                 self.reconnect_and_replay()?;
             }
             // Never sleep past the moment the machine's verdict can change.
-            let nap = self.link.next_deadline().map_or(DRAIN_POLL, |at| {
-                Duration::from_nanos(at.saturating_sub(now)).min(DRAIN_POLL)
-            });
+            let nap = self
+                .link
+                .next_deadline()
+                .map_or(poll, |at| Duration::from_nanos(at.saturating_sub(now)).min(poll));
             std::thread::sleep(nap);
         }
     }
@@ -517,6 +550,99 @@ mod tests {
         assert_eq!(snap.counter_sum("batched_events_total"), 10);
         supervisor.shutdown(Duration::from_secs(5)).unwrap();
         assert_eq!(receiver.join().unwrap(), 10, "exactly-once application");
+    }
+
+    const BLOB_SRC: &str = r#"
+        fn keep(blob) {
+            n = len blob
+            native store(blob)
+            return n
+        }
+    "#;
+
+    fn blob(bytes: usize) -> impl FnOnce(&mut ExecCtx) -> Result<Vec<Value>, IrError> {
+        move |ctx| {
+            let data = mpart_ir::heap::ArrayData::Byte(vec![7; bytes]);
+            Ok(vec![Value::Ref(ctx.heap.alloc_array_from(data))])
+        }
+    }
+
+    #[test]
+    fn slow_receiver_bounds_the_window_in_bytes() {
+        let program = Arc::new(parse_program(BLOB_SRC).unwrap());
+        // Each application takes 2 ms, far slower than modulation.
+        let mut builtins = mpart_ir::interp::BuiltinRegistry::new();
+        builtins.register_native("store", 1, |_, _| {
+            std::thread::sleep(Duration::from_millis(2));
+            Ok(Value::Null)
+        });
+        let receiver = TcpReceiver::bind(
+            Arc::clone(&program),
+            "keep",
+            Arc::new(DataSizeModel::new()),
+            builtins,
+            TriggerPolicy::Never,
+        )
+        .unwrap();
+        let mut supervisor = Supervisor::new(
+            Arc::clone(&program),
+            Arc::clone(receiver.handler()),
+            mpart_ir::interp::BuiltinRegistry::new(),
+            receiver.port(),
+            RetryPolicy { stall_timeout: Duration::from_secs(5), ..RetryPolicy::default() },
+        );
+        let (mut largest, mut envelope) = (0, 0);
+        for _ in 0..80 {
+            let before = supervisor.link.in_flight_bytes();
+            supervisor.publish(blob(64 << 10)).unwrap();
+            let after = supervisor.link.in_flight_bytes();
+            envelope = envelope.max(after.saturating_sub(before));
+            largest = largest.max(after);
+        }
+        assert!(envelope > 64 << 10, "one envelope carries the blob: {envelope}");
+        assert!(largest <= MAX_UNACKED_BYTES + envelope, "window reached {largest} bytes");
+        assert!(largest > MAX_UNACKED_BYTES / 2, "the receiver was the bottleneck: {largest}");
+        supervisor.shutdown(Duration::from_secs(30)).unwrap();
+        assert_eq!(receiver.join().unwrap(), 80, "exactly-once application");
+    }
+
+    #[test]
+    fn dead_peer_fails_a_blocked_publish() {
+        let program = Arc::new(parse_program(BLOB_SRC).unwrap());
+        let handler = mpart::PartitionedHandler::analyze(
+            Arc::clone(&program),
+            "keep",
+            Arc::new(DataSizeModel::new()),
+        )
+        .unwrap();
+        // A peer that reads everything, acknowledges nothing, and stops
+        // listening after its first connection.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let port = listener.local_addr().unwrap().port();
+        let peer = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            drop(listener);
+            let _ = std::io::copy(&mut conn, &mut std::io::sink());
+        });
+        let mut supervisor = Supervisor::new(
+            Arc::clone(&program),
+            handler,
+            mpart_ir::interp::BuiltinRegistry::new(),
+            port,
+            RetryPolicy {
+                base_delay: Duration::from_millis(1),
+                max_delay: Duration::from_millis(2),
+                max_attempts: 3,
+                stall_timeout: Duration::from_millis(100),
+                ..RetryPolicy::default()
+            },
+        );
+        let err = (0..64)
+            .find_map(|_| supervisor.publish(blob(64 << 10)).err())
+            .expect("the window fills and the dead peer fails the wait");
+        assert!(matches!(&err, IrError::Marshal(m) if m.contains("link down")), "{err:?}");
+        drop(supervisor);
+        peer.join().unwrap();
     }
 
     #[test]

@@ -655,8 +655,12 @@ mod tests {
             last_bytes = outcome.wire_bytes;
         }
         assert!(last_bytes < 1000, "adaptation shrank the wire to {last_bytes} bytes");
-        assert!(sender.plans_applied() >= 1);
+        // Plan frames are counted by the sender's ack reader, which the
+        // shutdown handshake joins after it has read every frame the
+        // receiver wrote.
         sender.shutdown().unwrap();
+        let snap = receiver.handler().obs().registry().snapshot();
+        assert!(snap.counter_sum("plan_updates_applied_total") >= 1);
         assert_eq!(receiver.join().unwrap(), 10);
     }
 
