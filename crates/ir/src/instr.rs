@@ -268,29 +268,34 @@ pub enum Rvalue {
 impl Rvalue {
     /// Variables read by this r-value, in evaluation order.
     pub fn uses(&self, out: &mut Vec<Var>) {
-        fn op(o: &Operand, out: &mut Vec<Var>) {
+        self.each_use(|v| out.push(v));
+    }
+
+    /// Calls `f` on each variable this r-value reads, in evaluation order.
+    pub fn each_use(&self, mut f: impl FnMut(Var)) {
+        let mut op = |o: &Operand| {
             if let Some(v) = o.var() {
-                out.push(v);
+                f(v);
             }
-        }
+        };
         match self {
-            Rvalue::Use(a) | Rvalue::Unary(_, a) => op(a, out),
+            Rvalue::Use(a) | Rvalue::Unary(_, a) => op(a),
             Rvalue::Binary(_, a, b) => {
-                op(a, out);
-                op(b, out);
+                op(a);
+                op(b);
             }
-            Rvalue::InstanceOf(v, _) | Rvalue::Cast(_, v) | Rvalue::ArrayLen(v) => out.push(*v),
+            Rvalue::InstanceOf(v, _) | Rvalue::Cast(_, v) | Rvalue::ArrayLen(v) => {
+                op(&Operand::Var(*v))
+            }
             Rvalue::New(_) | Rvalue::GlobalGet(_) => {}
-            Rvalue::NewArray(_, n) => op(n, out),
-            Rvalue::FieldGet(v, _) => out.push(*v),
+            Rvalue::NewArray(_, n) => op(n),
+            Rvalue::FieldGet(v, _) => op(&Operand::Var(*v)),
             Rvalue::ArrayGet(v, i) => {
-                out.push(*v);
-                op(i, out);
+                op(&Operand::Var(*v));
+                op(i);
             }
             Rvalue::Invoke { args, .. } | Rvalue::InvokeNative { args, .. } => {
-                for a in args {
-                    op(a, out);
-                }
+                args.iter().for_each(op)
             }
         }
     }
@@ -327,13 +332,18 @@ impl Place {
 
     /// Variables *read* when storing through this place.
     pub fn uses(&self, out: &mut Vec<Var>) {
+        self.each_use(|v| out.push(v));
+    }
+
+    /// Calls `f` on each variable *read* when storing through this place.
+    pub fn each_use(&self, mut f: impl FnMut(Var)) {
         match self {
             Place::Var(_) | Place::Global(_) => {}
-            Place::Field(v, _) => out.push(*v),
+            Place::Field(v, _) => f(*v),
             Place::ArrayElem(v, i) => {
-                out.push(*v);
+                f(*v);
                 if let Some(iv) = i.var() {
-                    out.push(iv);
+                    f(iv);
                 }
             }
         }
@@ -395,27 +405,24 @@ impl Instr {
     /// Variables read by this instruction.
     pub fn uses(&self) -> Vec<Var> {
         let mut out = Vec::new();
+        self.each_use(|v| out.push(v));
+        out
+    }
+
+    /// Calls `f` on each variable this instruction reads, in the order
+    /// [`uses`](Self::uses) lists them.
+    pub fn each_use(&self, mut f: impl FnMut(Var)) {
         match self {
             Instr::Assign { place, rvalue } => {
-                rvalue.uses(&mut out);
-                place.uses(&mut out);
+                rvalue.each_use(&mut f);
+                place.each_use(f);
             }
-            Instr::If { cond, .. } => {
-                if let Some(v) = cond.lhs.var() {
-                    out.push(v);
-                }
-                if let Some(v) = cond.rhs.var() {
-                    out.push(v);
-                }
-            }
+            Instr::If { cond, .. } => cond.lhs.var().into_iter().chain(cond.rhs.var()).for_each(f),
             Instr::Return { value } => {
-                if let Some(v) = value.as_ref().and_then(Operand::var) {
-                    out.push(v);
-                }
+                value.as_ref().and_then(Operand::var).into_iter().for_each(f)
             }
             Instr::Goto { .. } | Instr::Nop => {}
         }
-        out
     }
 
     /// The variable defined by this instruction, if any.
