@@ -302,7 +302,7 @@ impl PartitionedHandler {
     /// program under hints derived from this handler's analysis: the
     /// handler body watches exactly its non-entry PSE edges and the edges
     /// into stop nodes (where the modulator/demodulator observers act),
-    /// and fuses superinstructions only across unwatched edges; helper
+    /// and each watched edge ends a basic block; helper
     /// bodies reached through `call` never fire observers and compile with
     /// nothing watched. Declined bodies always run on the interpreter
     /// (compile-or-fallback) — under `Auto`, a declined *handler* body
@@ -340,7 +340,7 @@ impl PartitionedHandler {
     }
 
     /// Compile hints for this handler: the analysis' watched-edge set for
-    /// the handler body, unrestricted fusion everywhere else.
+    /// the handler body, nothing watched everywhere else.
     fn compile_hints(&self) -> CompileHints {
         let exec = self.analysis.exec_hints();
         // Helper bodies reached through `call` never fire edge observers.
