@@ -7,7 +7,7 @@
 //! encoder ([`Frame::encode_via_copy`]: render body into a fresh buffer,
 //! copy it again behind the header, bitwise CRC) against the scatter-
 //! gather encoder ([`Frame::try_encode_frame`]: inline small fields,
-//! borrow large payloads by refcount, table-driven CRC) over the payload
+//! borrow large payloads by refcount, dispatched CRC) over the payload
 //! sizes where the paper's self-sized continuations live — tiny sensor
 //! events up to quarter-megabyte image frames — and over batch factors 1,
 //! 4, and 16 (one gathered frame per batch).
@@ -26,7 +26,10 @@
 //! buffer, `read_exact`, checksum, then copy the body twice on the way
 //! into the decoder's `Bytes`. Both decode the same frame; the run checks
 //! it. The stream is a `Cursor`, so the kernel's copy is a `memcpy` and
-//! syscalls are not in the number.
+//! syscalls are not in the number. The frame's CRC is also timed alone
+//! (`crc_share`, `crc_GBps`); on a CPU with `pclmulqdq` and `sse4.1` a
+//! frame of 16 KiB or more checksummed below 4 GB/s fails the run, since
+//! that is the table walk's speed and means the dispatcher fell back.
 //!
 //! **Marshal layer.** `marshal_values` / `unmarshal_values` for one byte
 //! array and one int array per payload size: what a continuation payload
@@ -94,6 +97,19 @@ fn read_via_zero_fill_and_copy(reader: &mut impl std::io::Read) -> Frame {
     Frame::decode(header[0], &first_copy).expect("decode")
 }
 
+/// Slowest CRC a frame of 16 KiB or more may show where the fold path
+/// runs, in GB/s: between the table walk (~1.1) and the fold (~17), so a
+/// miss means the dispatcher silently fell back.
+const CRC_FOLD_MIN_GBPS: f64 = 4.0;
+
+/// Whether this CPU has what the fold path of [`crc32`] needs.
+fn cpu_has_crc_fold() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1");
+    #[cfg(not(target_arch = "x86_64"))]
+    return false;
+}
+
 /// Minimum per-call nanoseconds of `f` over `samples` samples of `reps`
 /// calls each (min-of-samples suppresses scheduler noise; reps amortize
 /// the timer).
@@ -120,8 +136,17 @@ fn receive_table(
 ) -> Table {
     let mut receive = Table::new(
         "Per-envelope receive latency: zero-fill + copy vs owned-buffer decode",
-        &["payload_B", "batch", "zerofill_copy_ns_env", "owned_ns_env", "speedup", "crc_share"],
+        &[
+            "payload_B",
+            "batch",
+            "zerofill_copy_ns_env",
+            "owned_ns_env",
+            "speedup",
+            "crc_share",
+            "crc_GBps",
+        ],
     );
+    let fold = cpu_has_crc_fold();
     for &size in payload_sizes {
         for &batch in batches {
             let wire = frame_for(size, batch).encode();
@@ -141,6 +166,7 @@ fn receive_table(
                 black_box(crc32(&[&wire[..1], &wire[1..5], &wire[FRAME_HEADER_BYTES..]]));
             }) / batch as f64;
             let speedup = old_ns / new_ns;
+            let crc_gbps = wire.len() as f64 / (crc_ns * batch as f64);
             receive.row(vec![
                 size.to_string(),
                 batch.to_string(),
@@ -148,6 +174,7 @@ fn receive_table(
                 f2(new_ns),
                 f2(speedup),
                 f2(crc_ns / new_ns),
+                f2(crc_gbps),
             ]);
             // The owned path does strictly less work, but most of either
             // side is the same CRC: the gate is for a copy creeping back
@@ -158,14 +185,23 @@ fn receive_table(
                      zero-fill + copy {old_ns:.0}ns"
                 ));
             }
+            if fold && wire.len() >= 16 * 1024 && crc_gbps < CRC_FOLD_MIN_GBPS {
+                failures.push(format!(
+                    "{size}B x{batch}: CRC at {crc_gbps:.2} GB/s < {CRC_FOLD_MIN_GBPS} GB/s on a \
+                     {}-byte frame with pclmulqdq detected",
+                    wire.len()
+                ));
+            }
         }
     }
     receive.note(
         "ns/envelope = min-of-samples over reps, from a Cursor (no syscalls); zerofill_copy = \
          vec![0; len] + read_exact + CRC + two body copies (the pre-decode_owned path, kept in \
          this bin), owned = Frame::read_from (unzeroed bounded read + CRC + decode_owned); \
-         crc_share = the frame's slicing-by-8 CRC timed alone / owned — the same code on both \
-         sides, and what is left of the receive path once the copies are gone",
+         crc_share = the frame's CRC (crc32: carry-less-multiply fold where the CPU has \
+         pclmulqdq + sse4.1, slicing-by-8 table otherwise) timed alone / owned — the same code \
+         on both sides, and what is left of the receive path once the copies are gone; \
+         crc_GBps = frame bytes / that CRC time",
     );
     receive.print();
     receive
@@ -282,7 +318,7 @@ fn main() {
     }
     table.note(
         "ns/envelope = min-of-samples over reps; copy = legacy single-buffer encoder \
-         (bitwise CRC), zerocopy = scatter-gather EncodedFrame (table CRC, payload \
+         (bitwise CRC), zerocopy = scatter-gather EncodedFrame (dispatched CRC, payload \
          borrowed at >=1 KiB); batch>1 encodes one Frame::Batch",
     );
     table.print();
@@ -297,6 +333,7 @@ fn main() {
         .param_u64("samples", samples as u64)
         .param_u64("smoke", u64::from(smoke))
         .param_u64("zero_copy_min_bytes", ZERO_COPY_MIN_BYTES as u64)
+        .param_u64("crc_fold", u64::from(cpu_has_crc_fold()))
         .add_table(&table)
         .add_table(&receive)
         .add_table(&layer);

@@ -63,7 +63,7 @@ const READ_RESERVE_BYTES: usize = 1024 * 1024;
 /// a memcpy of the payload: around 1 KiB the memcpy starts to dominate.
 pub const ZERO_COPY_MIN_BYTES: usize = 1024;
 
-/// Slicing-by-8 lookup tables for [`crc32`]. `CRC_TABLES[0]` is the
+/// Slicing-by-8 lookup tables for [`crc32_table`]. `CRC_TABLES[0]` is the
 /// classic byte-at-a-time table; table `j` advances a byte through `j`
 /// additional zero bytes, letting the hot loop fold 8 input bytes per
 /// iteration.
@@ -98,9 +98,11 @@ const fn build_crc_tables() -> [[u32; 256]; 8] {
 
 /// CRC32 (IEEE 802.3, reflected) over a sequence of byte slices.
 ///
-/// Table-driven (slicing-by-8); produces values identical to the bitwise
-/// [`crc32_reference`], which pins it in tests. Streaming across slice
-/// boundaries: `crc32(&[a, b]) == crc32(&[ab])`.
+/// Each slice goes through `crc32_update`: a carry-less-multiply fold
+/// where the CPU has one, the slicing-by-8 table walk otherwise. Both
+/// produce values identical to the bitwise [`crc32_reference`], which
+/// pins them in tests. Streaming across slice boundaries:
+/// `crc32(&[a, b]) == crc32(&[ab])`.
 pub fn crc32(parts: &[&[u8]]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for part in parts {
@@ -109,7 +111,22 @@ pub fn crc32(parts: &[&[u8]]) -> u32 {
     !crc
 }
 
-fn crc32_update(mut crc: u32, mut bytes: &[u8]) -> u32 {
+/// Advances the running (pre-inversion) CRC register over `bytes`.
+/// Slices of at least `clmul::MIN_BYTES` take the fold path when the CPU
+/// has `pclmulqdq` and `sse4.1`; everything else walks the tables.
+fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if bytes.len() >= clmul::MIN_BYTES {
+        if let Some(crc) = clmul::update(crc, bytes) {
+            return crc;
+        }
+    }
+    crc32_table(crc, bytes)
+}
+
+/// The slicing-by-8 table walk: 8 input bytes per iteration, then one
+/// byte at a time. The fallback of `crc32_update` and the fold's tail.
+fn crc32_table(mut crc: u32, mut bytes: &[u8]) -> u32 {
     while let [b0, b1, b2, b3, b4, b5, b6, b7, rest @ ..] = bytes {
         let lo = u32::from_le_bytes([*b0, *b1, *b2, *b3]) ^ crc;
         let hi = u32::from_le_bytes([*b4, *b5, *b6, *b7]);
@@ -129,8 +146,111 @@ fn crc32_update(mut crc: u32, mut bytes: &[u8]) -> u32 {
     crc
 }
 
+/// The fold path: the same reflected `0xEDB88320` CRC computed 64 bytes
+/// per step with carry-less multiplies (Intel, "Fast CRC Computation for
+/// Generic Polynomials Using PCLMULQDQ Instruction", 2009; the constants
+/// are the ones Linux's `crc32-pclmul` and the `crc32fast` crate use).
+/// The tree's only `unsafe`: the call after feature detection and the
+/// unaligned 16-byte loads.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod clmul {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
+        _mm_loadu_si128, _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+    };
+
+    /// Shortest slice `crc32_update` sends here. The fold fills its four
+    /// lanes from 64 bytes and already wins there (~8 ns against the
+    /// table's ~31 ns on a 2-vCPU Xeon VM); the margin keeps small control
+    /// and event frames, where either costs tens of nanoseconds, on the
+    /// table walk.
+    pub(super) const MIN_BYTES: usize = 128;
+
+    // Folding constants for the bit-reflected domain: x^(4·128±32) mod P
+    // folds one 128-bit lane across 512 bits, x^(128±32) mod P across 128,
+    // x^64 mod P takes 96 bits to 64; then P(x) and μ = x^64 / P(x) for
+    // the Barrett reduction to 32 bits.
+    const K1: i64 = 0x1_5444_2BD4;
+    const K2: i64 = 0x1_C6E4_1596;
+    const K3: i64 = 0x1_7519_97D0;
+    const K4: i64 = 0x0_CCAA_009E;
+    const K5: i64 = 0x1_63CD_6124;
+    const P_X: i64 = 0x1_DB71_0641;
+    const MU: i64 = 0x1_F701_1641;
+
+    /// Advances the running CRC register over `bytes` on the fold path, or
+    /// returns `None` when this CPU lacks `pclmulqdq` or `sse4.1`.
+    pub(super) fn update(crc: u32, bytes: &[u8]) -> Option<u32> {
+        if is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1") {
+            // SAFETY: `fold` enables exactly `pclmulqdq` and `sse4.1`, and
+            // both were detected on the running CPU just above.
+            Some(unsafe { fold(crc, bytes) })
+        } else {
+            None
+        }
+    }
+
+    /// Four 128-bit lanes fold 64 bytes per step, then merge into one lane
+    /// that folds the remaining 16-byte blocks; 128 bits reduce to 64, a
+    /// Barrett reduction takes them to the 32-bit register, and the last
+    /// < 16 bytes go through the table. Slices under 64 bytes are all tail.
+    /// Its one caller, `update`, runs it only after detecting both features.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn fold(crc: u32, bytes: &[u8]) -> u32 {
+        let (blocks, tail) = bytes.as_chunks::<16>();
+        let [b0, b1, b2, b3, rest @ ..] = blocks else {
+            return super::crc32_table(crc, bytes);
+        };
+        let load = |block: &[u8; 16]| {
+            // SAFETY: `block` is 16 readable bytes, and `_mm_loadu_si128`
+            // has no alignment requirement.
+            unsafe { _mm_loadu_si128(block.as_ptr().cast()) }
+        };
+        // `acc · x^n mod P ⊕ next`: the high and low halves of `acc`, each
+        // multiplied by its constant, xored into the block n bits on.
+        let fold_into = |acc: __m128i, next: __m128i, keys: __m128i| {
+            let lo = _mm_clmulepi64_si128(acc, keys, 0x00);
+            let hi = _mm_clmulepi64_si128(acc, keys, 0x11);
+            _mm_xor_si128(_mm_xor_si128(next, lo), hi)
+        };
+
+        // The running register enters as the first 32 bits of input.
+        let first = _mm_xor_si128(load(b0), _mm_cvtsi32_si128(crc as i32));
+        let mut lanes = [first, load(b1), load(b2), load(b3)];
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        let (quads, singles) = rest.as_chunks::<4>();
+        for quad in quads {
+            for (lane, block) in lanes.iter_mut().zip(quad) {
+                *lane = fold_into(*lane, load(block), k1k2);
+            }
+        }
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let [l0, l1, l2, l3] = lanes;
+        let mut x = fold_into(fold_into(fold_into(l0, l1, k3k4), l2, k3k4), l3, k3k4);
+        for block in singles {
+            x = fold_into(x, load(block), k3k4);
+        }
+
+        // 128 → 96 → 64 bits.
+        let low32 = _mm_set_epi32(0, 0, 0, -1);
+        let x = _mm_xor_si128(_mm_clmulepi64_si128(x, k3k4, 0x10), _mm_srli_si128(x, 8));
+        let x = _mm_xor_si128(
+            _mm_clmulepi64_si128(_mm_and_si128(x, low32), _mm_set_epi64x(0, K5), 0x00),
+            _mm_srli_si128(x, 4),
+        );
+        // Barrett: T1 = (R mod x^32)·μ, T2 = (T1 mod x^32)·P, and the
+        // reflected remainder is bits 32..64 of R ⊕ T2.
+        let poly_mu = _mm_set_epi64x(MU, P_X);
+        let t1 = _mm_clmulepi64_si128(_mm_and_si128(x, low32), poly_mu, 0x10);
+        let t2 = _mm_clmulepi64_si128(_mm_and_si128(t1, low32), poly_mu, 0x00);
+        let crc = _mm_extract_epi32(_mm_xor_si128(x, t2), 1) as u32;
+        super::crc32_table(crc, tail)
+    }
+}
+
 /// Bit-at-a-time CRC32 — the implementation [`crc32`] replaced. Kept as
-/// the oracle that pins the table-driven version (identical output on all
+/// the oracle that pins the fold and table paths (identical output on all
 /// inputs) and as the checksum of the legacy single-buffer encoder
 /// [`Frame::encode_via_copy`], so the `marshal` bench baseline measures
 /// exactly the pre-zero-copy hot path.
@@ -1233,17 +1353,107 @@ mod tests {
         assert_eq!(crc32_reference(&[b"123456789"]), 0xCBF4_3926);
     }
 
+    /// The fold path called directly, whatever the slice length, or `None`
+    /// when this CPU (or target) has no fold path.
+    fn fold_update(crc: u32, bytes: &[u8]) -> Option<u32> {
+        #[cfg(target_arch = "x86_64")]
+        return clmul::update(crc, bytes);
+        #[cfg(not(target_arch = "x86_64"))]
+        return None;
+    }
+
+    /// Says so in the test output when this CPU has no fold path, so a
+    /// skipped row is never silent.
+    fn note_skipped_fold_rows() {
+        if fold_update(!0, &[]).is_none() {
+            println!("no pclmulqdq + sse4.1 on this CPU: fold rows skipped, table rows checked");
+        }
+    }
+
+    /// Every implementation over every length to 1 KiB and three frame
+    /// sizes, at each of the 16 start alignments: the fold and the table
+    /// walk called directly (so the fallback stays covered on a CPU that
+    /// has the fold), the dispatcher, and the bitwise oracle agree.
     #[test]
-    fn table_crc_agrees_with_bitwise_reference() {
-        let mut rng = StdRng::seed_from_u64(0xC2C32);
-        for len in [0usize, 1, 3, 7, 8, 9, 15, 16, 17, 63, 64, 255, 1024, 4097] {
-            let data: Vec<u8> = (0..len).map(|_| rng.random_range(0u64..256) as u8).collect();
-            assert_eq!(crc32(&[&data]), crc32_reference(&[&data]), "len {len}");
-            // Streaming across arbitrary split points agrees too.
-            if len > 1 {
-                let at = rng.random_range(1..len);
-                assert_eq!(crc32(&[&data[..at], &data[at..]]), crc32(&[&data]), "split at {at}");
+    fn fold_table_and_reference_agree_at_every_length_and_alignment() {
+        let lens = (0..=1024).chain([4097, 16_500, 264_000]);
+        let max = 264_000;
+        let mut rng = StdRng::seed_from_u64(0xF01D);
+        let buf: Vec<u8> = (0..max + 32).map(|_| rng.random_range(0u64..256) as u8).collect();
+        let skew = (16 - buf.as_ptr() as usize % 16) % 16;
+        note_skipped_fold_rows();
+        for len in lens {
+            for align in 0..16 {
+                let data = &buf[skew + align..skew + align + len];
+                assert_eq!(data.as_ptr() as usize % 16, align);
+                let want = crc32_reference(&[data]);
+                assert_eq!(!crc32_table(!0, data), want, "table, len {len} align {align}");
+                assert_eq!(crc32(&[data]), want, "dispatched, len {len} align {align}");
+                if let Some(got) = fold_update(!0, data) {
+                    assert_eq!(!got, want, "fold, len {len} align {align}");
+                }
             }
+        }
+    }
+
+    /// Streaming: the register carried across a split gives the CRC of the
+    /// whole, for random splits and for splits that leave under 16 or
+    /// under 128 bytes on either side (the fold's tail and the dispatch
+    /// threshold), on the fold, the table, and the dispatcher.
+    #[test]
+    fn streamed_crc_agrees_across_split_points() {
+        let mut rng = StdRng::seed_from_u64(0x5711);
+        let max = 264_000;
+        let buf: Vec<u8> = (0..max + 16).map(|_| rng.random_range(0u64..256) as u8).collect();
+        note_skipped_fold_rows();
+        for len in (0..=1024).chain([4097, 16_500, 264_000]) {
+            let align = rng.random_range(0usize..16);
+            let data = &buf[align..align + len];
+            let want = crc32_reference(&[data]);
+            let mut splits = vec![rng.random_range(0..=len), rng.random_range(0..=len)];
+            for edge in [1, 15, 16, 17, 127, 128, 129] {
+                splits.extend([edge, len.saturating_sub(edge)].into_iter().filter(|&at| at <= len));
+            }
+            for at in splits {
+                let (a, b) = data.split_at(at);
+                let table = crc32_table(crc32_table(!0, a), b);
+                assert_eq!(!table, want, "table, len {len} split {at}");
+                assert_eq!(crc32(&[a, b]), want, "dispatched, len {len} split {at}");
+                if let Some(mid) = fold_update(!0, a) {
+                    let fold = fold_update(mid, b).expect("fold path");
+                    assert_eq!(!fold, want, "fold, len {len} split {at}");
+                }
+            }
+        }
+    }
+
+    /// Corruption on the fast path: a frame well above the fold threshold
+    /// with every header bit flipped in turn, then 256 random body bits.
+    /// Both checking decoders refuse each one with a checksum mismatch, or,
+    /// when the bit is in `len`, possibly with the length check instead.
+    #[test]
+    fn bit_flips_in_a_large_frame_fail_the_checksum() {
+        let clean = Frame::Event { event: event_with_payload(16 * 1024), t_mod_nanos: 9 }.encode();
+        assert!(clean.len() > 16 * 1024 + FRAME_HEADER_BYTES);
+        let mut rng = StdRng::seed_from_u64(0xB17F_11B5);
+        let header_bits = 0..FRAME_HEADER_BYTES * 8;
+        let body_bits = (0..256).map(|_| rng.random_range(FRAME_HEADER_BYTES * 8..clean.len() * 8));
+        for bit in header_bits.chain(body_bits) {
+            let mut dirty = clean.clone();
+            dirty[bit / 8] ^= 1 << (bit % 8);
+            let in_len = (1..5).contains(&(bit / 8));
+            let refused = |err: &str| {
+                err.contains("frame checksum mismatch")
+                    || in_len
+                        && ["frame too large", "truncated frame body", "stream ended"]
+                            .iter()
+                            .any(|e| err.contains(e))
+            };
+            let whole = Frame::decode_bytes(&dirty).map(|_| ()).unwrap_err().to_string();
+            assert!(refused(&whole), "decode_bytes, bit {bit}: {whole}");
+            let read = Frame::read_from(&mut std::io::Cursor::new(&dirty));
+            let streamed = read.map(|_| ()).unwrap_err().to_string();
+            assert!(refused(&streamed), "read_from, bit {bit}: {streamed}");
         }
     }
 

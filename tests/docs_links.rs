@@ -9,7 +9,10 @@
 //! - relative targets that do not exist on disk,
 //! - `#anchor` fragments that match no heading in the target document
 //!   (GitHub slug rules: lowercase, punctuation stripped, spaces to
-//!   hyphens, `-N` suffixes for duplicates).
+//!   hyphens, `-N` suffixes for duplicates),
+//! - `#L<n>` anchors into source files whose line does not exist, or,
+//!   when the link text names a backticked identifier
+//!   (`` [`Frame::decode`](…#L670) ``), whose line does not contain it.
 //!
 //! External links (`http://`, `https://`, `mailto:`) are out of scope.
 //! CI runs this in the docs job, next to rustdoc.
@@ -33,10 +36,10 @@ fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
 }
 
-/// Extracts `(line_number, target)` for every inline markdown link,
-/// skipping fenced code blocks (``` ... ```) where link syntax is code,
-/// not reference.
-fn extract_links(text: &str) -> Vec<(usize, String)> {
+/// Extracts `(line_number, link_text, target)` for every inline markdown
+/// link, skipping fenced code blocks (``` ... ```) where link syntax is
+/// code, not reference. The text is empty when it began on an earlier line.
+fn extract_links(text: &str) -> Vec<(usize, String, String)> {
     let mut links = Vec::new();
     let mut in_fence = false;
     for (lineno, line) in text.lines().enumerate() {
@@ -58,7 +61,8 @@ fn extract_links(text: &str) -> Vec<(usize, String)> {
                 if let Some(rel_end) = line[start..].find(')') {
                     let target = line[start..start + rel_end].trim();
                     if !target.is_empty() {
-                        links.push((lineno + 1, target.to_string()));
+                        let link_text = line[..i].rfind('[').map_or("", |open| &line[open + 1..i]);
+                        links.push((lineno + 1, link_text.to_string(), target.to_string()));
                     }
                     i = start + rel_end;
                 }
@@ -103,6 +107,29 @@ fn heading_slugs(text: &str) -> Vec<String> {
     slugs
 }
 
+/// Checks an `L<n>` anchor into `source`: line `n` must exist, and when
+/// `link_text` holds a backticked identifier, it must contain the
+/// identifier's last path segment (`Frame::decode` → `decode`).
+fn check_source_anchor(source: &str, anchor: &str, link_text: &str) -> Result<(), String> {
+    let Some(n) = anchor.strip_prefix('L').and_then(|n| n.parse::<usize>().ok()) else {
+        return Err(format!("`#{anchor}` is not a line anchor"));
+    };
+    let lines: Vec<&str> = source.lines().collect();
+    let Some(line) = n.checked_sub(1).and_then(|i| lines.get(i)) else {
+        return Err(format!("`#{anchor}` is past the end ({} lines)", lines.len()));
+    };
+    let ident = link_text
+        .split('`')
+        .nth(1)
+        .and_then(|code| code.rsplit("::").next())
+        .map(|seg| seg.split(|c: char| !c.is_alphanumeric() && c != '_').next().unwrap_or(""))
+        .unwrap_or("");
+    if !ident.is_empty() && !line.contains(ident) {
+        return Err(format!("line {n} does not mention `{ident}`: {}", line.trim()));
+    }
+    Ok(())
+}
+
 #[test]
 fn intra_repo_markdown_links_resolve() {
     let root = repo_root();
@@ -120,7 +147,7 @@ fn intra_repo_markdown_links_resolve() {
         };
         slug_cache.entry(doc_path.clone()).or_insert_with(|| heading_slugs(&text));
 
-        for (lineno, target) in extract_links(&text) {
+        for (lineno, link_text, target) in extract_links(&text) {
             if target.starts_with("http://")
                 || target.starts_with("https://")
                 || target.starts_with("mailto:")
@@ -138,10 +165,18 @@ fn intra_repo_markdown_links_resolve() {
                 broken.push(format!("{doc}:{lineno}: target `{target}` does not exist"));
                 continue;
             }
-            // Anchors only make sense into markdown documents.
+            // Anchors into source files name lines; into markdown, headings.
             if let Some(anchor) = anchor {
-                if resolved.extension().and_then(|e| e.to_str()) != Some("md") {
-                    continue;
+                match resolved.extension().and_then(|e| e.to_str()) {
+                    Some("rs") => {
+                        let source = std::fs::read_to_string(&resolved).unwrap_or_default();
+                        if let Err(why) = check_source_anchor(&source, &anchor, &link_text) {
+                            broken.push(format!("{doc}:{lineno}: `{target}`: {why}"));
+                        }
+                        continue;
+                    }
+                    Some("md") => {}
+                    _ => continue,
                 }
                 let slugs = slug_cache.entry(resolved.clone()).or_insert_with(|| {
                     std::fs::read_to_string(&resolved)
@@ -167,10 +202,26 @@ fn link_extractor_handles_the_syntax_we_use() {
                 ```\n[not a link](Z.md)\n```\n\
                 [tail](W.md)";
     let links = extract_links(text);
-    let targets: Vec<&str> = links.iter().map(|(_, t)| t.as_str()).collect();
+    let targets: Vec<&str> = links.iter().map(|(_, _, t)| t.as_str()).collect();
     assert_eq!(targets, vec!["X.md", "Y.md#sec-1", "https://x", "W.md"]);
+    assert_eq!(links[1].1, "b");
+    let texts = extract_links("- [`Frame::decode`](src/a.rs#L2)`(kind)` and [x](y.md)");
+    assert_eq!(texts[0].1, "`Frame::decode`");
+    assert_eq!(texts[1].1, "x");
 
     let slugs = heading_slugs("# Big Title!\n## §3 · Wire format\n## Wire format\ntext");
     assert!(slugs.contains(&"big-title".to_string()), "{slugs:?}");
     assert!(slugs.contains(&"3--wire-format".to_string()), "{slugs:?}");
+}
+
+#[test]
+fn source_anchors_must_name_a_real_line_holding_the_identifier() {
+    let src = "//! doc\npub fn decode(kind: u8) {}\nconst MAX: usize = 1;\n";
+    assert_eq!(check_source_anchor(src, "L2", "`Frame::decode`"), Ok(()));
+    assert_eq!(check_source_anchor(src, "L2", "`decode`(kind)"), Ok(()));
+    assert_eq!(check_source_anchor(src, "L3", "src/a.rs#L3"), Ok(()), "no identifier, line only");
+    assert!(check_source_anchor(src, "L3", "`Frame::decode`").is_err(), "wrong line");
+    assert!(check_source_anchor(src, "L4", "").is_err(), "past the end");
+    assert!(check_source_anchor(src, "L0", "").is_err(), "lines count from 1");
+    assert!(check_source_anchor(src, "decode", "").is_err(), "not a line anchor");
 }
