@@ -57,18 +57,12 @@ pub struct AnalysisCache {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    second_entry_hits: AtomicU64,
-    second_entry_misses: AtomicU64,
 }
 
-/// One cached analysis. `base` hashes everything *except* the cost model
-/// (program, handler): two entries sharing a `base` are the same
-/// handler re-priced under different models, which is how a runtime model
-/// switch is accounted (a "second entry", never an invalidation).
+/// One cached analysis under its content key.
 #[derive(Debug)]
 struct CacheEntry {
     key: u64,
-    base: u64,
     analysis: Arc<HandlerAnalysis>,
 }
 
@@ -81,20 +75,17 @@ impl AnalysisCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            second_entry_hits: AtomicU64::new(0),
-            second_entry_misses: AtomicU64::new(0),
         }
     }
 
-    /// The model-independent part of an entry's key: FNV-1a over the
-    /// canonical pretty-printed program (whole program, not just the
-    /// handler — stop-node and inlining decisions depend on callees and
-    /// class declarations) and the handler name. Entries sharing a base
-    /// key are the same handler priced under different cost models.
-    fn base_key(program: &Program, func_name: &str) -> u64 {
+    /// An entry's key: FNV-1a over the canonical pretty-printed program
+    /// (whole program, not just the handler — stop-node and inlining
+    /// decisions depend on callees and class declarations), the handler
+    /// name and the model key.
+    fn key(program: &Program, func_name: &str, model_key: &str) -> u64 {
         let mut hash = fnv1a(0xCBF2_9CE4_8422_2325, program_to_string(program).as_bytes());
-        hash = fnv1a(hash, &[0xFF]);
-        fnv1a(hash, func_name.as_bytes())
+        hash = fnv1a(fnv1a(hash, &[0xFF]), func_name.as_bytes());
+        fnv1a(fnv1a(hash, &[0xFE]), model_key.as_bytes())
     }
 
     /// Returns the cached analysis for this (program, handler, model)
@@ -113,57 +104,8 @@ impl AnalysisCache {
         model_key: &str,
         estimator: &dyn EdgeCostEstimator,
     ) -> Result<Arc<HandlerAnalysis>, IrError> {
-        let base = Self::base_key(program, func_name);
-        let key = fnv1a(fnv1a(base, &[0xFE]), model_key.as_bytes());
-        self.get_or_insert_with(key, base, || Ok(Arc::new(analyze(program, func_name, estimator)?)))
-    }
-
-    /// Returns the *re-priced* analysis of `base_analysis` under
-    /// `estimator` — the runtime model-switch path. A miss derives the
-    /// entry via [`HandlerAnalysis::repriced`] (prices only; Unit Graph,
-    /// DDG, and liveness are shared, never recomputed), so the first
-    /// switch to a given model costs one pricing pass and every later
-    /// flip is one cache probe.
-    ///
-    /// `model_key` must fingerprint the *pair* of models (the base
-    /// analysis's and the new one's `cache_key()`s): a re-priced result
-    /// is a pure function of both, and keying it on the new model alone
-    /// would collide with a from-scratch [`Self::get_or_analyze`] entry whose
-    /// PSE set can differ.
-    ///
-    /// # Errors
-    ///
-    /// Propagates re-pricing failures; failures are not cached.
-    pub fn get_or_reprice(
-        &self,
-        program: &Program,
-        func_name: &str,
-        model_key: &str,
-        base_analysis: &HandlerAnalysis,
-        estimator: &dyn EdgeCostEstimator,
-    ) -> Result<Arc<HandlerAnalysis>, IrError> {
-        let base = Self::base_key(program, func_name);
-        let key = fnv1a(fnv1a(base, &[0xFD]), model_key.as_bytes());
-        self.get_or_insert_with(key, base, || {
-            Ok(Arc::new(base_analysis.repriced(program, estimator)?))
-        })
-    }
-
-    fn get_or_insert_with(
-        &self,
-        key: u64,
-        base: u64,
-        compute: impl FnOnce() -> Result<Arc<HandlerAnalysis>, IrError>,
-    ) -> Result<Arc<HandlerAnalysis>, IrError> {
-        let (found, repricing) = self.lookup(key, base);
-        if repricing {
-            if found.is_some() {
-                self.second_entry_hits.fetch_add(1, Ordering::Relaxed);
-            } else {
-                self.second_entry_misses.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        if let Some(found) = found {
+        let key = Self::key(program, func_name, model_key);
+        if let Some(found) = self.lookup(key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(found);
         }
@@ -172,32 +114,26 @@ impl AnalysisCache {
         // same analysis; the second insert wins and the loser's Arc stays
         // valid — correctness is unaffected because the result is pure.
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let analysis = compute()?;
-        self.insert(key, base, Arc::clone(&analysis));
+        let analysis = Arc::new(analyze(program, func_name, estimator)?);
+        self.insert(key, Arc::clone(&analysis));
         Ok(analysis)
     }
 
-    /// Finds `key`, refreshing its recency. The second return is whether
-    /// the cache holds a *different* model's entry for the same base —
-    /// i.e. whether this lookup is a re-pricing of an already-analyzed
-    /// handler.
-    fn lookup(&self, key: u64, base: u64) -> (Option<Arc<HandlerAnalysis>>, bool) {
+    /// Finds `key`, refreshing its recency.
+    fn lookup(&self, key: u64) -> Option<Arc<HandlerAnalysis>> {
         let mut entries = self.entries.lock().expect("analysis cache poisoned");
-        let repricing = entries.iter().any(|e| e.base == base && e.key != key);
-        let Some(idx) = entries.iter().position(|e| e.key == key) else {
-            return (None, repricing);
-        };
+        let idx = entries.iter().position(|e| e.key == key)?;
         // Refresh recency: move the entry to the back.
         let entry = entries.remove(idx);
         let found = Arc::clone(&entry.analysis);
         entries.push(entry);
-        (Some(found), repricing)
+        Some(found)
     }
 
-    fn insert(&self, key: u64, base: u64, analysis: Arc<HandlerAnalysis>) {
+    fn insert(&self, key: u64, analysis: Arc<HandlerAnalysis>) {
         let mut entries = self.entries.lock().expect("analysis cache poisoned");
         entries.retain(|e| e.key != key);
-        entries.push(CacheEntry { key, base, analysis });
+        entries.push(CacheEntry { key, analysis });
         while entries.len() > self.capacity {
             entries.remove(0);
             self.evictions.fetch_add(1, Ordering::Relaxed);
@@ -217,20 +153,6 @@ impl AnalysisCache {
     /// Entries displaced by the capacity bound.
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Hits on a *second entry*: a lookup answered from the cache while a
-    /// different model's analysis of the same (program, handler)
-    /// was also resident — the steady-state cost of a runtime model
-    /// switch (one probe, no recomputation).
-    pub fn second_entry_hits(&self) -> u64 {
-        self.second_entry_hits.load(Ordering::Relaxed)
-    }
-
-    /// Misses that created a second entry: the one-time re-pricing a new
-    /// model pays for an already-analyzed handler.
-    pub fn second_entry_misses(&self) -> u64 {
-        self.second_entry_misses.load(Ordering::Relaxed)
     }
 
     /// Fraction of lookups served from the cache (0 when none happened).
@@ -329,26 +251,6 @@ mod tests {
         let misses_before = cache.misses();
         cache.get_or_analyze(&programs[1], "f", "m", &InterCountEstimator).unwrap();
         assert_eq!(cache.misses(), misses_before + 1);
-    }
-
-    #[test]
-    fn second_entry_counters_track_repricing() {
-        let program = parse_program(SRC_A).unwrap();
-        let cache = AnalysisCache::new(8);
-        // First model: a plain miss, not a re-pricing.
-        cache.get_or_analyze(&program, "f", "m", &InterCountEstimator).unwrap();
-        assert_eq!((cache.second_entry_hits(), cache.second_entry_misses()), (0, 0));
-        // Second model over the same handler: a miss once...
-        cache.get_or_analyze(&program, "f", "other", &InterCountEstimator).unwrap();
-        assert_eq!((cache.second_entry_hits(), cache.second_entry_misses()), (0, 1));
-        // ...and a hit thereafter, from either side of the switch.
-        cache.get_or_analyze(&program, "f", "other", &InterCountEstimator).unwrap();
-        cache.get_or_analyze(&program, "f", "m", &InterCountEstimator).unwrap();
-        assert_eq!((cache.second_entry_hits(), cache.second_entry_misses()), (2, 1));
-        // A different handler text is unrelated: no re-pricing counted.
-        let other = parse_program(SRC_B).unwrap();
-        cache.get_or_analyze(&other, "f", "m", &InterCountEstimator).unwrap();
-        assert_eq!((cache.second_entry_hits(), cache.second_entry_misses()), (2, 1));
     }
 
     #[test]

@@ -131,39 +131,6 @@ impl HandlerAnalysis {
         }
         ExecHints { observed, fuse_at }
     }
-
-    /// Re-prices this analysis's PSE set under a different estimator,
-    /// sharing every graph structure (Unit Graph, liveness, DDG, alias
-    /// classes) — none of the static pipeline re-runs.
-    ///
-    /// The PSE list and its order are preserved exactly, so plan flags,
-    /// profiling statistics, and edge↔PSE maps built against this
-    /// analysis stay valid; only each PSE's `static_cost` is recomputed.
-    /// This is the runtime model-switch path: a fresh [`analyze`] under
-    /// the new model would prune a *different* PSE set (dominance pruning
-    /// depends on the estimator), breaking PSE-id indexing.
-    ///
-    /// Each PSE is priced at its [`EdgePos`], as [`ConvexCut::run`] does.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IrError::Unresolved`] if `program` lacks the analyzed
-    /// function.
-    pub fn repriced(
-        &self,
-        program: &Program,
-        estimator: &dyn EdgeCostEstimator,
-    ) -> Result<HandlerAnalysis, IrError> {
-        let func = program.function_or_err(&self.func_name)?;
-        let cx = EstimatorCx { func, kinds: &self.kinds, aliases: &self.aliases };
-        let dag = self.dag();
-        let mut out = self.clone();
-        for pse in &mut out.cut.pses {
-            let cost = estimator.edge_cost(&cx, dag.position(pse.edge), pse.edge, &pse.inter);
-            pse.static_cost = convex::canonicalize(cost, &cx);
-        }
-        Ok(out)
-    }
 }
 
 /// Bytecode-compilation hints derived from a [`HandlerAnalysis`]

@@ -1,5 +1,6 @@
-//! Cost-model auto-selection benchmark: a workload shifting from
-//! comms-bound to compute-bound, served by three cells.
+//! One-weight benchmark: a workload shifting from comms-bound to
+//! compute-bound, served by two fixed cost models and one weight that
+//! prices both halves.
 //!
 //! The handler decodes a frame (4× inflation: the *intermediate* is the
 //! biggest thing in flight, like image decompression) and then grinds on
@@ -13,16 +14,16 @@
 //! No fixed model gets both answers right: [`DataSizeModel`] always
 //! minimizes shipped bytes (phase 2 leaves the demodulator doing all the
 //! work), [`ExecTimeModel`] always balances work (phase 1 ships the 4×
-//! inflated intermediate). The third cell starts from the data-size model
-//! and lets the session's [`mpart::reconfig::ModelSelector`] switch when the regime
-//! changes, re-pricing the PSE set through the analysis cache as a second
-//! entry (no re-analysis).
+//! inflated intermediate). The third cell runs [`ExecTimeModel`] with a
+//! per-byte charge ([`SessionConfig::with_serialize_cost`]): with no speed
+//! estimates its weight per PSE is `β·bytes + max(w_mod, w_demod)`, the
+//! same sum the scoring uses, so one weight serves both phases.
 //!
 //! Each delivery is scored in *work-unit equivalents*:
 //! `wire_bytes × work_per_byte + max(mod_work, demod_work)` — transfer
-//! cost on the link plus the busier host's compute, the same trade the
-//! selector itself watches. The run asserts the auto cell beats both
-//! fixed baselines on the combined workload.
+//! cost on the link plus the busier host's compute. Every cell re-selects
+//! its plan under the same `Rate(8)` trigger. The run asserts the
+//! one-weight cell beats both fixed models on the combined workload.
 //!
 //! Knobs: `--messages <M>` per phase, `--smoke` (short phases for CI),
 //! `--json <path>` for the machine-readable `BENCH_modelswitch.json`.
@@ -30,7 +31,6 @@
 use std::sync::Arc;
 
 use mpart::profile::TriggerPolicy;
-use mpart::reconfig::ModelSelectorConfig;
 use mpart::session::{SessionConfig, SessionManager};
 use mpart_bench::table::{arg_usize, f2, Table};
 use mpart_bench::Report;
@@ -41,7 +41,7 @@ use mpart_ir::types::ElemType;
 use mpart_ir::{IrError, Program, Value};
 
 /// Work units one wire byte costs — the link calibration shared by the
-/// scoring formula and the auto cell's selector.
+/// scoring formula and the one-weight cell's per-byte charge.
 const WORK_PER_BYTE: f64 = 0.05;
 
 /// Compressed frame size during the comms-bound phase.
@@ -125,7 +125,7 @@ fn frame_event(program: Arc<Program>, bytes: usize, rounds: i64) -> EventFn {
 enum Mode {
     FixedData,
     FixedExec,
-    Auto,
+    OneWeight,
 }
 
 impl Mode {
@@ -133,7 +133,7 @@ impl Mode {
         match self {
             Mode::FixedData => "fixed data-size",
             Mode::FixedExec => "fixed exec-time",
-            Mode::Auto => "auto (selector)",
+            Mode::OneWeight => "exec-time + per-byte",
         }
     }
 }
@@ -142,9 +142,7 @@ struct Cell {
     mode: Mode,
     phase_cost: [f64; 2],
     wire_bytes: [u64; 2],
-    switches: u64,
-    final_model: String,
-    second_entry_misses: u64,
+    plan_switches: u64,
 }
 
 impl Cell {
@@ -155,32 +153,20 @@ impl Cell {
 
 /// Drives one session through both phases and scores every delivery.
 fn run_cell(program: &Arc<Program>, mode: Mode, messages: usize) -> Cell {
-    // Every cell re-selects its *plan* at the same rate; only the auto
-    // cell may also re-select its pricing model.
     let mut config = SessionConfig::default().with_workers(1).with_trigger(TriggerPolicy::Rate(8));
-    if let Mode::Auto = mode {
-        config = config
-            .with_auto_model(ModelSelectorConfig::default().with_work_per_byte(WORK_PER_BYTE));
+    if let Mode::OneWeight = mode {
+        config = config.with_serialize_cost(WORK_PER_BYTE);
     }
     let model: Arc<dyn CostModel> = match mode {
-        // The auto cell deploys with the data-size model and must *earn*
-        // the switch from feedback.
-        Mode::FixedData | Mode::Auto => Arc::new(DataSizeModel::new()),
-        Mode::FixedExec => Arc::new(ExecTimeModel::new()),
+        Mode::FixedData => Arc::new(DataSizeModel::new()),
+        Mode::FixedExec | Mode::OneWeight => Arc::new(ExecTimeModel::new()),
     };
     let mut mgr = SessionManager::new(config);
     let id = mgr
         .open_session(Arc::clone(program), "show", model, builtins(), builtins())
         .expect("analysis");
 
-    let mut cell = Cell {
-        mode,
-        phase_cost: [0.0; 2],
-        wire_bytes: [0; 2],
-        switches: 0,
-        final_model: String::new(),
-        second_entry_misses: 0,
-    };
+    let mut cell = Cell { mode, phase_cost: [0.0; 2], wire_bytes: [0; 2], plan_switches: 0 };
     for phase in 0..2 {
         let (bytes, rounds) = if phase == 0 { (BIG_FRAME, 0) } else { (SMALL_FRAME, HEAVY_ROUNDS) };
         for _ in 0..messages {
@@ -189,12 +175,9 @@ fn run_cell(program: &Arc<Program>, mode: Mode, messages: usize) -> Cell {
             cell.phase_cost[phase] +=
                 out.wire_bytes as f64 * WORK_PER_BYTE + out.mod_work.max(out.demod_work) as f64;
             cell.wire_bytes[phase] += out.wire_bytes as u64;
+            cell.plan_switches += u64::from(out.reconfigured);
         }
     }
-    let handler = mgr.handler(id).expect("session");
-    cell.switches = handler.obs().registry().snapshot().counter_sum("model_switch_total");
-    cell.final_model = handler.model().name().to_string();
-    cell.second_entry_misses = mgr.cache().second_entry_misses();
     mgr.shutdown();
     cell
 }
@@ -206,7 +189,7 @@ fn main() {
     let program = Arc::new(parse_program(SRC).expect("bench program"));
 
     let mut table = Table::new(
-        "Model auto-selection: shifting workload (phase 1 comms-bound, phase 2 compute-bound)",
+        "One weight vs fixed models: shifting workload (phase 1 comms-bound, phase 2 compute-bound)",
         &[
             "cell",
             "phase1 cost/msg",
@@ -214,13 +197,11 @@ fn main() {
             "total cost",
             "phase1 wire KB",
             "phase2 wire KB",
-            "switches",
-            "final model",
-            "repriced entries",
+            "plan switches",
         ],
     );
 
-    let cells: Vec<Cell> = [Mode::FixedData, Mode::FixedExec, Mode::Auto]
+    let cells: Vec<Cell> = [Mode::FixedData, Mode::FixedExec, Mode::OneWeight]
         .into_iter()
         .map(|mode| run_cell(&program, mode, messages))
         .collect();
@@ -233,42 +214,37 @@ fn main() {
             f2(cell.total()),
             f2(cell.wire_bytes[0] as f64 / 1024.0),
             f2(cell.wire_bytes[1] as f64 / 1024.0),
-            cell.switches.to_string(),
-            cell.final_model.clone(),
-            cell.second_entry_misses.to_string(),
+            cell.plan_switches.to_string(),
         ]);
     }
     table.note(
         "cost = wire_bytes x work_per_byte + max(mod_work, demod_work) per \
-         message; the auto cell re-prices through the analysis cache on \
-         each committed switch (second entry, no re-analysis)",
+         message; the per-byte cell prices each PSE as work_per_byte x bytes \
+         + max(mod_work, demod_work), the same sum, under a Rate(8) trigger",
     );
     table.print();
 
-    let auto = &cells[2];
-    assert_eq!(auto.final_model, "exec-time", "auto cell converged on the compute-bound model");
-    assert!(auto.switches >= 1, "auto cell committed at least one switch");
+    let one = &cells[2];
     for fixed in &cells[..2] {
         assert!(
-            auto.total() < fixed.total(),
-            "auto ({:.1}) beats {} ({:.1}) on the shifting workload",
-            auto.total(),
+            one.total() < fixed.total(),
+            "one weight ({:.1}) beats {} ({:.1}) on the shifting workload",
+            one.total(),
             fixed.mode.name(),
             fixed.total(),
         );
     }
     println!(
-        "auto beats fixed data-size by {:.1}% and fixed exec-time by {:.1}%",
-        100.0 * (1.0 - auto.total() / cells[0].total()),
-        100.0 * (1.0 - auto.total() / cells[1].total()),
+        "one weight beats fixed data-size by {:.1}% and fixed exec-time by {:.1}%",
+        100.0 * (1.0 - one.total() / cells[0].total()),
+        100.0 * (1.0 - one.total() / cells[1].total()),
     );
 
     let mut report = Report::new("modelswitch");
     report
         .param_u64("messages_per_phase", messages as u64)
         .param_u64("smoke", u64::from(smoke))
-        .param_u64("auto_switches", auto.switches)
-        .param_u64("auto_beats_both_baselines", 1)
+        .param_u64("one_weight_beats_both_baselines", 1)
         .add_table(&table);
     report.finish();
 }

@@ -105,7 +105,7 @@ pub const USAGE: &str = "usage:
   mpart trace <file> <fn> [args..] [--session] [--messages <N>] [--seed <N>] [--json]
   mpart stats <file> <fn> [args..] [--model ...] [--messages <N>] [--seed <N>] [--json]
   mpart stats <file> <fn> [args..] --cluster [--nodes <N>] [--sessions <N>] [--messages <N>] [--kill <NODE>] [--drain <NODE>] [--json]
-  mpart serve <file> <fn> [args..] [--sessions <N>] [--workers <N>] [--messages <N>] [--queue <N>] [--journal <path>] [--model ...] [--auto-model] [--engine interp|compiled|auto] [--canary <K>] [--guard <pct>]
+  mpart serve <file> <fn> [args..] [--sessions <N>] [--workers <N>] [--messages <N>] [--queue <N>] [--journal <path>] [--model ...] [--engine interp|compiled|auto] [--canary <K>] [--guard <pct>]
   mpart route <file> <fn> [args..] [--nodes <N>] [--sessions <N>] [--messages <N>] [--kill <NODE>] [--drain <NODE>] [--ports <p1,p2,..>] [--model ...] [--canary <K>] [--guard <pct>]
   mpart deadletter <file> <fn> [args..] [--messages <N>] [--seed <N>] [--poison <SEQ>] [--json]
   mpart help";
@@ -459,7 +459,13 @@ fn opt_str(rest: &[String], flag: &str) -> Result<Option<String>, CliError> {
 }
 
 /// The positional event arguments left after stripping the session flags.
-fn event_args(rest: &[String]) -> Vec<Value> {
+///
+/// # Errors
+///
+/// Returns [`CliError::Usage`] for a `--` token that is no known flag, so a
+/// typo is refused rather than delivered as a string argument. Negative
+/// numbers start with a single `-` and stay arguments.
+fn event_args(rest: &[String]) -> Result<Vec<Value>, CliError> {
     const WITH_VALUE: &[&str] = &[
         "--model",
         "--messages",
@@ -477,7 +483,7 @@ fn event_args(rest: &[String]) -> Vec<Value> {
         "--canary",
         "--guard",
     ];
-    const BARE: &[&str] = &["--session", "--json", "--auto-model", "--cluster"];
+    const BARE: &[&str] = &["--session", "--json", "--cluster"];
     let mut args = Vec::new();
     let mut skip = false;
     for a in rest {
@@ -487,11 +493,15 @@ fn event_args(rest: &[String]) -> Vec<Value> {
         }
         if WITH_VALUE.contains(&a.as_str()) {
             skip = true;
-        } else if !BARE.contains(&a.as_str()) {
+        } else if a.starts_with("--") {
+            if !BARE.contains(&a.as_str()) {
+                return Err(CliError::Usage(format!("unknown flag `{a}`\n{USAGE}")));
+            }
+        } else {
             args.push(parse_value(a));
         }
     }
-    args
+    Ok(args)
 }
 
 /// Drives `func` through a seeded chaos storm on a supervised virtual-time
@@ -503,7 +513,7 @@ fn run_chaos_session(file: &str, func: &str, rest: &[String]) -> Result<SimSessi
     let model = model_from(rest)?;
     let messages = opt_u64(rest, "--messages", 30)?.max(1);
     let seed = opt_u64(rest, "--seed", 7)?;
-    let args = event_args(rest);
+    let args = event_args(rest)?;
 
     // Mirrors the chaos suite's storm: every fault class plus an outage
     // window sized to trip the failure budget and recover before the end.
@@ -601,9 +611,8 @@ fn cmd_serve(file: &str, func: &str, rest: &[String]) -> Result<String, CliError
     }
     let workers = opt_u64(rest, "--workers", 0)? as usize;
     let messages = opt_u64(rest, "--messages", 8)?.max(1);
-    let args = event_args(rest);
+    let args = event_args(rest)?;
 
-    let auto = has_flag(rest, "--auto-model");
     let mut config = SessionConfig::default();
     if workers > 0 {
         config = config.with_workers(workers);
@@ -614,9 +623,6 @@ fn cmd_serve(file: &str, func: &str, rest: &[String]) -> Result<String, CliError
     if let Some(path) = opt_str(rest, "--journal")? {
         let journal = mpart::journal::SessionJournal::at_path(&path)?;
         config = config.with_journal(Arc::new(journal));
-    }
-    if auto {
-        config = config.with_auto_model(mpart::reconfig::ModelSelectorConfig::default());
     }
     let guard = guard_opts(rest)?;
     if let Some(g) = guard {
@@ -674,17 +680,6 @@ fn cmd_serve(file: &str, func: &str, rest: &[String]) -> Result<String, CliError
         cache.hits(),
         cache.hit_rate(),
     );
-    if auto {
-        let switches: u64 = (0..sessions)
-            .filter_map(|s| manager.handler(s))
-            .map(|h| h.obs().registry().snapshot().counter_sum("model_switch_total"))
-            .sum();
-        let _ = writeln!(
-            out,
-            "  model auto-selection: {switches} switches, {} re-priced cache entries",
-            cache.second_entry_misses(),
-        );
-    }
     for (s, outcome) in last.iter().enumerate() {
         if let Some(o) = outcome {
             let _ = writeln!(
@@ -832,7 +827,7 @@ fn cmd_route(file: &str, func: &str, rest: &[String]) -> Result<String, CliError
         Some(spec) => Some(parse_ports(&spec, opts.nodes)?),
         None => None,
     };
-    let args = event_args(rest);
+    let args = event_args(rest)?;
 
     let journal = Arc::new(SessionJournal::in_memory());
     let cache = Arc::new(AnalysisCache::new(64));
@@ -959,7 +954,7 @@ fn cmd_stats_cluster(file: &str, func: &str, rest: &[String]) -> Result<String, 
     let model = model_from(rest)?;
     let opts = cluster_opts(rest)?;
     let kill = opts.kill.or(if opts.nodes >= 2 { Some(0) } else { None });
-    let args = event_args(rest);
+    let args = event_args(rest)?;
 
     let journal = Arc::new(SessionJournal::in_memory());
     let cache = Arc::new(AnalysisCache::new(64));
@@ -1406,22 +1401,29 @@ mod tests {
     }
 
     #[test]
-    fn serve_auto_model_reports_switch_summary() {
+    fn unknown_flags_are_refused_not_delivered_as_arguments() {
         let file = demo_file();
+        for flag in [&["--auto-model"][..], &["--canry", "5"][..]] {
+            let mut argv = vec!["serve", file.as_str(), "handle", "5", "3", "--messages", "2"];
+            argv.extend_from_slice(flag);
+            let err = execute(&args(&argv)).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{flag:?}: {err:?}");
+            assert!(err.to_string().contains(&format!("unknown flag `{}`", flag[0])), "{err}");
+        }
+        // A negative number starts with a single `-`: still an argument.
         let out = execute(&args(&[
             "serve",
             file.as_str(),
             "handle",
-            "5",
+            "-5",
             "3",
             "--sessions",
-            "2",
+            "1",
             "--messages",
-            "12",
-            "--auto-model",
+            "2",
         ]))
         .unwrap();
-        assert!(out.contains("model auto-selection:"), "{out}");
+        assert!(out.contains("delivered 2 messages"), "{out}");
     }
 
     #[test]

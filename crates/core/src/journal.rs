@@ -1,5 +1,5 @@
 //! Crash-safe session journal: a small append-only log of session
-//! *control* state — plan epochs and active sets, the live cost model,
+//! *control* state — plan epochs and active sets, the cost model,
 //! the ack watermark, and profiling flags — never payloads.
 //!
 //! A restarted `mpart serve` replays the journal into
@@ -14,12 +14,11 @@
 //! ```text
 //! open 0 process data-size
 //! plan 0 3 2,5 install
-//! model 0 exec-time
 //! ack 0 17
 //! flags 0 36
 //! ```
 //!
-//! Records are checkpointed on epoch/model commits (cheap: a few dozen
+//! Records are checkpointed on epoch commits (cheap: a few dozen
 //! bytes) and the ack watermark piggybacks on successful deliveries.
 //! Replay folds records left to right, so the last write wins — exactly
 //! the semantics of an append-only log.
@@ -41,7 +40,9 @@ pub enum JournalRecord {
     Open { session: u64, func: String, model: String },
     /// A plan committed: `(session, epoch, active set, reason label)`.
     PlanCommit { session: u64, epoch: u64, active: Vec<PseId>, reason: String },
-    /// The live cost model switched: `(session, model)`.
+    /// The live cost model switched: `(session, model)`. Nothing writes
+    /// this record any more; it is still parsed and replayed so journals
+    /// written while runtime model switching existed reopen.
     ModelCommit { session: u64, model: String },
     /// The contiguous ack watermark advanced: `(session, watermark)`.
     Ack { session: u64, watermark: u64 },

@@ -30,17 +30,9 @@ pub struct PartitionedHandler {
     program: Arc<Program>,
     func_name: String,
     analysis: Arc<HandlerAnalysis>,
-    /// The live cost model. Swappable at runtime (see
-    /// [`reprice`](Self::reprice)) so a [`ModelSelector`] can move a
-    /// session between pricing regimes without rebuilding the handler;
-    /// reads are wait-free in practice (writes happen only on a model
-    /// switch).
-    ///
-    /// [`ModelSelector`]: crate::reconfig::ModelSelector
-    model: RwLock<Arc<dyn CostModel>>,
-    /// `cache_key()` of the deployment-time model `analysis` was priced
-    /// under; part of every re-priced entry's cache key.
-    base_model_key: String,
+    /// The deployment-time cost model (§2.6), fixed for the handler's
+    /// lifetime.
+    model: Arc<dyn CostModel>,
     plan: PartitionPlan,
     edge_to_pse: HashMap<(usize, usize), PseId>,
     obs: Arc<ObsHub>,
@@ -133,14 +125,12 @@ impl PartitionedHandler {
 
         let obs = Arc::new(ObsHub::new());
         let metrics = HandlerMetrics::register(obs.registry(), analysis.pses().len());
-        let base_model_key = model.cache_key();
         let engine: Arc<dyn Engine> = Arc::new(InterpEngine::new(Arc::clone(&program)));
         let handler = PartitionedHandler {
             program,
             func_name,
             analysis,
-            model: RwLock::new(model),
-            base_model_key,
+            model,
             plan,
             edge_to_pse,
             obs,
@@ -241,52 +231,9 @@ impl PartitionedHandler {
         &self.analysis
     }
 
-    /// The live cost model (deployment-time choice until the first
-    /// [`reprice`](Self::reprice)).
-    pub fn model(&self) -> Arc<dyn CostModel> {
-        Arc::clone(&self.model.read().expect("model lock poisoned"))
-    }
-
-    /// Re-prices the handler's PSEs under `model`, answering from
-    /// `cache`, and makes `model` the live cost model for subsequent
-    /// modulation/demodulation profiling. The static pipeline (Unit
-    /// Graph, DDG, liveness, target-path DAG) never re-runs — a switch
-    /// is a *second cache entry* sharing the original graphs (see
-    /// [`AnalysisCache::get_or_reprice`]): a pricing-only pass the first
-    /// time a model touches this handler, one cache probe on every later
-    /// flip, never an invalidation. Flipping back to the deployment-time
-    /// model is free — the handler's own analysis already carries those
-    /// prices.
-    ///
-    /// Returns the re-priced analysis for the caller (typically a
-    /// `ReconfigUnit`) to feed into max-flow plan re-selection. The
-    /// handler's own [`analysis`](Self::analysis) stays the original;
-    /// the re-priced cut keeps the same PSE list and order by
-    /// construction, so the edge↔PSE maps, plan flags, and profiling
-    /// indices all remain valid under either.
-    ///
-    /// # Errors
-    ///
-    /// Propagates re-pricing failures (the model never switches then).
-    pub fn reprice(
-        &self,
-        model: Arc<dyn CostModel>,
-        cache: &AnalysisCache,
-    ) -> Result<Arc<HandlerAnalysis>, IrError> {
-        let model_key = model.cache_key();
-        let analysis = if model_key == self.base_model_key {
-            Arc::clone(&self.analysis)
-        } else {
-            cache.get_or_reprice(
-                &self.program,
-                &self.func_name,
-                &format!("{}>{}", self.base_model_key, model_key),
-                &self.analysis,
-                model.as_ref(),
-            )?
-        };
-        *self.model.write().expect("model lock poisoned") = model;
-        Ok(analysis)
+    /// The deployment-time cost model.
+    pub fn model(&self) -> &Arc<dyn CostModel> {
+        &self.model
     }
 
     /// The live execution engine (the reference interpreter until the
@@ -537,39 +484,6 @@ pub(crate) mod tests {
         .unwrap();
         assert!(!Arc::ptr_eq(a.analysis(), c.analysis()));
         assert_eq!(cache.misses(), 2);
-    }
-
-    #[test]
-    fn reprice_switches_model_via_second_cache_entry() {
-        let program = Arc::new(parse_program(SRC).unwrap());
-        let cache = AnalysisCache::new(4);
-        let h = PartitionedHandler::analyze_cached(
-            Arc::clone(&program),
-            "push",
-            Arc::new(DataSizeModel::new()),
-            &cache,
-        )
-        .unwrap();
-        let before = Arc::clone(h.analysis());
-        // First switch to exec-time: a second entry, miss once.
-        let repriced = h.reprice(Arc::new(ExecTimeModel::new()), &cache).unwrap();
-        assert_eq!(h.model().name(), "exec-time");
-        assert_eq!((cache.second_entry_hits(), cache.second_entry_misses()), (0, 1));
-        // PSE identity is preserved; only prices moved.
-        assert!(Arc::ptr_eq(h.analysis(), &before), "handler analysis untouched");
-        assert_eq!(repriced.pses().len(), before.pses().len());
-        for (new, old) in repriced.pses().iter().zip(before.pses()) {
-            assert_eq!(new.edge, old.edge, "same split edges, re-priced");
-        }
-        // Flipping back to the deployment model is free (its prices are
-        // the handler's own analysis); flipping forward again is one
-        // cache probe — a hit.
-        let back = h.reprice(Arc::new(DataSizeModel::new()), &cache).unwrap();
-        assert!(Arc::ptr_eq(&back, &before));
-        assert_eq!(h.model().name(), "data-size");
-        let again = h.reprice(Arc::new(ExecTimeModel::new()), &cache).unwrap();
-        assert!(Arc::ptr_eq(&again, &repriced), "later flips share the cached entry");
-        assert_eq!((cache.second_entry_hits(), cache.second_entry_misses()), (1, 1));
     }
 
     #[test]

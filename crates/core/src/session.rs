@@ -62,7 +62,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use mpart_analysis::cache::{AnalysisCache, DEFAULT_CACHE_CAPACITY};
-use mpart_cost::{CostModel, RuntimeCostKind};
+use mpart_cost::CostModel;
 use mpart_ir::interp::{BuiltinRegistry, ExecCtx};
 use mpart_ir::{IrError, Program, Value};
 
@@ -74,10 +74,7 @@ use crate::health::DegradationController;
 use crate::journal::{JournalRecord, SessionJournal, SessionSnapshot};
 use crate::modulator::Modulator;
 use crate::profile::TriggerPolicy;
-use crate::reconfig::{
-    GuardConfig, GuardVerdict, ModelChoice, ModelSelector, ModelSelectorConfig, PlanGuard,
-    QuarantineList, ReconfigUnit,
-};
+use crate::reconfig::{GuardConfig, GuardVerdict, PlanGuard, QuarantineList, ReconfigUnit};
 use crate::subscriber::{Proposal, Subscriber, Timing};
 use crate::{PartitionedHandler, PseId};
 use mpart_obs::pse_mask;
@@ -95,12 +92,12 @@ pub struct SessionConfig {
     /// Per-session reconfiguration trigger ([`TriggerPolicy::Never`]
     /// freezes every session's initial static plan).
     pub trigger: TriggerPolicy,
-    /// When set, every session runs a [`ModelSelector`] that watches the
-    /// envelope-byte EWMA against the profiled work signal and switches
-    /// the live cost model when the workload's regime changes. A switch
-    /// re-prices the PSE set through the shared [`AnalysisCache`] as a
-    /// *second* cache entry (no re-analysis) and re-selects the plan.
-    pub auto_model: Option<ModelSelectorConfig>,
+    /// Marshalling work charged per wire byte on each side when pricing
+    /// candidate splits under the execution-time model (see
+    /// [`ReconfigUnit::with_serialize_cost`]). With no speed estimates the
+    /// exec-time weight of a PSE is then `β·bytes + max(w_mod, w_demod)`:
+    /// bytes on the link plus the busier side's work.
+    pub serialize_work_per_byte: f64,
     /// Failure-domain tuning: retry budget and dead-letter ring capacity
     /// (see [`crate::failure`]).
     pub failure: FailureConfig,
@@ -115,7 +112,7 @@ pub struct SessionConfig {
     /// Consecutive successes before a degraded session re-promotes its
     /// stashed plan (min 1).
     pub promote_after: u32,
-    /// When set, session control state — opens, plan/model commits, ack
+    /// When set, session control state — opens, plan commits, ack
     /// watermarks, profiling flags; never payloads — is checkpointed to
     /// the journal for crash-safe recovery (see [`crate::journal`]).
     pub journal: Option<Arc<SessionJournal>>,
@@ -138,7 +135,7 @@ impl Default for SessionConfig {
             workers: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
             cache_capacity: DEFAULT_CACHE_CAPACITY,
             trigger: TriggerPolicy::Never,
-            auto_model: None,
+            serialize_work_per_byte: 0.0,
             failure: FailureConfig::default(),
             ingress_capacity: 1024,
             degrade_after: 3,
@@ -169,10 +166,10 @@ impl SessionConfig {
         self
     }
 
-    /// Enables per-session cost-model auto-selection (see
-    /// [`ModelSelector`]).
-    pub fn with_auto_model(mut self, config: ModelSelectorConfig) -> Self {
-        self.auto_model = Some(config);
+    /// Sets the marshalling work charged per wire byte under the
+    /// execution-time model (default 0).
+    pub fn with_serialize_cost(mut self, work_per_byte: f64) -> Self {
+        self.serialize_work_per_byte = work_per_byte;
         self
     }
 
@@ -244,9 +241,6 @@ pub struct SessionOutcome {
     pub ret: Option<Value>,
     /// Whether this message triggered a per-session plan reconfiguration.
     pub reconfigured: bool,
-    /// Whether this message committed a cost-model switch
-    /// ([`SessionConfig::with_auto_model`]).
-    pub model_switched: bool,
     /// Modulator-side work units spent on this message.
     pub mod_work: u64,
     /// Demodulator-side work units spent on this message.
@@ -395,7 +389,6 @@ struct SessionState {
     sender_builtins: BuiltinRegistry,
     receiver_ctx: ExecCtx,
     seq: u64,
-    auto: Option<AutoModel>,
     /// Entry-cut fallback driven by consecutive handler panics.
     degradation: DegradationController,
     /// Quarantined envelopes, shared with the manager for inspection.
@@ -409,15 +402,6 @@ struct SessionState {
     panics_modulator: Counter,
     panics_demodulator: Counter,
     quarantined_total: Counter,
-}
-
-/// Per-session cost-model auto-selection state
-/// ([`SessionConfig::with_auto_model`]).
-struct AutoModel {
-    selector: ModelSelector,
-    /// The manager's shared cache; re-priced analyses become second
-    /// entries here, so sibling sessions switching the same way hit.
-    cache: Arc<AnalysisCache>,
 }
 
 impl SessionState {
@@ -434,7 +418,7 @@ impl SessionState {
         // switch ran (mostly) under the old plan, so it does not count
         // toward the new plan's canary window.
         match &result {
-            Ok(outcome) if !outcome.reconfigured && !outcome.model_switched => {
+            Ok(outcome) if !outcome.reconfigured => {
                 self.observe_guard(true, outcome.mod_work + outcome.demod_work);
             }
             Ok(_) => {}
@@ -489,13 +473,6 @@ impl SessionState {
                 reason: "commit".into(),
             });
             let _ = journal.append(JournalRecord::Flags { session: *id, mask: view.profile });
-        }
-    }
-
-    fn journal_model(&self, label: &str) {
-        if let Some((journal, id)) = &self.journal {
-            let _ = journal
-                .append(JournalRecord::ModelCommit { session: *id, model: label.to_string() });
         }
     }
 
@@ -588,14 +565,13 @@ impl SessionState {
         epoch
     }
 
-    /// The single chokepoint for reconfiguration-driven plan switches
-    /// (auto-model and feedback paths). The subscriber step has already
+    /// The single chokepoint for feedback-driven plan switches. The subscriber step has already
     /// dropped a re-selection equal to the serving plan and validated the
     /// cut; what remains is this session's policy — a quarantined cut is
     /// refused, and nothing switches while a canary window is still being
     /// judged — then the install and the new canary. Returns whether a
     /// switch happened.
-    fn try_switch_plan(&mut self, proposal: Option<Proposal>, reason: PlanReason) -> bool {
+    fn try_switch_plan(&mut self, proposal: Option<Proposal>) -> bool {
         // One candidate evaluation ages the quarantine blacklist a step.
         self.decay_quarantine();
         let Some(proposal) = proposal else {
@@ -608,7 +584,7 @@ impl SessionState {
             self.handler.metrics().note_prepare("quarantined");
             return false;
         }
-        self.install_guarded(proposal.active(), reason);
+        self.install_guarded(proposal.active(), PlanReason::Reconfig);
         self.journal_guard_state();
         true
     }
@@ -720,36 +696,7 @@ impl SessionState {
         let demod = applied.demod;
         let proposal = applied.proposal?;
 
-        let mut reconfigured = false;
-        let mut model_switched = false;
-        if let Some(auto) = self.auto.as_mut() {
-            let from = auto.selector.current();
-            let snapshot = self.subscriber.reconfig().profiling().snapshot();
-            if let Some(choice) = auto.selector.observe(wire_bytes as u64, &snapshot) {
-                // Commit the switch: re-price the PSE set through the
-                // shared cache (a second entry keyed by the model pair —
-                // no re-analysis), swap the Reconfiguration Unit onto the
-                // re-priced analysis, and re-select the plan under the
-                // new pricing, which supersedes a re-selection made under
-                // the old pricing on this same envelope.
-                let analysis = self.handler.reprice(choice.instantiate(), &auto.cache)?;
-                let repriced = self.subscriber.switch_model(analysis, choice.kind())?;
-                reconfigured = self.try_switch_plan(repriced, PlanReason::Reconfig);
-                let obs = self.handler.obs();
-                obs.registry()
-                    .counter(
-                        "model_switch_total",
-                        &[("from", from.label()), ("to", choice.label())],
-                    )
-                    .inc();
-                obs.record(TraceEvent::ModelSwitch { from: from.tag(), to: choice.tag() });
-                self.journal_model(choice.label());
-                model_switched = true;
-            }
-        }
-        if !model_switched && applied.reselected {
-            reconfigured = self.try_switch_plan(proposal, PlanReason::Reconfig);
-        }
+        let reconfigured = applied.reselected && self.try_switch_plan(proposal);
         if reconfigured {
             self.checkpoint_plan();
         }
@@ -760,7 +707,6 @@ impl SessionState {
             epoch,
             ret: demod.ret,
             reconfigured,
-            model_switched,
             mod_work: run.mod_work,
             demod_work: demod.demod_work,
         })
@@ -786,8 +732,6 @@ struct ManagerMetrics {
     cache_hits: Gauge,
     cache_misses: Gauge,
     cache_evictions: Gauge,
-    cache_second_entry_hits: Gauge,
-    cache_second_entry_misses: Gauge,
 }
 
 /// A deferred [`SessionOutcome`]: returned by
@@ -894,8 +838,6 @@ impl SessionManager {
             cache_hits: registry.gauge("analysis_cache_hits", &[]),
             cache_misses: registry.gauge("analysis_cache_misses", &[]),
             cache_evictions: registry.gauge("analysis_cache_evictions", &[]),
-            cache_second_entry_hits: registry.gauge("analysis_cache_second_entry_hits", &[]),
-            cache_second_entry_misses: registry.gauge("analysis_cache_second_entry_misses", &[]),
         };
         let processed = Arc::new(AtomicU64::new(0));
         let workers = (0..config.workers.max(1))
@@ -1149,20 +1091,9 @@ impl SessionManager {
         }
         handler.select_engine(self.config.engine);
         let reconfig = ReconfigUnit::new(Arc::clone(handler.analysis()), kind, self.config.trigger)
+            .with_serialize_cost(self.config.serialize_work_per_byte)
             .with_obs(Arc::clone(handler.obs()))
             .with_plan_watch(handler.plan().clone());
-        let auto = self.config.auto_model.map(|selector_config| {
-            // The deployment model seeds the selector's notion of "live":
-            // the first committed switch is measured against it.
-            let initial = match kind {
-                RuntimeCostKind::DataSize => ModelChoice::DataSize,
-                RuntimeCostKind::ExecTime => ModelChoice::ExecTime,
-            };
-            AutoModel {
-                selector: ModelSelector::new(initial, selector_config),
-                cache: Arc::clone(&self.cache),
-            }
-        });
         let receiver_ctx = ExecCtx::without_digests(&program, receiver_builtins);
 
         let id = self.sessions.len();
@@ -1249,7 +1180,6 @@ impl SessionManager {
             receiver_ctx,
             seq,
             handler: Arc::clone(&handler),
-            auto,
             degradation,
             deadletter: Arc::clone(&deadletter),
             journal,
@@ -1558,8 +1488,6 @@ impl SessionManager {
         self.metrics.cache_hits.set(self.cache.hits() as f64);
         self.metrics.cache_misses.set(self.cache.misses() as f64);
         self.metrics.cache_evictions.set(self.cache.evictions() as f64);
-        self.metrics.cache_second_entry_hits.set(self.cache.second_entry_hits() as f64);
-        self.metrics.cache_second_entry_misses.set(self.cache.second_entry_misses() as f64);
     }
 
     /// Stops every worker, drains their queues, and returns the total
@@ -1792,61 +1720,6 @@ mod tests {
         let idle = mgr.handler(adapting[1]).unwrap();
         assert!(busy.plan().epoch() > 1, "busy session reconfigured");
         assert_eq!(idle.plan().epoch(), 1, "idle session untouched");
-    }
-
-    #[test]
-    fn auto_model_session_switches_and_reprices_through_the_cache() {
-        use crate::reconfig::ModelSelectorConfig;
-        let program = Arc::new(parse_program(SRC).unwrap());
-        // Tiny work-per-byte: the handler's profiled work dwarfs the
-        // normalized wire signal, so the selector should leave the
-        // deployment-time data-size model for exec-time.
-        let selector = ModelSelectorConfig::default()
-            .with_work_per_byte(0.001)
-            .with_min_messages(4)
-            .with_dwell(2);
-        let mut mgr = SessionManager::new(
-            SessionConfig::default()
-                .with_workers(1)
-                .with_trigger(TriggerPolicy::Never)
-                .with_auto_model(selector),
-        );
-        let id = mgr
-            .open_session(
-                Arc::clone(&program),
-                "ingest",
-                Arc::new(DataSizeModel::new()),
-                BuiltinRegistry::new(),
-                receiver_builtins(),
-            )
-            .unwrap();
-        let mut switched_at = None;
-        for i in 0..12u64 {
-            let out = mgr.deliver(id, job_event(Arc::clone(&program), 16)).unwrap();
-            if out.model_switched && switched_at.is_none() {
-                switched_at = Some(i);
-            }
-            assert!(out.mod_work + out.demod_work > 0, "work profile populated");
-        }
-        assert!(switched_at.is_some(), "compute-bound workload switches the model");
-        let handler = mgr.handler(id).unwrap();
-        assert_eq!(handler.model().name(), "exec-time");
-        // The switch is visible as a labeled counter on the session hub...
-        let snap = handler.obs().registry().snapshot();
-        assert_eq!(snap.counter_sum("model_switch_total"), 1);
-        assert!(snap
-            .get("model_switch_total", &[("from", "data-size"), ("to", "exec-time")])
-            .is_some());
-        // ...and as exactly one second cache entry: the re-pricing missed
-        // once and never re-ran the analysis pipeline.
-        assert_eq!(mgr.cache().second_entry_misses(), 1);
-        // Both entries share one from-scratch analysis: the overall miss
-        // count is the initial analyze plus the (cheap) re-pricing miss.
-        assert_eq!(mgr.cache().misses(), 2);
-        mgr.refresh_cache_metrics();
-        let msnap = mgr.obs().registry().snapshot();
-        assert!(msnap.get("analysis_cache_second_entry_misses", &[]).is_some());
-        mgr.shutdown();
     }
 
     /// A handler whose receiver-side native panics on a magic value —

@@ -39,8 +39,6 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use mpart_analysis::HandlerAnalysis;
-use mpart_cost::RuntimeCostKind;
 use mpart_ir::interp::ExecCtx;
 use mpart_ir::IrError;
 use mpart_obs::PlanReason;
@@ -187,23 +185,6 @@ impl Subscriber {
             Err(e) => (false, Err(e)),
         };
         Ok(Applied { demod, reselected, proposal })
-    }
-
-    /// The Reconfiguration-Unit half of a runtime cost-model switch: swap
-    /// the unit onto the re-priced `analysis`, re-select unconditionally
-    /// under the new pricing, and gate the result like any re-selection.
-    ///
-    /// # Errors
-    ///
-    /// Propagates min-cut failures.
-    pub fn switch_model(
-        &mut self,
-        analysis: Arc<HandlerAnalysis>,
-        kind: RuntimeCostKind,
-    ) -> Result<Option<Proposal>, IrError> {
-        self.reconfig.switch_model(analysis, kind);
-        let update = self.reconfig.force_reconfigure()?;
-        Ok(self.gate(update.active))
     }
 
     fn gate(&self, active: Vec<PseId>) -> Option<Proposal> {

@@ -160,12 +160,12 @@ mod clmul {
         _mm_loadu_si128, _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
     };
 
-    /// Shortest slice `crc32_update` sends here. The fold fills its four
-    /// lanes from 64 bytes and already wins there (~8 ns against the
-    /// table's ~31 ns on a 2-vCPU Xeon VM); the margin keeps small control
-    /// and event frames, where either costs tens of nanoseconds, on the
-    /// table walk.
-    pub(super) const MIN_BYTES: usize = 128;
+    /// Shortest slice `crc32_update` sends here: the 64 bytes that fill
+    /// the fold's four lanes. It already wins at that length (~8 ns
+    /// against the table's ~31 ns at 64 B, ~11 against ~66 ns at 112 B,
+    /// on a 2-vCPU Xeon VM); a shorter slice would be all tail, so the
+    /// table walks it.
+    pub(super) const MIN_BYTES: usize = 64;
 
     // Folding constants for the bit-reflected domain: x^(4·128±32) mod P
     // folds one 128-bit lane across 512 bits, x^(128±32) mod P across 128,
@@ -1398,7 +1398,7 @@ mod tests {
 
     /// Streaming: the register carried across a split gives the CRC of the
     /// whole, for random splits and for splits that leave under 16 or
-    /// under 128 bytes on either side (the fold's tail and the dispatch
+    /// under 64 bytes on either side (the fold's tail and the dispatch
     /// threshold), on the fold, the table, and the dispatcher.
     #[test]
     fn streamed_crc_agrees_across_split_points() {
@@ -1411,7 +1411,7 @@ mod tests {
             let data = &buf[align..align + len];
             let want = crc32_reference(&[data]);
             let mut splits = vec![rng.random_range(0..=len), rng.random_range(0..=len)];
-            for edge in [1, 15, 16, 17, 127, 128, 129] {
+            for edge in [1, 15, 16, 17, 63, 64, 65, 127, 128, 129] {
                 splits.extend([edge, len.saturating_sub(edge)].into_iter().filter(|&at| at <= len));
             }
             for at in splits {

@@ -517,13 +517,12 @@ fn parse_quarantine_wire(token: &str) -> Result<Vec<(Vec<PseId>, u32)>, ()> {
 
 fn render_outcome(outcome: &SessionOutcome) -> String {
     format!(
-        "{} {} {} {} {} {} {} {} {}",
+        "{} {} {} {} {} {} {} {}",
         outcome.seq,
         outcome.split_pse,
         outcome.wire_bytes,
         outcome.epoch,
         u8::from(outcome.reconfigured),
-        u8::from(outcome.model_switched),
         outcome.mod_work,
         outcome.demod_work,
         outcome.ret.as_ref().map_or_else(|| "-".into(), render_wire_value),
@@ -533,8 +532,7 @@ fn render_outcome(outcome: &SessionOutcome) -> String {
 fn parse_outcome(body: &str) -> Result<SessionOutcome, IrError> {
     let bad = || IrError::Marshal(format!("bad outcome `{body}`"));
     let parts: Vec<&str> = body.split_whitespace().collect();
-    let [seq, split_pse, wire_bytes, epoch, reconfigured, model_switched, mod_work, demod_work, ret] =
-        parts[..]
+    let [seq, split_pse, wire_bytes, epoch, reconfigured, mod_work, demod_work, ret] = parts[..]
     else {
         return Err(bad());
     };
@@ -545,7 +543,6 @@ fn parse_outcome(body: &str) -> Result<SessionOutcome, IrError> {
         epoch: epoch.parse().map_err(|_| bad())?,
         ret: if ret == "-" { None } else { Some(parse_wire_value(ret)?) },
         reconfigured: reconfigured == "1",
-        model_switched: model_switched == "1",
         mod_work: mod_work.parse().map_err(|_| bad())?,
         demod_work: demod_work.parse().map_err(|_| bad())?,
     })

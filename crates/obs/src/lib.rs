@@ -35,7 +35,7 @@ pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, Instrument, MetricSnapshot, MetricValue,
     Registry, Snapshot,
 };
-pub use trace::{mask_to_pses, pse_mask, ModelTag, PlanReason, TraceEvent, TraceRecord, TraceRing};
+pub use trace::{mask_to_pses, pse_mask, PlanReason, TraceEvent, TraceRecord, TraceRing};
 
 use std::time::Instant;
 

@@ -56,28 +56,6 @@ impl PlanReason {
     }
 }
 
-/// Which cost-model family a runtime model switch moved between.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ModelTag {
-    /// Data-size pricing (communication-bound workloads).
-    DataSize,
-    /// Exec-time pricing (compute-bound workloads).
-    ExecTime,
-    /// A weighted composite blend (the middle band).
-    Composite,
-}
-
-impl ModelTag {
-    /// Stable lower-case label used in metrics and JSON.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ModelTag::DataSize => "data-size",
-            ModelTag::ExecTime => "exec-time",
-            ModelTag::Composite => "composite",
-        }
-    }
-}
-
 /// One structured runtime transition.
 ///
 /// Active PSE sets are encoded as a bitmask over PSE ids (`bit i` = PSE
@@ -135,14 +113,6 @@ pub enum TraceEvent {
     FeedbackReset {
         /// The epoch observed at reset time.
         epoch: u64,
-    },
-    /// The model selector switched the live cost model (the PSE set was
-    /// re-priced through the analysis cache and the plan re-selected).
-    ModelSwitch {
-        /// The model the session priced under before the switch.
-        from: ModelTag,
-        /// The model now live.
-        to: ModelTag,
     },
     /// A modulator/demodulator invocation panicked and was caught at the
     /// failure-domain boundary; only the envelope failed.
@@ -234,7 +204,6 @@ impl TraceEvent {
             TraceEvent::Promoted { .. } => "promoted",
             TraceEvent::StaleRejected { .. } => "stale_rejected",
             TraceEvent::FeedbackReset { .. } => "feedback_reset",
-            TraceEvent::ModelSwitch { .. } => "model_switch",
             TraceEvent::HandlerPanic { .. } => "handler_panic",
             TraceEvent::Quarantined { .. } => "quarantined",
             TraceEvent::Shed { .. } => "shed",
@@ -276,10 +245,6 @@ impl TraceEvent {
             TraceEvent::FeedbackReset { epoch } => {
                 vec![("epoch".to_string(), Json::U64(epoch))]
             }
-            TraceEvent::ModelSwitch { from, to } => vec![
-                ("from".to_string(), Json::str(from.as_str())),
-                ("to".to_string(), Json::str(to.as_str())),
-            ],
             TraceEvent::HandlerPanic { seq } => {
                 vec![("seq".to_string(), Json::U64(seq))]
             }

@@ -166,10 +166,10 @@ fn never_trigger_freezes_the_plan() {
 }
 
 // ---------------------------------------------------------------------------
-// Cost-model auto-selection: cache-safe re-pricing and convergence.
+// One weight across a regime shift: exec-time with a per-byte charge.
 // ---------------------------------------------------------------------------
 
-/// A staged handler for the model-switch tests: `decode` inflates the
+/// A staged handler for the regime-shift test: `decode` inflates the
 /// frame 4× (the intermediate is the biggest thing in flight), two
 /// `grind` stages burn `32 × rounds` work units each, and the `display`
 /// native pins the tail to the receiver. Splittable before, between, and
@@ -223,124 +223,49 @@ fn shift_builtins() -> method_partitioning::ir::interp::BuiltinRegistry {
     b
 }
 
-/// One of the model operating points the selector can instantiate.
-fn shift_model(idx: usize, weight: f64) -> Arc<dyn method_partitioning::cost::CostModel> {
-    use method_partitioning::cost::{CompositeModel, ExecTimeModel};
-    match idx {
-        0 => Arc::new(DataSizeModel::new()),
-        1 => Arc::new(ExecTimeModel::new()),
-        _ => Arc::new(CompositeModel::new(
-            Arc::new(DataSizeModel::new()),
-            weight,
-            Arc::new(ExecTimeModel::new()),
-            1.0 - weight,
-        )),
-    }
-}
-
-proptest::proptest! {
-    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
-
-    /// For any (base, new) model pair, the cached re-pricing path must
-    /// keep the base PSE set (same edges, same INTER sets, same order —
-    /// plan flags and profiling indices stay valid) while assigning each
-    /// PSE exactly the price a fresh `analyze` under the new model gives
-    /// that edge. The second probe must be answered from the cache.
-    #[test]
-    fn repriced_cache_entries_match_fresh_analysis(
-        base_idx in 0usize..3,
-        new_idx in 0usize..3,
-        base_weight in 0.05f64..0.95,
-        new_weight in 0.05f64..0.95,
-    ) {
-        use method_partitioning::analysis::{analyze, AnalysisCache};
-        use method_partitioning::ir::parse::parse_program;
-        use proptest::prelude::*;
-
-        let base_model = shift_model(base_idx, base_weight);
-        let new_model = shift_model(new_idx, new_weight);
-        prop_assume!(base_model.cache_key() != new_model.cache_key());
-
-        let program = parse_program(SHIFT_SRC).unwrap();
-
-        // Mirror the live flow: the deployment-time analysis enters the
-        // cache first, then the switch re-prices it as a second entry.
-        let cache = AnalysisCache::new(8);
-        let base = cache
-            .get_or_analyze(&program, "show", &base_model.cache_key(), base_model.as_ref())
-            .unwrap();
-        let pair_key = format!("{}>{}", base_model.cache_key(), new_model.cache_key());
-        let cached = cache
-            .get_or_reprice(&program, "show", &pair_key, &base, new_model.as_ref())
-            .unwrap();
-
-        // Re-pricing preserved the PSE set wholesale.
-        prop_assert_eq!(cached.pses().len(), base.pses().len());
-        for (b, c) in base.pses().iter().zip(cached.pses().iter()) {
-            prop_assert_eq!(b.edge, c.edge);
-            prop_assert_eq!(&b.inter, &c.inter);
-        }
-
-        // Where the fresh analysis keeps the same candidate edge, the
-        // cached price equals the fresh price (the fresh PSE set may
-        // differ: dominance pruning is estimator-dependent).
-        let fresh = analyze(&program, "show", new_model.as_ref()).unwrap();
-        for c in cached.pses() {
-            if let Some(f) = fresh.pses().iter().find(|f| f.edge == c.edge) {
-                prop_assert_eq!(
-                    &c.static_cost, &f.static_cost,
-                    "edge {:?} under {}", c.edge, new_model.cache_key()
-                );
-            }
-        }
-
-        // Steady state: the same switch is one cache probe, nothing more.
-        let again = cache
-            .get_or_reprice(&program, "show", &pair_key, &base, new_model.as_ref())
-            .unwrap();
-        prop_assert!(Arc::ptr_eq(&cached, &again));
-        prop_assert_eq!(cache.second_entry_misses(), 1);
-        prop_assert_eq!(cache.second_entry_hits(), 1);
-    }
-}
-
-/// End-to-end convergence: a session deployed with the data-size model
-/// must hold it through a comms-bound phase, switch to exec-time within
-/// the hysteresis budget once the workload turns compute-bound, and pay
-/// the re-pricing miss exactly once — the same transition later is a
-/// second-entry *hit*, and no switch ever re-runs the analysis pipeline.
+/// End-to-end regime shift under one weight: a session priced by the
+/// exec-time model plus a per-byte charge (`β·bytes + max(w_mod, w_demod)`
+/// per PSE) keeps `decode` on the receiver while frames are large and
+/// cheap to process, moves to the balanced cut between the grind stages
+/// within one trigger window once they turn small and expensive, and comes
+/// back on the flip — with one analysis and no model switch.
 #[test]
-fn shifting_workload_converges_within_the_hysteresis_budget() {
-    use method_partitioning::core::reconfig::ModelSelectorConfig;
-    use method_partitioning::core::session::{SessionConfig, SessionManager};
+fn per_byte_exec_time_follows_a_regime_shift_with_one_analysis() {
+    use method_partitioning::core::session::{SessionConfig, SessionManager, SessionOutcome};
+    use method_partitioning::cost::ExecTimeModel;
     use method_partitioning::ir::parse::parse_program;
     use method_partitioning::ir::types::ElemType;
     use method_partitioning::ir::{Program, Value};
 
+    const WINDOW: usize = 4;
     let program = Arc::new(parse_program(SHIFT_SRC).unwrap());
-    // A narrow middle band (hysteresis 1.5) plus dwell 3: the EWMAs cross
-    // the composite region in fewer evaluations than the dwell during a
-    // phase flip, so the transitions here commit straight to a pure model.
-    let selector = ModelSelectorConfig::default()
-        .with_work_per_byte(0.05)
-        .with_min_messages(4)
-        .with_hysteresis(1.5)
-        .with_dwell(3);
     let mut mgr = SessionManager::new(
         SessionConfig::default()
             .with_workers(1)
-            .with_trigger(TriggerPolicy::Rate(4))
-            .with_auto_model(selector),
+            .with_trigger(TriggerPolicy::Rate(WINDOW as u64))
+            .with_serialize_cost(0.05),
     );
     let id = mgr
         .open_session(
             Arc::clone(&program),
             "show",
-            Arc::new(DataSizeModel::new()),
+            Arc::new(ExecTimeModel::new()),
             shift_builtins(),
             shift_builtins(),
         )
         .unwrap();
+    let handler = Arc::clone(mgr.handler(id).unwrap());
+    let func = program.function("show").unwrap();
+    // Whether the cut a message split at ships the variable `name`.
+    let ships = |out: &SessionOutcome, name: &str| {
+        let var = func.var_by_name(name).unwrap();
+        handler.analysis().pses()[out.split_pse].inter.contains(&var)
+    };
+    // The entry-side cut: `decode` runs on the receiver, so only the
+    // compressed frame crosses.
+    let entry_side = |out: &SessionOutcome| !ships(out, "big");
+    // The balanced cut: one grind stage on each side.
+    let balanced = |out: &SessionOutcome| ships(out, "d1");
 
     let frame = |program: &Arc<Program>, bytes: usize, rounds: i64| {
         let program = Arc::clone(program);
@@ -356,47 +281,34 @@ fn shifting_workload_converges_within_the_hysteresis_budget() {
             Ok(vec![Value::Ref(f)])
         }
     };
-    let run_phase = |bytes: usize, rounds: i64, messages: usize| -> Option<usize> {
-        let mut switched_at = None;
-        for i in 0..messages {
-            let out = mgr.deliver(id, frame(&program, bytes, rounds)).unwrap();
-            if out.model_switched && switched_at.is_none() {
-                switched_at = Some(i);
-            }
-        }
-        switched_at
+    let run_phase = |bytes: usize, rounds: i64| -> Vec<SessionOutcome> {
+        let outs = (0..6 * WINDOW)
+            .map(|_| mgr.deliver(id, frame(&program, bytes, rounds)).unwrap())
+            .collect();
+        assert_eq!(mgr.cache().misses(), 1, "one analysis, never a second");
+        outs
+    };
+    // Messages of a phase after the first trigger window: by then the
+    // feedback gathered inside the phase has re-selected the plan.
+    let settled = |outs: &[SessionOutcome], want: &dyn Fn(&SessionOutcome) -> bool| {
+        outs[WINDOW..].iter().all(want)
     };
 
-    // Phase A: comms-bound. The deployment model already matches — the
-    // selector must not move.
-    assert_eq!(run_phase(12_000, 0, 12), None, "comms-bound phase keeps data-size");
+    // Comms-bound: shipping the inflated intermediate would cost 4x.
+    let comms = run_phase(12_000, 0);
+    assert!(comms.iter().all(entry_side), "comms-bound phase keeps decode on the receiver");
 
-    // Phase B: compute-bound. Budget: the warm selector needs the work
-    // EWMA to cross hysteresis (a handful of messages at alpha 0.5) and
-    // the choice to survive `dwell` evaluations.
-    let lag = run_phase(64, 100, 12).expect("compute-bound phase switches the model");
-    assert!(lag <= 8, "switch within the hysteresis budget, not after {lag} messages");
-    assert_eq!(mgr.cache().second_entry_misses(), 1, "first switch re-prices once");
+    // Compute-bound: the balanced cut within one trigger window.
+    let compute = run_phase(64, 100);
+    assert!(settled(&compute, &balanced), "balanced cut within {WINDOW} messages");
 
-    // Phase C: comms-bound again. Flipping back to the deployment model
-    // reuses the handler's own analysis — no cache traffic at all.
-    assert!(run_phase(12_000, 0, 40).is_some(), "workload flip switches back");
-    assert_eq!(mgr.cache().second_entry_misses(), 1);
-    assert_eq!(mgr.cache().second_entry_hits(), 0, "flip-back needs no cache probe");
+    // Flip back: the entry-side cut again, within one window.
+    let back = run_phase(12_000, 0);
+    assert!(settled(&back, &entry_side), "flip-back returns to the entry-side cut");
 
-    // Phase D: compute-bound again. The repeated transition is answered
-    // from the cache: a second-entry hit, still only one re-pricing ever.
-    assert!(run_phase(64, 100, 40).is_some(), "second compute phase switches again");
-    assert_eq!(mgr.cache().second_entry_hits(), 1, "repeat switch hits the second entry");
-    assert_eq!(mgr.cache().second_entry_misses(), 1);
-    // The whole run performed exactly one from-scratch analysis and one
-    // re-pricing: UG/DDG/liveness were never recomputed.
-    assert_eq!(mgr.cache().misses(), 2);
-
-    let handler = mgr.handler(id).unwrap();
-    assert_eq!(handler.model().name(), "exec-time");
-    let switches = handler.obs().registry().snapshot().counter_sum("model_switch_total");
-    assert_eq!(switches, 3, "A->B, C flip-back, D re-switch");
+    let snap = handler.obs().registry().snapshot();
+    assert!(snap.counter_sum("reconfigurations_total") > 0);
+    assert_eq!(handler.model().name(), "exec-time", "the deployment model never changes");
     mgr.shutdown();
 }
 
