@@ -18,13 +18,12 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use mpart::session::EngineChoice;
 use mpart::PartitionedHandler;
 use mpart_bench::table::{arg_usize, f2, Table};
 use mpart_bench::Report;
 use mpart_cost::{CostModel, ExecTimeModel};
 use mpart_ir::compile::{CompileHints, CompileOptions, Observed};
-use mpart_ir::engine::{CompiledEngine, Engine, InterpEngine};
+use mpart_ir::engine::{CompiledEngine, Engine, EngineChoice, InterpEngine};
 use mpart_ir::interp::{BuiltinRegistry, ExecCtx};
 use mpart_ir::parse::parse_program;
 use mpart_ir::types::ElemType;
@@ -243,7 +242,11 @@ fn run_fixture(fixture: &Fixture, iters: usize, choice: EngineChoice) -> Measure
     handler.install_plan(&late);
     handler.plan().validate_cut(handler.analysis()).expect("late plan is a cut");
     let installed = handler.select_engine(choice);
-    assert_eq!(installed, choice.as_str(), "explicit choices install verbatim");
+    let expected = match choice {
+        EngineChoice::Interp => "interp",
+        EngineChoice::Compiled => "compiled",
+    };
+    assert_eq!(installed, expected, "explicit choices install verbatim");
     let modulator = handler.modulator();
     let demodulator = handler.demodulator();
 

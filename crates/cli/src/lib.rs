@@ -52,7 +52,7 @@ use mpart::journal::SessionJournal;
 use mpart::profile::TriggerPolicy;
 use mpart::reconfig::plan_through;
 use mpart::router::{LocalNode, Router, RouterConfig, SessionSpec};
-use mpart::session::{EngineChoice, SessionConfig, SessionManager};
+use mpart::session::{SessionConfig, SessionManager};
 use mpart::PartitionedHandler;
 use mpart_analysis::cache::AnalysisCache;
 use mpart_cost::{CostModel, DataSizeModel, ExecTimeModel, PowerModel};
@@ -105,7 +105,7 @@ pub const USAGE: &str = "usage:
   mpart trace <file> <fn> [args..] [--session] [--messages <N>] [--seed <N>] [--json]
   mpart stats <file> <fn> [args..] [--model ...] [--messages <N>] [--seed <N>] [--json]
   mpart stats <file> <fn> [args..] --cluster [--nodes <N>] [--sessions <N>] [--messages <N>] [--kill <NODE>] [--drain <NODE>] [--json]
-  mpart serve <file> <fn> [args..] [--sessions <N>] [--workers <N>] [--messages <N>] [--queue <N>] [--journal <path>] [--model ...] [--engine interp|compiled|auto] [--canary <K>] [--guard <pct>]
+  mpart serve <file> <fn> [args..] [--sessions <N>] [--workers <N>] [--messages <N>] [--queue <N>] [--journal <path>] [--model ...] [--canary <K>] [--guard <pct>]
   mpart route <file> <fn> [args..] [--nodes <N>] [--sessions <N>] [--messages <N>] [--kill <NODE>] [--drain <NODE>] [--ports <p1,p2,..>] [--model ...] [--canary <K>] [--guard <pct>]
   mpart deadletter <file> <fn> [args..] [--messages <N>] [--seed <N>] [--poison <SEQ>] [--json]
   mpart help";
@@ -119,74 +119,89 @@ pub const USAGE: &str = "usage:
 /// programs.
 pub fn execute(args: &[String]) -> Result<String, CliError> {
     let mut it = args.iter();
-    let command = it.next().ok_or_else(|| CliError::Usage(USAGE.into()))?;
-    match command.as_str() {
-        "fmt" => {
-            let file = next(&mut it, "file")?;
-            let program = load(&file)?;
-            Ok(program_to_string(&program))
-        }
-        "run" => {
-            let file = next(&mut it, "file")?;
-            let func = next(&mut it, "function")?;
-            let rest: Vec<String> = it.cloned().collect();
-            cmd_run(&file, &func, &rest)
-        }
-        "analyze" => {
-            let file = next(&mut it, "file")?;
-            let func = next(&mut it, "function")?;
-            let rest: Vec<String> = it.cloned().collect();
-            cmd_analyze(&file, &func, &rest)
-        }
-        "codegen" => {
-            let file = next(&mut it, "file")?;
-            let func = next(&mut it, "function")?;
-            let rest: Vec<String> = it.cloned().collect();
-            cmd_codegen(&file, &func, &rest)
-        }
-        "split" => {
-            let file = next(&mut it, "file")?;
-            let func = next(&mut it, "function")?;
-            let rest: Vec<String> = it.cloned().collect();
-            cmd_split(&file, &func, &rest)
-        }
-        "trace" => {
-            let file = next(&mut it, "file")?;
-            let func = next(&mut it, "function")?;
-            let rest: Vec<String> = it.cloned().collect();
-            if has_flag(&rest, "--session") {
-                cmd_trace_session(&file, &func, &rest)
-            } else {
-                cmd_trace(&file, &func, &rest)
-            }
-        }
-        "stats" => {
-            let file = next(&mut it, "file")?;
-            let func = next(&mut it, "function")?;
-            let rest: Vec<String> = it.cloned().collect();
-            cmd_stats(&file, &func, &rest)
-        }
-        "serve" => {
-            let file = next(&mut it, "file")?;
-            let func = next(&mut it, "function")?;
-            let rest: Vec<String> = it.cloned().collect();
-            cmd_serve(&file, &func, &rest)
-        }
-        "route" => {
-            let file = next(&mut it, "file")?;
-            let func = next(&mut it, "function")?;
-            let rest: Vec<String> = it.cloned().collect();
-            cmd_route(&file, &func, &rest)
-        }
-        "deadletter" => {
-            let file = next(&mut it, "file")?;
-            let func = next(&mut it, "function")?;
-            let rest: Vec<String> = it.cloned().collect();
-            cmd_deadletter(&file, &func, &rest)
-        }
-        "help" | "--help" | "-h" => Ok(format!("{USAGE}\n")),
-        other => Err(CliError::Usage(format!("unknown command `{other}`\n{USAGE}"))),
+    let command = it.next().ok_or_else(|| CliError::Usage(USAGE.into()))?.as_str();
+    if matches!(command, "help" | "--help" | "-h") {
+        return Ok(format!("{USAGE}\n"));
     }
+    if flags_of(command, &[]).is_none() {
+        return Err(CliError::Usage(format!("unknown command `{command}`\n{USAGE}")));
+    }
+    let file = next(&mut it, "file")?;
+    if command == "fmt" {
+        let rest: Vec<String> = it.cloned().collect();
+        event_args(&rest, NO_FLAGS)?;
+        return Ok(program_to_string(&*load(&file)?));
+    }
+    let func = next(&mut it, "function")?;
+    let rest: Vec<String> = it.cloned().collect();
+    let args = event_args(&rest, flags_of(command, &rest).expect("a known command"))?;
+    match command {
+        "run" => cmd_run(&file, &func, args),
+        "analyze" => cmd_analyze(&file, &func, &rest),
+        "codegen" => cmd_codegen(&file, &func, &rest),
+        "split" => cmd_split(&file, &func, &rest, args),
+        "trace" if has_flag(&rest, "--session") => cmd_trace_session(&file, &func, &rest, &args),
+        "trace" => cmd_trace(&file, &func, args),
+        "stats" if has_flag(&rest, "--cluster") => cmd_stats_cluster(&file, &func, &rest, &args),
+        "stats" => cmd_stats(&file, &func, &rest, &args),
+        "serve" => cmd_serve(&file, &func, &rest, args),
+        "route" => cmd_route(&file, &func, &rest, &args),
+        _ => cmd_deadletter(&file, &func, &rest, &args),
+    }
+}
+
+/// The flags one subcommand takes: those followed by a value, then bare
+/// switches.
+type Flags = (&'static [&'static str], &'static [&'static str]);
+
+/// A subcommand that takes no flags.
+const NO_FLAGS: Flags = (&[], &[]);
+
+/// The flags of `command` (whose trailing arguments are `rest`), or `None`
+/// for an unknown command.
+fn flags_of(command: &str, rest: &[String]) -> Option<Flags> {
+    const CHAOS: &[&str] = &["--model", "--messages", "--seed", "--poison"];
+    Some(match command {
+        "fmt" | "run" => NO_FLAGS,
+        "analyze" | "codegen" => (&["--model"], &["--inline"]),
+        "split" => (&["--pse"], &[]),
+        "trace" if has_flag(rest, "--session") => (CHAOS, &["--session", "--json"]),
+        "trace" => NO_FLAGS,
+        "stats" if has_flag(rest, "--cluster") => (
+            &["--model", "--nodes", "--sessions", "--messages", "--kill", "--drain"],
+            &["--cluster", "--json"],
+        ),
+        "stats" => (CHAOS, &["--cluster", "--json"]),
+        "serve" => (
+            &[
+                "--model",
+                "--sessions",
+                "--workers",
+                "--messages",
+                "--queue",
+                "--journal",
+                "--canary",
+                "--guard",
+            ],
+            &[],
+        ),
+        "route" => (
+            &[
+                "--model",
+                "--nodes",
+                "--sessions",
+                "--messages",
+                "--kill",
+                "--drain",
+                "--ports",
+                "--canary",
+                "--guard",
+            ],
+            &[],
+        ),
+        "deadletter" => (CHAOS, &["--json"]),
+        _ => return None,
+    })
 }
 
 fn next(it: &mut std::slice::Iter<'_, String>, what: &str) -> Result<String, CliError> {
@@ -268,9 +283,8 @@ fn stubbed_ctx(program: &Program) -> ExecCtx {
     ExecCtx::with_builtins(program, stubbed_builtins(program, true))
 }
 
-fn cmd_run(file: &str, func: &str, rest: &[String]) -> Result<String, CliError> {
+fn cmd_run(file: &str, func: &str, args: Vec<Value>) -> Result<String, CliError> {
     let program = load(file)?;
-    let args: Vec<Value> = rest.iter().map(|a| parse_value(a)).collect();
     let mut ctx = stubbed_ctx(&program);
     let ret = Interp::new(&program).run(&mut ctx, func, args)?;
     let mut out = String::new();
@@ -348,7 +362,12 @@ fn cmd_codegen(file: &str, func: &str, rest: &[String]) -> Result<String, CliErr
     Ok(out)
 }
 
-fn cmd_split(file: &str, func: &str, rest: &[String]) -> Result<String, CliError> {
+fn cmd_split(
+    file: &str,
+    func: &str,
+    rest: &[String],
+    args: Vec<Value>,
+) -> Result<String, CliError> {
     let program = load(file)?;
     let pse_idx = rest
         .iter()
@@ -356,12 +375,6 @@ fn cmd_split(file: &str, func: &str, rest: &[String]) -> Result<String, CliError
         .and_then(|i| rest.get(i + 1))
         .and_then(|v| v.parse::<usize>().ok())
         .ok_or_else(|| CliError::Usage("split requires `--pse <N>`".into()))?;
-    let args: Vec<Value> = rest
-        .iter()
-        .enumerate()
-        .filter(|(i, a)| *a != "--pse" && !(*i > 0 && rest[*i - 1] == "--pse"))
-        .map(|(_, a)| parse_value(a))
-        .collect();
 
     let handler =
         PartitionedHandler::analyze(Arc::clone(&program), func, Arc::new(DataSizeModel::new()))?;
@@ -458,47 +471,25 @@ fn opt_str(rest: &[String], flag: &str) -> Result<Option<String>, CliError> {
     }
 }
 
-/// The positional event arguments left after stripping the session flags.
+/// The positional event arguments left after stripping the subcommand's
+/// `flags`.
 ///
 /// # Errors
 ///
-/// Returns [`CliError::Usage`] for a `--` token that is no known flag, so a
-/// typo is refused rather than delivered as a string argument. Negative
-/// numbers start with a single `-` and stay arguments.
-fn event_args(rest: &[String]) -> Result<Vec<Value>, CliError> {
-    const WITH_VALUE: &[&str] = &[
-        "--model",
-        "--messages",
-        "--seed",
-        "--sessions",
-        "--workers",
-        "--queue",
-        "--journal",
-        "--poison",
-        "--nodes",
-        "--kill",
-        "--drain",
-        "--ports",
-        "--engine",
-        "--canary",
-        "--guard",
-    ];
-    const BARE: &[&str] = &["--session", "--json", "--cluster"];
+/// Returns [`CliError::Usage`] for a `--` token the subcommand does not
+/// take, so a typo or a misplaced flag is refused rather than ignored or
+/// delivered as a string argument. Negative numbers start with a single
+/// `-` and stay arguments.
+fn event_args(rest: &[String], (with_value, bare): Flags) -> Result<Vec<Value>, CliError> {
     let mut args = Vec::new();
-    let mut skip = false;
-    for a in rest {
-        if skip {
-            skip = false;
-            continue;
-        }
-        if WITH_VALUE.contains(&a.as_str()) {
-            skip = true;
-        } else if a.starts_with("--") {
-            if !BARE.contains(&a.as_str()) {
-                return Err(CliError::Usage(format!("unknown flag `{a}`\n{USAGE}")));
-            }
-        } else {
+    let mut tokens = rest.iter();
+    while let Some(a) = tokens.next() {
+        if with_value.contains(&a.as_str()) {
+            tokens.next();
+        } else if !a.starts_with("--") {
             args.push(parse_value(a));
+        } else if !bare.contains(&a.as_str()) {
+            return Err(CliError::Usage(format!("unknown flag `{a}`\n{USAGE}")));
         }
     }
     Ok(args)
@@ -508,12 +499,16 @@ fn event_args(rest: &[String]) -> Result<Vec<Value>, CliError> {
 /// wire: drops, duplicates, reordering, corruption, and a scheduled
 /// partition long enough to exhaust the degradation budget. Every message
 /// carries the same CLI-supplied arguments; natives are quiet stubs.
-fn run_chaos_session(file: &str, func: &str, rest: &[String]) -> Result<SimSession, CliError> {
+fn run_chaos_session(
+    file: &str,
+    func: &str,
+    rest: &[String],
+    args: &[Value],
+) -> Result<SimSession, CliError> {
     let program = load(file)?;
     let model = model_from(rest)?;
     let messages = opt_u64(rest, "--messages", 30)?.max(1);
     let seed = opt_u64(rest, "--seed", 7)?;
-    let args = event_args(rest)?;
 
     // Mirrors the chaos suite's storm: every fault class plus an outage
     // window sized to trip the failure budget and recover before the end.
@@ -547,17 +542,14 @@ fn run_chaos_session(file: &str, func: &str, rest: &[String]) -> Result<SimSessi
         .with_degradation(3, 3),
     )?;
     for _ in 0..messages {
-        session.deliver(|_| Ok(args.clone()))?;
+        session.deliver(|_| Ok(args.to_vec()))?;
     }
     session.drain(500)?;
     Ok(session)
 }
 
-fn cmd_stats(file: &str, func: &str, rest: &[String]) -> Result<String, CliError> {
-    if has_flag(rest, "--cluster") {
-        return cmd_stats_cluster(file, func, rest);
-    }
-    let session = run_chaos_session(file, func, rest)?;
+fn cmd_stats(file: &str, func: &str, rest: &[String], args: &[Value]) -> Result<String, CliError> {
+    let session = run_chaos_session(file, func, rest, args)?;
     if has_flag(rest, "--json") {
         return Ok(session.obs().metrics_json().render());
     }
@@ -592,7 +584,12 @@ fn cmd_stats(file: &str, func: &str, rest: &[String]) -> Result<String, CliError
 /// across the sessions, and the summary reports dispatch and cache
 /// statistics. This is the multi-session "server" face of the runtime —
 /// see `ARCHITECTURE.md` §"Throughput layer".
-fn cmd_serve(file: &str, func: &str, rest: &[String]) -> Result<String, CliError> {
+fn cmd_serve(
+    file: &str,
+    func: &str,
+    rest: &[String],
+    args: Vec<Value>,
+) -> Result<String, CliError> {
     let program = load(file)?;
     let model = model_from(rest)?;
     // Invalid configurations are rejected up front with a one-line usage
@@ -611,7 +608,6 @@ fn cmd_serve(file: &str, func: &str, rest: &[String]) -> Result<String, CliError
     }
     let workers = opt_u64(rest, "--workers", 0)? as usize;
     let messages = opt_u64(rest, "--messages", 8)?.max(1);
-    let args = event_args(rest)?;
 
     let mut config = SessionConfig::default();
     if workers > 0 {
@@ -628,13 +624,6 @@ fn cmd_serve(file: &str, func: &str, rest: &[String]) -> Result<String, CliError
     if let Some(g) = guard {
         config = config.with_guard(g);
     }
-    let engine = match opt_str(rest, "--engine")? {
-        Some(s) => s.parse::<EngineChoice>().map_err(|_| {
-            CliError::Usage("`--engine` must be one of interp|compiled|auto".into())
-        })?,
-        None => EngineChoice::default(),
-    };
-    config = config.with_engine(engine);
     let mut manager = SessionManager::new(config);
     for _ in 0..sessions {
         manager.open_session(
@@ -657,9 +646,6 @@ fn cmd_serve(file: &str, func: &str, rest: &[String]) -> Result<String, CliError
     let mut out = String::new();
     let _ =
         writeln!(out, "served `{func}`: {sessions} sessions over {} workers", manager.workers());
-    if let Some(h) = manager.handler(0) {
-        let _ = writeln!(out, "  engine: requested {engine}, running `{}`", h.engine().name());
-    }
     if let Some(g) = guard {
         let rollbacks: u64 = (0..sessions)
             .filter_map(|s| manager.handler(s))
@@ -819,7 +805,7 @@ fn drive_cluster(
 /// down after the run: every hosted session migrates away, the shared
 /// journal compacts to the live set, and the node leaves the ring. See
 /// `DESIGN.md` §"Multi-host routing & failover".
-fn cmd_route(file: &str, func: &str, rest: &[String]) -> Result<String, CliError> {
+fn cmd_route(file: &str, func: &str, rest: &[String], args: &[Value]) -> Result<String, CliError> {
     let program = load(file)?;
     let model = model_from(rest)?;
     let opts = cluster_opts(rest)?;
@@ -827,7 +813,6 @@ fn cmd_route(file: &str, func: &str, rest: &[String]) -> Result<String, CliError
         Some(spec) => Some(parse_ports(&spec, opts.nodes)?),
         None => None,
     };
-    let args = event_args(rest)?;
 
     let journal = Arc::new(SessionJournal::in_memory());
     let cache = Arc::new(AnalysisCache::new(64));
@@ -869,7 +854,7 @@ fn cmd_route(file: &str, func: &str, rest: &[String]) -> Result<String, CliError
         receiver_builtins: stubbed_builtins(&program, false),
     };
     let last =
-        drive_cluster(&mut router, &spec, &opts, opts.kill, &args, &mut |k| servers[k].kill())?;
+        drive_cluster(&mut router, &spec, &opts, opts.kill, args, &mut |k| servers[k].kill())?;
     let drained = match opts.drain {
         Some(d) => Some((d, router.drain_node(d)?)),
         None => None,
@@ -949,12 +934,16 @@ fn cmd_route(file: &str, func: &str, rest: &[String]) -> Result<String, CliError
 /// live sessions. Kills node 0 halfway by default (when the cluster has
 /// a survivor); `--kill K` picks the victim; `--drain D` scales node D
 /// down after the drill.
-fn cmd_stats_cluster(file: &str, func: &str, rest: &[String]) -> Result<String, CliError> {
+fn cmd_stats_cluster(
+    file: &str,
+    func: &str,
+    rest: &[String],
+    args: &[Value],
+) -> Result<String, CliError> {
     let program = load(file)?;
     let model = model_from(rest)?;
     let opts = cluster_opts(rest)?;
     let kill = opts.kill.or(if opts.nodes >= 2 { Some(0) } else { None });
-    let args = event_args(rest)?;
 
     let journal = Arc::new(SessionJournal::in_memory());
     let cache = Arc::new(AnalysisCache::new(64));
@@ -973,7 +962,7 @@ fn cmd_stats_cluster(file: &str, func: &str, rest: &[String]) -> Result<String, 
         sender_builtins: stubbed_builtins(&program, false),
         receiver_builtins: stubbed_builtins(&program, false),
     };
-    drive_cluster(&mut router, &spec, &opts, kill, &args, &mut |k| nodes[k].kill())?;
+    drive_cluster(&mut router, &spec, &opts, kill, args, &mut |k| nodes[k].kill())?;
     if let Some(d) = opts.drain {
         router.drain_node(d)?;
     }
@@ -1040,7 +1029,12 @@ fn cmd_stats_cluster(file: &str, func: &str, rest: &[String]) -> Result<String, 
 /// watermark was allowed past them. Defaults `--poison` to the middle of
 /// the message window so the command demonstrates quarantine out of the
 /// box; `--poison <SEQ>` picks the envelope explicitly.
-fn cmd_deadletter(file: &str, func: &str, rest: &[String]) -> Result<String, CliError> {
+fn cmd_deadletter(
+    file: &str,
+    func: &str,
+    rest: &[String],
+    args: &[Value],
+) -> Result<String, CliError> {
     let mut rest = rest.to_vec();
     if !has_flag(&rest, "--poison") {
         let messages = opt_u64(&rest, "--messages", 30)?.max(1);
@@ -1051,7 +1045,7 @@ fn cmd_deadletter(file: &str, func: &str, rest: &[String]) -> Result<String, Cli
     // default hook so the quarantine report is not drowned in backtraces.
     let previous_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let session = run_chaos_session(file, func, &rest);
+    let session = run_chaos_session(file, func, &rest, args);
     std::panic::set_hook(previous_hook);
     let session = session?;
     let letters = session.dead_letters();
@@ -1102,8 +1096,13 @@ fn cmd_deadletter(file: &str, func: &str, rest: &[String]) -> Result<String, Cli
     Ok(out)
 }
 
-fn cmd_trace_session(file: &str, func: &str, rest: &[String]) -> Result<String, CliError> {
-    let session = run_chaos_session(file, func, rest)?;
+fn cmd_trace_session(
+    file: &str,
+    func: &str,
+    rest: &[String],
+    args: &[Value],
+) -> Result<String, CliError> {
+    let session = run_chaos_session(file, func, rest, args)?;
     if has_flag(rest, "--json") {
         return Ok(session.obs().trace_json().render());
     }
@@ -1132,10 +1131,9 @@ impl mpart_ir::interp::EdgeObserver for TraceObserver {
     }
 }
 
-fn cmd_trace(file: &str, func_name: &str, rest: &[String]) -> Result<String, CliError> {
+fn cmd_trace(file: &str, func_name: &str, args: Vec<Value>) -> Result<String, CliError> {
     let program = load(file)?;
     let func = program.function_or_err(func_name)?;
-    let args: Vec<Value> = rest.iter().map(|a| parse_value(a)).collect();
     let mut ctx = stubbed_ctx(&program);
     let mut observer = TraceObserver { edges: Vec::new() };
     let outcome = Interp::new(&program).run_with_observer(&mut ctx, func, args, &mut observer)?;
@@ -1427,50 +1425,32 @@ mod tests {
     }
 
     #[test]
-    fn serve_engine_flag_selects_and_reports_the_engine() {
+    fn each_subcommand_refuses_a_flag_it_does_not_take() {
         let file = demo_file();
-        for (flag, expect) in [("interp", "running `interp`"), ("compiled", "running `compiled`")] {
-            let out = execute(&args(&[
-                "serve",
-                file.as_str(),
-                "handle",
-                "5",
-                "3",
-                "--sessions",
-                "1",
-                "--messages",
-                "2",
-                "--engine",
-                flag,
-            ]))
-            .unwrap();
-            assert!(out.contains(&format!("requested {flag}")), "{out}");
-            assert!(out.contains(expect), "{out}");
-        }
-        // The default is auto, which compiles the demo handler.
-        let out = execute(&args(&[
-            "serve",
-            file.as_str(),
-            "handle",
-            "5",
-            "3",
-            "--sessions",
-            "1",
-            "--messages",
-            "2",
-        ]))
-        .unwrap();
-        assert!(out.contains("requested auto, running `compiled`"), "{out}");
-    }
-
-    #[test]
-    fn serve_rejects_unknown_engine_with_a_usage_error() {
-        let file = demo_file();
-        let err = execute(&args(&["serve", file.as_str(), "handle", "5", "3", "--engine", "jit"]))
-            .unwrap_err();
-        match err {
-            CliError::Usage(m) => assert!(m.contains("--engine"), "{m}"),
-            other => panic!("expected a usage error, got {other}"),
+        let f = file.as_str();
+        let cases: &[&[&str]] = &[
+            &["fmt", f, "--model", "exec-time"],
+            &["run", f, "handle", "5", "3", "--canry"],
+            &["analyze", f, "handle", "--messages", "2"],
+            &["codegen", f, "handle", "--session"],
+            &["split", f, "handle", "--pse", "0", "5", "3", "--canry"],
+            &["trace", f, "handle", "5", "3", "--json"],
+            &["trace", f, "handle", "5", "3", "--session", "--nodes", "2"],
+            &["stats", f, "handle", "5", "3", "--kill", "1"],
+            &["stats", f, "handle", "5", "3", "--cluster", "--seed", "2"],
+            &["serve", f, "handle", "5", "3", "--kill", "1"],
+            &["serve", f, "handle", "5", "3", "--engine", "compiled"],
+            &["route", f, "handle", "5", "3", "--json"],
+            &["deadletter", f, "handle", "5", "3", "--sessions", "2"],
+        ];
+        for argv in cases {
+            let flag = argv.iter().rev().find(|a| a.starts_with("--")).unwrap();
+            match execute(&args(argv)) {
+                Err(CliError::Usage(m)) => {
+                    assert!(m.contains(&format!("unknown flag `{flag}`")), "{argv:?}: {m}")
+                }
+                other => panic!("{argv:?}: expected a usage error, got {other:?}"),
+            }
         }
     }
 

@@ -63,12 +63,9 @@ pub struct HandlerMetrics {
     /// `engine_dispatch_total{engine}` — modulator runs and demodulator
     /// resumes executed by each engine (`[interp, compiled]`).
     engine_dispatch: [Counter; 2],
-    /// `compiled_bodies_total` — bodies accepted by the bytecode compiler
-    /// across engine builds.
+    /// `compiled_bodies_total` — bodies compiled to bytecode across
+    /// engine builds.
     compiled_bodies: Counter,
-    /// `compile_fallbacks_total` — bodies the compiler declined to the
-    /// interpreter fallback across engine builds.
-    compile_fallbacks: Counter,
     /// `receiver_heap_cells` — cells on the receiver context's heap after
     /// the last envelope's release.
     receiver_heap_cells: Gauge,
@@ -111,7 +108,6 @@ impl HandlerMetrics {
                 registry.counter("engine_dispatch_total", &[("engine", "compiled")]),
             ],
             compiled_bodies: registry.counter("compiled_bodies_total", &[]),
-            compile_fallbacks: registry.counter("compile_fallbacks_total", &[]),
             receiver_heap_cells: registry.gauge("receiver_heap_cells", &[]),
             last_split: AtomicU64::new(NO_SPLIT),
         }
@@ -204,11 +200,9 @@ impl HandlerMetrics {
         self.engine_dispatch[usize::from(engine == "compiled")].inc();
     }
 
-    /// Records one bytecode-engine build: bodies the compiler accepted
-    /// and bodies it declined to the interpreter fallback.
-    pub fn note_engine_build(&self, bodies: u64, declined: u64) {
+    /// Records one bytecode-engine build of `bodies` bodies.
+    pub fn note_engine_build(&self, bodies: u64) {
         self.compiled_bodies.add(bodies);
-        self.compile_fallbacks.add(declined);
     }
 
     /// Publishes the receiver heap's size after an envelope's release:

@@ -38,7 +38,7 @@ pub struct PartitionedHandler {
     obs: Arc<ObsHub>,
     metrics: HandlerMetrics,
     /// The live execution engine behind the modulator/demodulator hot
-    /// paths. Defaults to the reference interpreter; swapped by
+    /// paths: the bytecode engine from construction, swapped only by
     /// [`select_engine`](Self::select_engine) (reads are wait-free in
     /// practice — writes happen only on a selection).
     engine: RwLock<Arc<dyn Engine>>,
@@ -98,7 +98,8 @@ impl PartitionedHandler {
 
     /// Builds a handler around an already-computed (possibly shared)
     /// analysis. The handler gets fresh runtime state — plan flags, epoch
-    /// history, metrics hub — so sessions sharing one analysis never
+    /// history, metrics hub, and its program compiled to bytecode under
+    /// this analysis' hints — so sessions sharing one analysis never
     /// share plans.
     ///
     /// # Errors
@@ -125,7 +126,7 @@ impl PartitionedHandler {
 
         let obs = Arc::new(ObsHub::new());
         let metrics = HandlerMetrics::register(obs.registry(), analysis.pses().len());
-        let engine: Arc<dyn Engine> = Arc::new(InterpEngine::new(Arc::clone(&program)));
+        let engine = compiled_engine(&program, &analysis, &metrics, &obs);
         let handler = PartitionedHandler {
             program,
             func_name,
@@ -236,78 +237,33 @@ impl PartitionedHandler {
         &self.model
     }
 
-    /// The live execution engine (the reference interpreter until the
-    /// first [`select_engine`](Self::select_engine)).
+    /// The live execution engine (the bytecode engine unless
+    /// [`select_engine`](Self::select_engine) chose the interpreter).
     pub fn engine(&self) -> Arc<dyn Engine> {
         Arc::clone(&self.engine.read().expect("engine lock poisoned"))
     }
 
-    /// Installs the execution engine for `choice` and returns the name of
-    /// the engine actually installed (`"interp"` or `"compiled"`).
+    /// Installs the execution engine for `choice` and returns its name
+    /// (`"interp"` or `"compiled"`).
     ///
-    /// `Compiled` and `Auto` run the bytecode compile pass over the whole
-    /// program under hints derived from this handler's analysis: the
-    /// handler body watches exactly its non-entry PSE edges and the edges
-    /// into stop nodes (where the modulator/demodulator observers act),
-    /// and each watched edge ends a basic block; helper
-    /// bodies reached through `call` never fire observers and compile with
-    /// nothing watched. Declined bodies always run on the interpreter
-    /// (compile-or-fallback) — under `Auto`, a declined *handler* body
-    /// keeps the pure interpreter engine installed so the per-frame
-    /// fallback indirection is never paid on the hot path.
-    ///
-    /// Counted in `compiled_bodies_total` / `compile_fallbacks_total` and
-    /// traced as [`TraceEvent::EngineSelected`].
+    /// Every handler already runs compiled from construction; this is the
+    /// switch to the reference interpreter that the engine-differential
+    /// tests and the `interp` bench compare against. `Compiled` rebuilds
+    /// the bytecode engine exactly as construction does. Traced as
+    /// [`TraceEvent::EngineSelected`].
     pub fn select_engine(&self, choice: EngineChoice) -> &'static str {
-        let (installed, bodies, declined): (Arc<dyn Engine>, u32, u32) = match choice {
-            EngineChoice::Interp => (Arc::new(InterpEngine::new(Arc::clone(&self.program))), 0, 0),
-            EngineChoice::Compiled | EngineChoice::Auto => {
-                let hints = self.compile_hints();
-                let engine = CompiledEngine::compile(Arc::clone(&self.program), &hints);
-                let bodies = engine.compiled_bodies() as u32;
-                let declined = engine.declined().len() as u32;
-                self.metrics.note_engine_build(u64::from(bodies), u64::from(declined));
-                let installed: Arc<dyn Engine> =
-                    if choice == EngineChoice::Auto && !engine.is_compiled(&self.func_name) {
-                        Arc::new(InterpEngine::new(Arc::clone(&self.program)))
-                    } else {
-                        Arc::new(engine)
-                    };
-                (installed, bodies, declined)
+        let installed: Arc<dyn Engine> = match choice {
+            EngineChoice::Interp => {
+                self.obs.record(TraceEvent::EngineSelected { compiled: false, bodies: 0 });
+                Arc::new(InterpEngine::new(Arc::clone(&self.program)))
+            }
+            EngineChoice::Compiled => {
+                compiled_engine(&self.program, &self.analysis, &self.metrics, &self.obs)
             }
         };
         let name = installed.name();
-        self.obs.record(TraceEvent::EngineSelected {
-            compiled: name == "compiled",
-            bodies,
-            declined,
-        });
         *self.engine.write().expect("engine lock poisoned") = installed;
         name
-    }
-
-    /// Compile hints for this handler: the analysis' watched-edge set for
-    /// the handler body, nothing watched everywhere else.
-    fn compile_hints(&self) -> CompileHints {
-        let exec = self.analysis.exec_hints();
-        // Helper bodies reached through `call` never fire edge observers.
-        let mut hints = CompileHints {
-            default: CompileOptions {
-                observed: Observed::Edges(HashSet::new()),
-                fuse: true,
-                fuse_at: None,
-            },
-            ..CompileHints::default()
-        };
-        hints.per_fn.insert(
-            self.func_name.clone(),
-            CompileOptions {
-                observed: Observed::Edges(exec.observed),
-                fuse: true,
-                fuse_at: Some(exec.fuse_at),
-            },
-        );
-        hints
     }
 
     /// The shared partition plan (atomic flags).
@@ -334,6 +290,42 @@ impl PartitionedHandler {
     pub fn entry_pse(&self) -> Option<PseId> {
         self.analysis.pses().iter().position(|p| p.edge.is_entry())
     }
+}
+
+/// Compiles `program` to bytecode under `analysis`' hints: the handler
+/// body watches exactly its non-entry PSE edges and the edges into stop
+/// nodes (where the modulator/demodulator observers act), and each
+/// watched edge ends a basic block; helper bodies reached through `call`
+/// never fire observers and compile with nothing watched. Counted in
+/// `compiled_bodies_total` and traced as [`TraceEvent::EngineSelected`].
+fn compiled_engine(
+    program: &Arc<Program>,
+    analysis: &HandlerAnalysis,
+    metrics: &HandlerMetrics,
+    obs: &ObsHub,
+) -> Arc<dyn Engine> {
+    let exec = analysis.exec_hints();
+    let mut hints = CompileHints {
+        default: CompileOptions {
+            observed: Observed::Edges(HashSet::new()),
+            fuse: true,
+            fuse_at: None,
+        },
+        ..CompileHints::default()
+    };
+    hints.per_fn.insert(
+        analysis.func_name.clone(),
+        CompileOptions {
+            observed: Observed::Edges(exec.observed),
+            fuse: true,
+            fuse_at: Some(exec.fuse_at),
+        },
+    );
+    let engine = CompiledEngine::compile(Arc::clone(program), &hints);
+    let bodies = engine.compiled_bodies() as u32;
+    metrics.note_engine_build(u64::from(bodies));
+    obs.record(TraceEvent::EngineSelected { compiled: true, bodies });
+    Arc::new(engine)
 }
 
 #[cfg(test)]
@@ -487,16 +479,15 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn engine_defaults_to_interp_and_selection_installs() {
+    fn engine_is_compiled_from_construction_and_selection_installs() {
         let program = Arc::new(parse_program(SRC).unwrap());
         let h =
             PartitionedHandler::analyze(program, "push", Arc::new(DataSizeModel::new())).unwrap();
+        assert_eq!(h.engine().name(), "compiled");
+        assert_eq!(h.select_engine(EngineChoice::Interp), "interp");
         assert_eq!(h.engine().name(), "interp");
         assert_eq!(h.select_engine(EngineChoice::Compiled), "compiled");
         assert_eq!(h.engine().name(), "compiled");
-        assert_eq!(h.select_engine(EngineChoice::Interp), "interp");
-        // `push` compiles, so Auto lands on the bytecode engine.
-        assert_eq!(h.select_engine(EngineChoice::Auto), "compiled");
         let kinds: Vec<&str> = h.obs().trace().snapshot().iter().map(|r| r.event.kind()).collect();
         assert_eq!(kinds.iter().filter(|k| **k == "engine_selected").count(), 3);
     }

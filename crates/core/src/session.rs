@@ -66,7 +66,6 @@ use mpart_cost::CostModel;
 use mpart_ir::interp::{BuiltinRegistry, ExecCtx};
 use mpart_ir::{IrError, Program, Value};
 
-pub use mpart_ir::engine::EngineChoice;
 use mpart_obs::{Counter, Gauge, ObsHub, PlanReason, TraceEvent};
 
 use crate::failure::{self, DeadLetter, DeadLetterRing, FailureConfig, FailureKind};
@@ -116,11 +115,6 @@ pub struct SessionConfig {
     /// watermarks, profiling flags; never payloads — is checkpointed to
     /// the journal for crash-safe recovery (see [`crate::journal`]).
     pub journal: Option<Arc<SessionJournal>>,
-    /// Which execution engine sessions run their handlers on. The default
-    /// [`EngineChoice::Auto`] compiles each handler to register bytecode
-    /// at session open and falls back to the reference interpreter when
-    /// the handler body declines compilation.
-    pub engine: EngineChoice,
     /// When set, every plan switch runs under a [`PlanGuard`] canary
     /// window: the first `canary` envelopes after a commit are compared
     /// against the pre-switch baseline, a breach rolls back to the
@@ -141,7 +135,6 @@ impl Default for SessionConfig {
             degrade_after: 3,
             promote_after: 3,
             journal: None,
-            engine: EngineChoice::default(),
             guard: None,
         }
     }
@@ -196,13 +189,6 @@ impl SessionConfig {
     /// Attaches a session journal for crash-safe recovery.
     pub fn with_journal(mut self, journal: Arc<SessionJournal>) -> Self {
         self.journal = Some(journal);
-        self
-    }
-
-    /// Selects the execution engine for session handlers (default
-    /// [`EngineChoice::Auto`]).
-    pub fn with_engine(mut self, engine: EngineChoice) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -1089,7 +1075,6 @@ impl SessionManager {
                 handler.plan().set_profiled(pse, snap.flags >> pse & 1 == 1);
             }
         }
-        handler.select_engine(self.config.engine);
         let reconfig = ReconfigUnit::new(Arc::clone(handler.analysis()), kind, self.config.trigger)
             .with_serialize_cost(self.config.serialize_work_per_byte)
             .with_obs(Arc::clone(handler.obs()))

@@ -22,16 +22,13 @@
 //!   `n · max(T_mod(1), T_demod(1))`: the partition should balance per-unit
 //!   processing time across sender and receiver.
 //!
-//! Two further models implement the extensions §7 proposes as future
-//! work: [`PowerModel`] (sender-side energy) and [`CompositeModel`]
-//! (weighted blends of any two models).
+//! A third model implements an extension §7 proposes as future work:
+//! [`PowerModel`] (sender-side energy).
 
-pub mod composite;
 pub mod data_size;
 pub mod exec_time;
 pub mod power;
 
-pub use composite::CompositeModel;
 pub use data_size::DataSizeModel;
 pub use exec_time::ExecTimeModel;
 pub use power::PowerModel;
@@ -65,7 +62,7 @@ pub trait CostModel: EdgeCostEstimator + Send + Sync {
     /// analysis caches: two models whose `cache_key` matches must assign
     /// identical static costs to every edge. Parameterless models can use
     /// the default ([`name`](CostModel::name)); parameterized models
-    /// (composite weights, energy ratios, α/β link constants) must fold
+    /// (energy ratios, α/β link constants) must fold
     /// every parameter that influences [`EdgeCostEstimator::edge_cost`]
     /// into the key — the bare name would alias differently-tuned
     /// instances onto one cache entry and serve stale prices.

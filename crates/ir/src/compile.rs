@@ -66,14 +66,13 @@
 //! * an op that traps inside a block refunds the advance charge of the ops
 //!   after it, which never ran.
 //!
-//! # Compile-or-fallback contract
+//! # Every valid body compiles
 //!
-//! [`compile_function`] *declines* (returns [`CompileError`]) rather than
-//! miscompiles: empty bodies, frames too large for 16-bit registers, and
-//! out-of-range branch targets fall back to the interpreter, which
-//! reproduces the reference behavior (including the reference runtime
-//! errors). A declined body never fails an envelope. Assignments with no
-//! dedicated opcode lower to [`Op::Slow`], which delegates that single
+//! [`compile_function`] is total over valid bodies: [`Function::validate`],
+//! which every function of a [`Program`] passed, bounds the locals, the
+//! distinct constants and the instruction count by what 16-bit registers,
+//! a 16-bit constant pool and 32-bit op indices address. Assignments with
+//! no dedicated opcode lower to [`Op::Slow`], which delegates that single
 //! instruction to the interpreter's own rvalue/store evaluators — the
 //! long tail is correct by construction.
 //!
@@ -101,10 +100,9 @@
 //!     "fn sum_to(n) {\n    i = 0\n    total = 0\nhead:\n    if i > n goto done\n    \
 //!      total = total + i\n    i = i + 1\n    goto head\ndone:\n    return total\n}\n",
 //! )?);
-//! // Compile every body (declined bodies would fall back to the interpreter).
+//! // Every body compiles.
 //! let compiled = CompiledProgram::compile(&program, &CompileHints::default());
 //! assert_eq!(compiled.compiled_bodies(), 1);
-//! assert!(compiled.declined().is_empty());
 //!
 //! let engine = CompiledEngine::compile(Arc::clone(&program), &CompileHints::default());
 //! let mut ctx = ExecCtx::new(&program);
@@ -114,14 +112,14 @@
 //! ```
 
 use std::collections::{HashMap, HashSet};
-use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use crate::func::{Function, Program};
-use crate::instr::{BinOp, Const, GlobalId, Instr, Operand, Pc, Place, Rvalue, UnOp, Var};
+use crate::func::{Function, Program, MAX_CONSTS, MAX_INSTRS, MAX_LOCALS};
+use crate::instr::{BinOp, Const, GlobalId, Instr, Operand, Pc, Place, PoolKey, Rvalue, UnOp, Var};
 use crate::interp::{
-    binop, CostTable, EdgeAction, EdgeObserver, ExecCtx, Interp, Outcome, SuspendPoint, TraceEvent,
+    binop, frame_env, CostTable, EdgeAction, EdgeObserver, ExecCtx, Interp, Outcome, SuspendPoint,
+    TraceEvent,
 };
 use crate::types::{ClassId, ElemType, FieldId};
 use crate::value::Value;
@@ -141,6 +139,11 @@ pub const INT_SLOTS: usize = 32;
 /// `pc_map` entry for instructions that do not start a basic block (only
 /// block heads are entry points).
 pub const NO_ENTRY: u32 = u32::MAX;
+
+// The limits `Function::validate` enforces fit the bytecode's index types.
+const _: () = assert!(MAX_LOCALS <= Reg::MAX as usize + 1);
+const _: () = assert!(MAX_CONSTS <= u16::MAX as usize + 1);
+const _: () = assert!(MAX_INSTRS < NO_ENTRY as usize / 2);
 
 /// A pre-resolved operand: a register or an index into the constant pool.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -709,43 +712,6 @@ pub struct Block {
     pub resumable: bool,
 }
 
-/// Why the compiler declined a body (the function falls back to the
-/// interpreter; execution behavior is unchanged).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CompileError {
-    /// The body has no instructions.
-    EmptyBody,
-    /// The frame needs more local slots than 16-bit registers address.
-    TooManyLocals(usize),
-    /// The constant pool overflowed its 16-bit index space.
-    TooManyConsts(usize),
-    /// The body has more instructions than the op index space.
-    CodeTooLarge(usize),
-    /// A branch targets an instruction outside the body.
-    BranchTargetOutOfRange {
-        /// Branching instruction.
-        pc: Pc,
-        /// Out-of-range target.
-        target: Pc,
-    },
-}
-
-impl fmt::Display for CompileError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CompileError::EmptyBody => write!(f, "empty body"),
-            CompileError::TooManyLocals(n) => write!(f, "{n} locals exceed register space"),
-            CompileError::TooManyConsts(n) => write!(f, "{n} constants exceed pool space"),
-            CompileError::CodeTooLarge(n) => write!(f, "{n} instructions exceed op index space"),
-            CompileError::BranchTargetOutOfRange { pc, target } => {
-                write!(f, "branch at pc {pc} targets out-of-range pc {target}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CompileError {}
-
 /// Which control-flow edges the dispatch loop must report to the
 /// [`EdgeObserver`].
 #[derive(Debug, Clone, Default)]
@@ -862,12 +828,7 @@ impl CompiledFunction {
         if !self.failed.load(Ordering::Relaxed) {
             return self;
         }
-        self.plain.get_or_init(|| {
-            let watch = self.watch.clone();
-            Box::new(
-                compile_body(program, func, watch, false).expect("the speculative body compiled"),
-            )
-        })
+        self.plain.get_or_init(|| Box::new(compile_body(program, func, self.watch.clone(), false)))
     }
 
     /// The op index a frame resumed at instruction `pc` starts from: the
@@ -884,87 +845,73 @@ impl CompiledFunction {
     }
 }
 
-/// All compiled bodies of a program, plus the decline list.
-///
-/// `fns` is indexed in program function order; a `None` body means the
-/// compiler declined and the interpreter executes that function.
+/// All compiled bodies of a program, indexed in program function order.
 #[derive(Debug, Clone, Default)]
 pub struct CompiledProgram {
-    fns: Vec<Option<Arc<CompiledFunction>>>,
+    fns: Vec<Arc<CompiledFunction>>,
     by_name: HashMap<String, u32>,
-    declined: Vec<(String, CompileError)>,
 }
 
 impl CompiledProgram {
-    /// Compiles every function body of `program`, recording declines
-    /// instead of failing.
+    /// Compiles every function body of `program`.
     pub fn compile(program: &Program, hints: &CompileHints) -> Self {
         let mut fns = Vec::new();
         let mut by_name = HashMap::new();
-        let mut declined = Vec::new();
         for (i, func) in program.functions().enumerate() {
             by_name.insert(func.name.clone(), i as u32);
             let opts = hints.per_fn.get(&func.name).unwrap_or(&hints.default);
-            match compile_function(program, func, opts) {
-                Ok(code) => fns.push(Some(Arc::new(code))),
-                Err(e) => {
-                    declined.push((func.name.clone(), e));
-                    fns.push(None);
-                }
-            }
+            fns.push(Arc::new(compile_function(program, func, opts)));
         }
-        CompiledProgram { fns, by_name, declined }
+        CompiledProgram { fns, by_name }
     }
 
-    /// Program index of `name`, if the function exists (compiled or not).
+    /// Program index of `name`, if the function exists.
     pub fn index_of(&self, name: &str) -> Option<u32> {
         self.by_name.get(name).copied()
     }
 
-    /// The compiled body at program index `i`, if the compiler accepted it.
+    /// The compiled body at program index `i`.
     pub fn body(&self, i: u32) -> Option<&Arc<CompiledFunction>> {
-        self.fns.get(i as usize).and_then(|b| b.as_ref())
+        self.fns.get(i as usize)
     }
 
-    /// Compiled body for `name`, if present.
+    /// Compiled body for `name`, if the function exists.
     pub fn body_of(&self, name: &str) -> Option<&Arc<CompiledFunction>> {
         self.index_of(name).and_then(|i| self.body(i))
     }
 
-    /// Number of bodies the compiler accepted.
+    /// Number of compiled bodies: every function of the program.
     pub fn compiled_bodies(&self) -> usize {
-        self.fns.iter().filter(|b| b.is_some()).count()
-    }
-
-    /// Functions the compiler declined, with the reason.
-    pub fn declined(&self) -> &[(String, CompileError)] {
-        &self.declined
+        self.fns.len()
     }
 }
 
-fn reg(v: Var) -> Result<Reg, CompileError> {
-    if v.0 > u16::MAX as u32 {
-        return Err(CompileError::TooManyLocals(v.index() + 1));
-    }
-    Ok(v.0 as Reg)
+/// A register. [`Function::validate`] bounds every variable below
+/// [`MAX_LOCALS`], so it fits.
+fn reg(v: Var) -> Reg {
+    v.0 as Reg
 }
 
-fn intern(consts: &mut Vec<Value>, c: &Const) -> Result<u16, CompileError> {
-    let v = c.to_value();
-    if let Some(i) = consts.iter().position(|x| x == &v) {
-        return Ok(i as u16);
-    }
-    if consts.len() > u16::MAX as usize {
-        return Err(CompileError::TooManyConsts(consts.len() + 1));
-    }
-    consts.push(v);
-    Ok((consts.len() - 1) as u16)
+/// A body's constant pool under construction: each distinct constant (by
+/// [`Const::pool_key`]) once, in first-use order. [`Function::validate`]
+/// bounds the distinct constants by [`MAX_CONSTS`], so every index fits.
+#[derive(Default)]
+struct Pool {
+    values: Vec<Value>,
+    index: HashMap<PoolKey, u16>,
 }
 
-fn src(consts: &mut Vec<Value>, op: &Operand) -> Result<Src, CompileError> {
-    match op {
-        Operand::Var(v) => Ok(Src::Reg(reg(*v)?)),
-        Operand::Const(c) => Ok(Src::Const(intern(consts, c)?)),
+impl Pool {
+    fn src(&mut self, op: &Operand) -> Src {
+        let c = match op {
+            Operand::Var(v) => return Src::Reg(reg(*v)),
+            Operand::Const(c) => c,
+        };
+        let next = self.values.len() as u16;
+        Src::Const(*self.index.entry(c.pool_key()).or_insert_with(|| {
+            self.values.push(c.to_value());
+            next
+        }))
     }
 }
 
@@ -1409,7 +1356,7 @@ fn target_mut(op: &mut Op) -> Option<&mut u32> {
 struct FnCompiler<'a> {
     func: &'a Function,
     fn_index: HashMap<&'a str, u32>,
-    consts: Vec<Value>,
+    consts: Pool,
     calls: Vec<CallSite>,
     kinds: Kinds,
     /// Register → `i64` slot, for registers that may be `Int`.
@@ -1418,21 +1365,15 @@ struct FnCompiler<'a> {
     spec: Vec<bool>,
 }
 
-/// Compiles one function body; returns the reason on decline.
+/// Compiles one function body.
 ///
-/// Declining is always safe: the caller runs the function on the
-/// interpreter instead, which reproduces the reference behavior —
-/// including reference runtime errors such as a branch to an
-/// out-of-range target.
-///
-/// # Errors
-///
-/// Returns a [`CompileError`] describing why the body was declined.
+/// `func` must be valid ([`Function::validate`]), as every function of a
+/// [`Program`] is: a valid body always compiles.
 pub fn compile_function(
     program: &Program,
     func: &Function,
     opts: &CompileOptions,
-) -> Result<CompiledFunction, CompileError> {
+) -> CompiledFunction {
     compile_body(program, func, opts.observed.flags(func), true)
 }
 
@@ -1443,17 +1384,8 @@ fn compile_body(
     func: &Function,
     watch: Vec<u8>,
     speculate: bool,
-) -> Result<CompiledFunction, CompileError> {
+) -> CompiledFunction {
     let n = func.instrs.len();
-    if n == 0 {
-        return Err(CompileError::EmptyBody);
-    }
-    if n >= NO_ENTRY as usize / 2 {
-        return Err(CompileError::CodeTooLarge(n));
-    }
-    if func.locals > u16::MAX as usize + 1 {
-        return Err(CompileError::TooManyLocals(func.locals));
-    }
 
     // Leaders: the entry, every branch target, every watched edge's target
     // (so resumption entry points are block heads), and the instruction
@@ -1462,9 +1394,6 @@ fn compile_body(
     let mut leader = targets.clone();
     for (pc, instr) in func.instrs.iter().enumerate() {
         if let Instr::Goto { target } | Instr::If { target, .. } = instr {
-            if *target >= n {
-                return Err(CompileError::BranchTargetOutOfRange { pc, target: *target });
-            }
             leader[*target] = true;
         }
         if ends_block(instr) && pc + 1 < n {
@@ -1521,7 +1450,7 @@ fn compile_body(
             .enumerate()
             .map(|(i, f)| (f.name.as_str(), i as u32))
             .collect(),
-        consts: Vec::new(),
+        consts: Pool::default(),
         calls: Vec::new(),
         kinds,
         slots,
@@ -1571,7 +1500,7 @@ fn compile_body(
             }
         }
         prefix.add(static_charge(instr));
-        if let Some(op) = c.lower(pc)? {
+        if let Some(op) = c.lower(pc) {
             if let Instr::Goto { target } | Instr::If { target, .. } = instr {
                 if watch[pc] & WATCH_TAKEN != 0 {
                     watched_taken.push((ops.len(), pc, *target));
@@ -1607,18 +1536,18 @@ fn compile_body(
     }
 
     let typed_regs = typed_regs.len();
-    Ok(CompiledFunction {
+    CompiledFunction {
         ops,
         refund,
         blocks,
         calls: c.calls,
-        consts: c.consts,
+        consts: c.consts.values,
         pc_map,
         typed_regs,
         watch,
         failed: AtomicBool::new(false),
         plain: OnceLock::new(),
-    })
+    }
 }
 
 impl FnCompiler<'_> {
@@ -1634,11 +1563,11 @@ impl FnCompiler<'_> {
     /// Lowers the instruction at `pc` (a `nop` lowers to nothing: its
     /// block head charges it). Branch targets are still instruction
     /// indices.
-    fn lower(&mut self, pc: Pc) -> Result<Option<Op>, CompileError> {
+    fn lower(&mut self, pc: Pc) -> Option<Op> {
         let op = match &self.func.instrs[pc] {
-            Instr::Nop => return Ok(None),
+            Instr::Nop => return None,
             Instr::Return { value } => Op::Ret(match value {
-                Some(v) => Some(src(&mut self.consts, v)?),
+                Some(v) => Some(self.consts.src(v)),
                 None => None,
             }),
             Instr::Goto { target } => Op::Jmp { t: *target as u32 },
@@ -1658,26 +1587,26 @@ impl FnCompiler<'_> {
                     }
                     None => Op::Br {
                         op: cond.op,
-                        a: src(&mut self.consts, &cond.lhs)?,
-                        b: src(&mut self.consts, &cond.rhs)?,
+                        a: self.consts.src(&cond.lhs),
+                        b: self.consts.src(&cond.rhs),
                         t,
                     },
                 }
             }
-            Instr::Assign { place, rvalue } => self.lower_assign(pc, place, rvalue)?,
+            Instr::Assign { place, rvalue } => self.lower_assign(pc, place, rvalue),
         };
-        Ok(Some(op))
+        Some(op)
     }
 
-    fn lower_assign(&mut self, pc: Pc, place: &Place, rvalue: &Rvalue) -> Result<Op, CompileError> {
+    fn lower_assign(&mut self, pc: Pc, place: &Place, rvalue: &Rvalue) -> Op {
         // Calls store through any place shape; everything else gets a
         // dedicated opcode only for register destinations and plain stores.
         if let Rvalue::Invoke { callee, args } | Rvalue::InvokeNative { callee, args } = rvalue {
             let native = matches!(rvalue, Rvalue::InvokeNative { .. });
             let dst = match place {
-                Place::Var(v) => CallDst::Reg(reg(*v)?),
-                Place::Field(b, f) => CallDst::Field(reg(*b)?, *f),
-                Place::ArrayElem(b, i) => CallDst::Elem(reg(*b)?, src(&mut self.consts, i)?),
+                Place::Var(v) => CallDst::Reg(reg(*v)),
+                Place::Field(b, f) => CallDst::Field(reg(*b), *f),
+                Place::ArrayElem(b, i) => CallDst::Elem(reg(*b), self.consts.src(i)),
                 Place::Global(g) => CallDst::Global(*g),
             };
             let callee = if native {
@@ -1688,102 +1617,89 @@ impl FnCompiler<'_> {
                     None => Callee::Pure(callee.as_str().into()),
                 }
             };
-            let args = args
-                .iter()
-                .map(|a| src(&mut self.consts, a))
-                .collect::<Result<Vec<_>, _>>()?
-                .into_boxed_slice();
+            let args = args.iter().map(|a| self.consts.src(a)).collect();
             self.calls.push(CallSite { dst, callee, args });
-            return Ok(Op::Call { site: self.calls.len() as u32 - 1 });
+            return Op::Call { site: self.calls.len() as u32 - 1 };
         }
         let kind = |o: &Operand| self.kinds.of(pc, o);
         let int_var = |o: &Operand| match o {
             Operand::Var(v) if kind(o) == Kind::INT => Some(*v),
             _ => None,
         };
-        let op = match (place, rvalue) {
+        match (place, rvalue) {
             (Place::Var(d), _)
                 if self.slot(*d).is_some() && defines_int(rvalue, kind, self.spec[d.index()]) =>
             {
-                self.lower_int_def(pc, *d, rvalue)?
+                self.lower_int_def(pc, *d, rvalue)
             }
-            (Place::Var(d), Rvalue::Use(x)) => {
-                Op::Mov { dst: reg(*d)?, src: src(&mut self.consts, x)? }
-            }
+            (Place::Var(d), Rvalue::Use(x)) => Op::Mov { dst: reg(*d), src: self.consts.src(x) },
             (Place::Var(d), Rvalue::Unary(op, x)) => {
-                Op::Un { op: *op, dst: reg(*d)?, src: src(&mut self.consts, x)? }
+                Op::Un { op: *op, dst: reg(*d), src: self.consts.src(x) }
             }
             (Place::Var(d), Rvalue::Binary(op, x, y)) => {
                 match int_form(*op, x, y, kind).filter(|_| op.is_comparison()) {
                     Some((a, IntRhs::Reg(b), cmp)) => Op::CmpI {
                         cmp: cmp_of(cmp),
-                        dst: reg(*d)?,
+                        dst: reg(*d),
                         a: self.int_slot(a),
                         b: self.int_slot(b),
                     },
                     Some((a, IntRhs::K(k), cmp)) => {
-                        Op::CmpIK { cmp: cmp_of(cmp), dst: reg(*d)?, a: self.int_slot(a), k }
+                        Op::CmpIK { cmp: cmp_of(cmp), dst: reg(*d), a: self.int_slot(a), k }
                     }
                     None => Op::Bin {
                         op: *op,
-                        dst: reg(*d)?,
-                        a: src(&mut self.consts, x)?,
-                        b: src(&mut self.consts, y)?,
+                        dst: reg(*d),
+                        a: self.consts.src(x),
+                        b: self.consts.src(y),
                     },
                 }
             }
             (Place::Var(d), Rvalue::InstanceOf(v, class)) => {
-                Op::InstanceOf { dst: reg(*d)?, obj: reg(*v)?, class: *class }
+                Op::InstanceOf { dst: reg(*d), obj: reg(*v), class: *class }
             }
             (Place::Var(d), Rvalue::Cast(class, v)) => {
-                Op::Cast { dst: reg(*d)?, obj: reg(*v)?, class: *class }
+                Op::Cast { dst: reg(*d), obj: reg(*v), class: *class }
             }
-            (Place::Var(d), Rvalue::New(class)) => Op::New { dst: reg(*d)?, class: *class },
+            (Place::Var(d), Rvalue::New(class)) => Op::New { dst: reg(*d), class: *class },
             (Place::Var(d), Rvalue::NewArray(elem, len)) => {
-                Op::NewArr { dst: reg(*d)?, elem: *elem, len: src(&mut self.consts, len)? }
+                Op::NewArr { dst: reg(*d), elem: *elem, len: self.consts.src(len) }
             }
             (Place::Var(d), Rvalue::FieldGet(v, field)) => {
-                Op::FieldGet { dst: reg(*d)?, obj: reg(*v)?, field: *field }
+                Op::FieldGet { dst: reg(*d), obj: reg(*v), field: *field }
             }
             (Place::Var(d), Rvalue::ArrayGet(v, idx)) => match int_var(idx) {
-                Some(i) => Op::ArrGetI { dst: reg(*d)?, arr: reg(*v)?, idx: self.int_slot(i) },
-                None => {
-                    Op::ArrGet { dst: reg(*d)?, arr: reg(*v)?, idx: src(&mut self.consts, idx)? }
-                }
+                Some(i) => Op::ArrGetI { dst: reg(*d), arr: reg(*v), idx: self.int_slot(i) },
+                None => Op::ArrGet { dst: reg(*d), arr: reg(*v), idx: self.consts.src(idx) },
             },
-            (Place::Var(d), Rvalue::ArrayLen(v)) => Op::ArrLen { dst: reg(*d)?, arr: reg(*v)? },
-            (Place::Var(d), Rvalue::GlobalGet(g)) => Op::GlobalGet { dst: reg(*d)?, global: *g },
+            (Place::Var(d), Rvalue::ArrayLen(v)) => Op::ArrLen { dst: reg(*d), arr: reg(*v) },
+            (Place::Var(d), Rvalue::GlobalGet(g)) => Op::GlobalGet { dst: reg(*d), global: *g },
             (Place::Field(b, f), Rvalue::Use(x)) => {
-                Op::FieldSet { obj: reg(*b)?, field: *f, src: src(&mut self.consts, x)? }
+                Op::FieldSet { obj: reg(*b), field: *f, src: self.consts.src(x) }
             }
             (Place::ArrayElem(b, i), Rvalue::Use(x)) => match int_var(i) {
-                Some(iv) => Op::ArrSetI {
-                    arr: reg(*b)?,
-                    idx: self.int_slot(iv),
-                    src: src(&mut self.consts, x)?,
-                },
-                None => Op::ArrSet {
-                    arr: reg(*b)?,
-                    idx: src(&mut self.consts, i)?,
-                    src: src(&mut self.consts, x)?,
-                },
+                Some(iv) => {
+                    Op::ArrSetI { arr: reg(*b), idx: self.int_slot(iv), src: self.consts.src(x) }
+                }
+                None => {
+                    Op::ArrSet { arr: reg(*b), idx: self.consts.src(i), src: self.consts.src(x) }
+                }
             },
             (Place::Global(g), Rvalue::Use(x)) => {
-                Op::GlobalSet { global: *g, src: src(&mut self.consts, x)? }
+                Op::GlobalSet { global: *g, src: self.consts.src(x) }
             }
             // Rare shapes (e.g. `a.f = b + c`) delegate to the
             // interpreter's evaluators for that one instruction.
             _ => Op::Slow { pc: pc as u32 },
-        };
-        Ok(op)
+        }
     }
 
     /// A typed definition of `d` (which has a slot): `rvalue` satisfies
     /// [`defines_int`] at `pc`.
-    fn lower_int_def(&mut self, pc: Pc, d: Var, rvalue: &Rvalue) -> Result<Op, CompileError> {
-        let (dst, ds) = (reg(d)?, self.int_slot(d));
+    fn lower_int_def(&mut self, pc: Pc, d: Var, rvalue: &Rvalue) -> Op {
+        let (dst, ds) = (reg(d), self.int_slot(d));
         let kind = |o: &Operand| self.kinds.of(pc, o);
-        Ok(match rvalue {
+        match rvalue {
             Rvalue::Use(Operand::Var(s)) => Op::MovI { dst, d: ds, s: self.int_slot(*s) },
             Rvalue::Use(Operand::Const(Const::Int(k))) => Op::ConstI { dst, d: ds, k: *k },
             Rvalue::Unary(UnOp::Neg, Operand::Var(s)) => {
@@ -1792,12 +1708,12 @@ impl FnCompiler<'_> {
             Rvalue::Unary(UnOp::Neg, Operand::Const(Const::Int(k))) => {
                 Op::ConstI { dst, d: ds, k: k.wrapping_neg() }
             }
-            Rvalue::ArrayLen(v) => Op::ArrLenI { dst, d: ds, arr: reg(*v)? },
+            Rvalue::ArrayLen(v) => Op::ArrLenI { dst, d: ds, arr: reg(*v) },
             Rvalue::FieldGet(v, field) => {
-                Op::FieldI { dst, d: ds, obj: reg(*v)?, field: *field, pc: pc as u32 }
+                Op::FieldI { dst, d: ds, obj: reg(*v), field: *field, pc: pc as u32 }
             }
             Rvalue::ArrayGet(v, Operand::Var(i)) => {
-                Op::ElemI { dst, d: ds, arr: reg(*v)?, idx: self.int_slot(*i), pc: pc as u32 }
+                Op::ElemI { dst, d: ds, arr: reg(*v), idx: self.int_slot(*i), pc: pc as u32 }
             }
             Rvalue::Binary(op, x, y) => {
                 let (a, rhs, op) = int_form(*op, x, y, kind).expect("defines_int checked the form");
@@ -1823,7 +1739,7 @@ impl FnCompiler<'_> {
                 }
             }
             _ => unreachable!("defines_int admits no other shape"),
-        })
+        }
     }
 }
 
@@ -1917,8 +1833,7 @@ impl<'p> Vm<'p> {
         }
     }
 
-    /// Calls program function `idx`, compiled if its body was accepted,
-    /// on the interpreter otherwise (at the same call depth).
+    /// Calls program function `idx`.
     pub(crate) fn call_fn(
         &self,
         ctx: &mut ExecCtx,
@@ -1927,30 +1842,18 @@ impl<'p> Vm<'p> {
         depth: usize,
     ) -> Result<Option<Value>, IrError> {
         let func = self.ftab[idx as usize];
-        match self.cp.body(idx) {
-            Some(code) => {
-                if args.len() != func.params {
-                    return Err(IrError::Type(format!(
-                        "function `{}` expects {} args, got {}",
-                        func.name,
-                        func.params,
-                        args.len()
-                    )));
-                }
-                let mut env = vec![Value::Null; func.locals];
-                for (i, a) in args.into_iter().enumerate() {
-                    env[i] = a;
-                }
-                let code = code.current(self.program, func);
-                match self.exec(ctx, code, func, env, 0, None, depth)? {
-                    Outcome::Finished(v) => Ok(v),
-                    Outcome::Suspended(_) => unreachable!("suspension without observer"),
-                }
-            }
-            None => {
-                self.fallbacks.fetch_add(1, Ordering::Relaxed);
-                self.interp.call(ctx, func, args, depth)
-            }
+        let code = self.cp.body(idx).expect("every function has a body");
+        match self.exec(
+            ctx,
+            code.current(self.program, func),
+            func,
+            frame_env(func, args)?,
+            0,
+            None,
+            depth,
+        )? {
+            Outcome::Finished(v) => Ok(v),
+            Outcome::Suspended(_) => unreachable!("suspension without observer"),
         }
     }
 
@@ -2443,7 +2346,7 @@ mod tests {
 
     fn compile(src: &str, name: &str, opts: &CompileOptions) -> CompiledFunction {
         let p = parse_program(src).unwrap();
-        compile_function(&p, p.function(name).unwrap(), opts).unwrap()
+        compile_function(&p, p.function(name).unwrap(), opts)
     }
 
     #[test]
@@ -2452,19 +2355,19 @@ mod tests {
     }
 
     #[test]
-    fn empty_body_is_declined() {
-        // Programs refuse empty bodies at construction; hand the compiler
-        // a detached one to exercise the decline path.
-        let p = Program::new();
-        let f = Function {
-            name: "empty".into(),
-            params: 0,
-            locals: 0,
-            instrs: vec![],
-            var_names: vec![],
-        };
-        let err = compile_function(&p, &f, &CompileOptions::default()).unwrap_err();
-        assert_eq!(err, CompileError::EmptyBody);
+    fn negative_zero_keeps_its_own_pool_entry() {
+        // `0.0 == -0.0`, so a pool deduplicated by `==` would hand `b` the
+        // positive zero.
+        let src = "fn f() {\n    a = 0.0\n    b = -0.0\n    return b\n}\n";
+        let p = Arc::new(parse_program(src).unwrap());
+        assert_eq!(compile(src, "f", &CompileOptions::default()).consts.len(), 2);
+        let engine =
+            crate::engine::CompiledEngine::compile(Arc::clone(&p), &CompileHints::default());
+        let mut ctx = ExecCtx::new(&p);
+        match crate::engine::Engine::run(&engine, &mut ctx, "f", vec![]).unwrap() {
+            Some(Value::Float(b)) => assert!(b == 0.0 && b.is_sign_negative(), "{b}"),
+            other => panic!("expected a float, got {other:?}"),
+        }
     }
 
     #[test]
@@ -2488,7 +2391,7 @@ mod tests {
     fn plain_compile_types_only_what_it_proves() {
         let p = parse_program(LOOP_SRC).unwrap();
         let f = p.function("sum_to").unwrap();
-        let code = compile_body(&p, f, opts_edges(&[]).observed.flags(f), false).unwrap();
+        let code = compile_body(&p, f, opts_edges(&[]).observed.flags(f), false);
         // `n` stays generic, so the loop test is a guarded generic branch.
         assert!(code.ops.iter().any(|o| matches!(o, Op::Br { .. })));
         assert!(code.ops.iter().any(|o| matches!(o, Op::AddI { .. })));
@@ -2518,7 +2421,7 @@ mod tests {
     fn observed_all_is_one_resumable_block_per_instruction() {
         let p = parse_program(LOOP_SRC).unwrap();
         let f = p.function("sum_to").unwrap();
-        let code = compile_function(&p, f, &CompileOptions::default()).unwrap();
+        let code = compile_function(&p, f, &CompileOptions::default());
         assert_eq!(code.blocks.len(), f.instrs.len());
         assert!(code.blocks.iter().all(|b| b.charge.steps == 1 && b.resumable));
         // Every instruction is a resume point, so each block reloads the

@@ -8,25 +8,25 @@
 //!   charging, trap points, edge observation) is defined by what the
 //!   interpreter does.
 //! * [`CompiledEngine`] — the register-bytecode dispatch loop of
-//!   [`compile`](crate::compile). Faster, but contractually bound to the
+//!   [`compile`](crate::compile), the engine every partitioned handler
+//!   runs from construction. It is contractually bound to the
 //!   interpreter: results, traps, work/step metering, native-call traces,
-//!   and suspension points must be indistinguishable. Bodies the compiler
-//!   declines transparently run on the interpreter (compile-or-fallback),
-//!   so a compiled engine never fails an envelope the interpreter would
-//!   have handled.
+//!   and suspension points must be indistinguishable. Every valid body
+//!   compiles (see [`Function::validate`]), so there is no decline path.
 //!
 //! The partitioned runtime (`Modulator`/`Demodulator` in `mpart-core`)
 //! holds an `Arc<dyn Engine>` and never mentions a concrete engine:
 //! continuation packing, profiling feedback, and the Reconfiguration Unit
-//! are engine-agnostic. [`EngineChoice`] is the user-facing selector
-//! (`--engine interp|compiled|auto`).
+//! are engine-agnostic. [`EngineChoice`] switches a handler to the
+//! reference engine, which is what the engine-differential tests compare
+//! against.
 //!
 //! # Example
 //!
 //! ```
 //! use std::sync::Arc;
 //! use mpart_ir::compile::CompileHints;
-//! use mpart_ir::engine::{CompiledEngine, Engine, EngineChoice, InterpEngine};
+//! use mpart_ir::engine::{CompiledEngine, Engine, InterpEngine};
 //! use mpart_ir::interp::ExecCtx;
 //! use mpart_ir::parse::parse_program;
 //! use mpart_ir::value::Value;
@@ -41,20 +41,18 @@
 //!     let mut ctx = ExecCtx::new(&program);
 //!     assert_eq!(engine.run(&mut ctx, "f", vec![Value::Int(21)])?, Some(Value::Int(42)));
 //! }
-//! assert_eq!("auto".parse::<EngineChoice>()?, EngineChoice::Auto);
 //! # Ok(())
 //! # }
 //! ```
 
 use std::fmt;
-use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::compile::{CompileError, CompileHints, CompiledProgram, Vm};
+use crate::compile::{CompileHints, CompiledFunction, CompiledProgram, Vm};
 use crate::func::{Function, Program};
 use crate::instr::Pc;
-use crate::interp::{EdgeObserver, ExecCtx, Interp, Outcome};
+use crate::interp::{check_resume, frame_env, EdgeObserver, ExecCtx, Interp, Outcome};
 use crate::value::Value;
 use crate::IrError;
 
@@ -160,8 +158,8 @@ impl Engine for InterpEngine {
     }
 }
 
-/// The bytecode engine: runs compiled bodies on the dispatch-loop VM and
-/// everything else on the interpreter (compile-or-fallback).
+/// The bytecode engine: every body of the program compiled to register
+/// bytecode and run on the dispatch-loop VM.
 #[derive(Debug)]
 pub struct CompiledEngine {
     program: Arc<Program>,
@@ -170,30 +168,22 @@ pub struct CompiledEngine {
 }
 
 impl CompiledEngine {
-    /// Compiles every body of `program` under `hints`. Declined bodies are
-    /// recorded (see [`CompiledEngine::declined`]) and execute on the
-    /// interpreter.
+    /// Compiles every body of `program` under `hints`.
     pub fn compile(program: Arc<Program>, hints: &CompileHints) -> Self {
         let code = CompiledProgram::compile(&program, hints);
         CompiledEngine { program, code, fallback_frames: AtomicU64::new(0) }
     }
 
-    /// Number of bodies the compiler accepted.
+    /// Number of compiled bodies: every function of the program.
     pub fn compiled_bodies(&self) -> usize {
         self.code.compiled_bodies()
     }
 
-    /// Bodies the compiler declined, with reasons.
-    pub fn declined(&self) -> &[(String, CompileError)] {
-        self.code.declined()
-    }
-
-    /// Whether `name` has a compiled body.
-    pub fn is_compiled(&self, name: &str) -> bool {
-        self.code.body_of(name).is_some()
-    }
-
-    /// Frames executed on the interpreter fallback so far.
+    /// Frames that continued on the interpreter so far: a resume at an
+    /// instruction that heads no resumable block, and a speculative load
+    /// that met a non-integer (deoptimization). A block that would cross
+    /// the step limit also continues there, uncounted: that path ends in
+    /// a trap. The pipeline benchmark's probe reports this counter.
     pub fn fallback_frames(&self) -> u64 {
         self.fallback_frames.load(Ordering::Relaxed)
     }
@@ -202,8 +192,11 @@ impl CompiledEngine {
         Vm::new(&self.program, &self.code, &self.fallback_frames)
     }
 
-    fn note_fallback(&self) {
-        self.fallback_frames.fetch_add(1, Ordering::Relaxed);
+    /// The code a new frame of `func` runs.
+    fn body(&self, func: &Function) -> Result<&CompiledFunction, IrError> {
+        let code = self.code.body_of(&func.name);
+        let code = code.ok_or_else(|| IrError::Unresolved(format!("function `{}`", func.name)))?;
+        Ok(code.current(&self.program, func))
     }
 }
 
@@ -218,17 +211,9 @@ impl Engine for CompiledEngine {
         name: &str,
         args: Vec<Value>,
     ) -> Result<Option<Value>, IrError> {
-        let f = self.program.function_or_err(name)?;
-        match self.code.body_of(name) {
-            Some(_) => {
-                let idx = self.code.index_of(name).expect("body implies index");
-                self.vm().call_fn(ctx, idx, args, 0)
-            }
-            None => {
-                self.note_fallback();
-                Interp::new(&self.program).call(ctx, f, args, 0)
-            }
-        }
+        let idx = self.code.index_of(name);
+        let idx = idx.ok_or_else(|| IrError::Unresolved(format!("function `{name}`")))?;
+        self.vm().call_fn(ctx, idx, args, 0)
     }
 
     fn run_observed(
@@ -238,28 +223,9 @@ impl Engine for CompiledEngine {
         args: Vec<Value>,
         observer: &mut dyn EdgeObserver,
     ) -> Result<Outcome, IrError> {
-        match self.code.body_of(&func.name) {
-            Some(code) => {
-                if args.len() != func.params {
-                    return Err(IrError::Type(format!(
-                        "function `{}` expects {} args, got {}",
-                        func.name,
-                        func.params,
-                        args.len()
-                    )));
-                }
-                let mut env = vec![Value::Null; func.locals];
-                for (i, a) in args.into_iter().enumerate() {
-                    env[i] = a;
-                }
-                let code = code.current(&self.program, func);
-                self.vm().exec(ctx, code, func, env, 0, Some(observer), 0)
-            }
-            None => {
-                self.note_fallback();
-                Interp::new(&self.program).run_with_observer(ctx, func, args, observer)
-            }
-        }
+        let code = self.body(func)?;
+        let env = frame_env(func, args)?;
+        self.vm().exec(ctx, code, func, env, 0, Some(observer), 0)
     }
 
     fn resume_observed(
@@ -270,83 +236,35 @@ impl Engine for CompiledEngine {
         env: Vec<Value>,
         observer: &mut dyn EdgeObserver,
     ) -> Result<Outcome, IrError> {
-        // Mirror the interpreter's validation surface exactly.
-        if entry >= func.instrs.len() {
-            return Err(IrError::Continuation(format!(
-                "resume point {entry} out of range for `{}`",
-                func.name
-            )));
-        }
-        if env.len() != func.locals {
-            return Err(IrError::Continuation(format!(
-                "environment size {} does not match {} locals of `{}`",
-                env.len(),
-                func.locals,
-                func.name
-            )));
-        }
-        let resume = self.code.body_of(&func.name).and_then(|c| {
-            let c = c.current(&self.program, func);
-            Some((c, c.resume_op(entry)?))
-        });
-        match resume {
+        check_resume(func, entry, &env)?;
+        let code = self.body(func)?;
+        match code.resume_op(entry) {
             // Watched-edge targets head blocks that enter untyped, so a
             // resume point from a live plan always maps to an op; any
-            // other entry (compiled under different hints) falls back.
-            Some((code, entry_op)) => {
-                self.vm().exec(ctx, code, func, env, entry_op, Some(observer), 0)
-            }
-            _ => {
-                self.note_fallback();
+            // other entry (compiled under different hints) continues on
+            // the interpreter.
+            Some(entry_op) => self.vm().exec(ctx, code, func, env, entry_op, Some(observer), 0),
+            None => {
+                self.fallback_frames.fetch_add(1, Ordering::Relaxed);
                 Interp::new(&self.program).resume_with_observer(ctx, func, entry, env, observer)
             }
         }
     }
 }
 
-/// User-facing engine selector, threaded through `SessionConfig` and
-/// `mpart serve --engine`.
+/// Which engine a handler runs on.
+///
+/// Every handler runs [`Compiled`](EngineChoice::Compiled) from
+/// construction. `PartitionedHandler::select_engine` keeps this switch so
+/// that a handler can run on the reference engine: the engine-differential
+/// tests and the `interp` bench compare the two on one handler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineChoice {
-    /// Always the reference interpreter.
+    /// The reference interpreter.
     Interp,
-    /// Always the bytecode engine (declined bodies still fall back
-    /// per frame).
-    Compiled,
-    /// The bytecode engine when the handler body itself compiles, the
-    /// interpreter otherwise.
+    /// The bytecode engine.
     #[default]
-    Auto,
-}
-
-impl EngineChoice {
-    /// Canonical lowercase name (`interp`/`compiled`/`auto`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            EngineChoice::Interp => "interp",
-            EngineChoice::Compiled => "compiled",
-            EngineChoice::Auto => "auto",
-        }
-    }
-}
-
-impl fmt::Display for EngineChoice {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl FromStr for EngineChoice {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "interp" => Ok(EngineChoice::Interp),
-            "compiled" => Ok(EngineChoice::Compiled),
-            "auto" => Ok(EngineChoice::Auto),
-            other => Err(format!("unknown engine `{other}` (expected interp, compiled, or auto)")),
-        }
-    }
+    Compiled,
 }
 
 #[cfg(test)]
@@ -466,44 +384,38 @@ mod tests {
     }
 
     #[test]
-    fn declined_body_falls_back_and_counts() {
+    fn a_body_at_the_locals_limit_compiles_and_runs() {
+        use crate::func::MAX_LOCALS;
         use crate::instr::{BinOp, Instr, Operand, Place, Rvalue, Var};
-        // A frame larger than the 16-bit register file is declined but
-        // still runs — on the interpreter, counted as a fallback frame.
-        let big = 70_000u32;
+        let top = MAX_LOCALS as u32 - 1;
         let mut p = Program::new();
         p.add_function(Function {
             name: "big".into(),
             params: 1,
-            locals: big as usize,
+            locals: MAX_LOCALS,
             instrs: vec![
                 Instr::Assign {
-                    place: Place::Var(Var(big - 1)),
+                    place: Place::Var(Var(top)),
                     rvalue: Rvalue::Binary(BinOp::Add, Operand::Var(Var(0)), Operand::int(1)),
                 },
-                Instr::Return { value: Some(Operand::Var(Var(big - 1))) },
+                Instr::Return { value: Some(Operand::Var(Var(top))) },
             ],
-            var_names: (0..big).map(|i| format!("v{i}")).collect(),
+            var_names: (0..=top).map(|i| format!("v{i}")).collect(),
         })
         .unwrap();
         let p = Arc::new(p);
         let compiled = CompiledEngine::compile(Arc::clone(&p), &CompileHints::default());
-        assert_eq!(compiled.declined().len(), 1);
-        assert!(!compiled.is_compiled("big"));
+        assert_eq!(compiled.compiled_bodies(), 1);
         let mut ctx = ExecCtx::new(&p);
         assert_eq!(
             compiled.run(&mut ctx, "big", vec![Value::Int(1)]).unwrap(),
             Some(Value::Int(2))
         );
-        assert!(compiled.fallback_frames() >= 1);
+        assert_eq!(compiled.fallback_frames(), 0);
     }
 
     #[test]
-    fn engine_choice_round_trips() {
-        for c in [EngineChoice::Interp, EngineChoice::Compiled, EngineChoice::Auto] {
-            assert_eq!(c.as_str().parse::<EngineChoice>().unwrap(), c);
-        }
-        assert!("jit".parse::<EngineChoice>().is_err());
-        assert_eq!(EngineChoice::default(), EngineChoice::Auto);
+    fn engine_choice_defaults_to_compiled() {
+        assert_eq!(EngineChoice::default(), EngineChoice::Compiled);
     }
 }

@@ -1,9 +1,9 @@
 //! Functions and whole programs.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
-use crate::instr::{GlobalId, Instr, Pc, Var};
+use crate::instr::{GlobalId, Instr, Operand, Pc, Var};
 use crate::types::ClassTable;
 use crate::value::Value;
 use crate::IrError;
@@ -27,9 +27,23 @@ pub struct Function {
     pub var_names: Vec<String>,
 }
 
+/// Most local slots a function may have: the bytecode engine addresses
+/// registers with 16 bits.
+pub const MAX_LOCALS: usize = 1 << 16;
+
+/// Most distinct constants a body may use: the bytecode engine indexes
+/// its constant pool with 16 bits.
+pub const MAX_CONSTS: usize = 1 << 16;
+
+/// Most instructions a body may have: the bytecode engine's op indices
+/// are 32-bit, and a body lowers to about two ops per instruction.
+pub const MAX_INSTRS: usize = (u32::MAX / 2 - 1) as usize;
+
 impl Function {
     /// Validates internal consistency: jump targets in range, variable
-    /// indices within `locals`, and at least one instruction.
+    /// indices within `locals`, at least one instruction, and sizes within
+    /// [`MAX_INSTRS`], [`MAX_LOCALS`] and [`MAX_CONSTS`]. A valid body
+    /// always compiles to bytecode.
     ///
     /// # Errors
     ///
@@ -44,28 +58,31 @@ impl Function {
                 self.name, self.params, self.locals
             )));
         }
+        let mut consts = HashSet::new();
         for (pc, instr) in self.instrs.iter().enumerate() {
-            let check_target = |t: Pc| -> Result<(), IrError> {
-                if t >= self.instrs.len() {
-                    Err(IrError::Invalid(format!(
-                        "function `{}` pc {pc}: jump target {t} out of range",
-                        self.name
-                    )))
-                } else {
-                    Ok(())
-                }
-            };
-            match instr {
-                Instr::If { target, .. } | Instr::Goto { target } => check_target(*target)?,
-                _ => {}
-            }
-            for v in instr.uses() {
-                if v.index() >= self.locals {
+            if let Instr::If { target, .. } | Instr::Goto { target } = instr {
+                if *target >= self.instrs.len() {
                     return Err(IrError::Invalid(format!(
-                        "function `{}` pc {pc}: variable {v} out of range",
+                        "function `{}` pc {pc}: jump target {target} out of range",
                         self.name
                     )));
                 }
+            }
+            let mut out_of_range = None;
+            instr.each_operand(|o| match o {
+                Operand::Var(v) if v.index() >= self.locals => {
+                    out_of_range = out_of_range.or(Some(*v))
+                }
+                Operand::Var(_) => {}
+                Operand::Const(c) => {
+                    consts.insert(c.pool_key());
+                }
+            });
+            if let Some(v) = out_of_range {
+                return Err(IrError::Invalid(format!(
+                    "function `{}` pc {pc}: variable {v} out of range",
+                    self.name
+                )));
             }
             if let Some(v) = instr.def() {
                 if v.index() >= self.locals {
@@ -76,7 +93,7 @@ impl Function {
                 }
             }
         }
-        Ok(())
+        within_limits(&self.name, self.instrs.len(), self.locals, consts.len())
     }
 
     /// Control-flow successors of the instruction at `pc`.
@@ -120,6 +137,23 @@ impl Function {
     pub fn var_by_name(&self, name: &str) -> Option<Var> {
         self.var_names.iter().position(|n| n == name).map(|i| Var(i as u32))
     }
+}
+
+/// Checks a body's sizes against [`MAX_INSTRS`], [`MAX_LOCALS`] and
+/// [`MAX_CONSTS`].
+fn within_limits(name: &str, instrs: usize, locals: usize, consts: usize) -> Result<(), IrError> {
+    for (what, n, max) in [
+        ("instructions", instrs, MAX_INSTRS),
+        ("locals", locals, MAX_LOCALS),
+        ("distinct constants", consts, MAX_CONSTS),
+    ] {
+        if n > max {
+            return Err(IrError::Invalid(format!(
+                "function `{name}` has {n} {what}, over the limit of {max}"
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// Declaration of a global (mutable-outside) variable.
@@ -228,7 +262,7 @@ impl fmt::Display for Program {
 mod tests {
     use super::*;
     use crate::instr::BinOp;
-    use crate::instr::{CondExpr, Operand, Place, Rvalue};
+    use crate::instr::{CondExpr, Const, Operand, Place, Rvalue};
 
     fn ret() -> Instr {
         Instr::Return { value: None }
@@ -286,6 +320,40 @@ mod tests {
             var_names: vec!["a".into()],
         };
         assert!(f.validate().is_err());
+    }
+
+    fn store(c: Const) -> Instr {
+        Instr::Assign { place: Place::Var(Var(0)), rvalue: Rvalue::Use(Operand::Const(c)) }
+    }
+
+    /// A body storing `n` distinct float constants to `v0`, then
+    /// returning its last slot, with `locals` slots.
+    fn with_consts(n: usize, locals: usize) -> Function {
+        let mut instrs: Vec<Instr> = (0..n).map(|i| store(Const::Float(i as f64))).collect();
+        instrs.push(Instr::Return { value: Some(Operand::Var(Var(locals as u32 - 1))) });
+        Function { name: "big".into(), params: 0, locals, instrs, var_names: vec![] }
+    }
+
+    #[test]
+    fn validate_accepts_each_limit_and_rejects_one_past_it() {
+        with_consts(1, MAX_LOCALS).validate().unwrap();
+        let err = with_consts(1, MAX_LOCALS + 1).validate().unwrap_err();
+        assert!(err.to_string().contains("65537 locals"), "{err}");
+
+        with_consts(MAX_CONSTS, 1).validate().unwrap();
+        let err = with_consts(MAX_CONSTS + 1, 1).validate().unwrap_err();
+        assert!(err.to_string().contains("65537 distinct constants"), "{err}");
+        // A repeat adds no pool entry; `-0.0` beside `0.0` adds one.
+        let mut f = with_consts(MAX_CONSTS, 1);
+        f.instrs.insert(0, store(Const::Float(0.0)));
+        f.validate().unwrap();
+        f.instrs[0] = store(Const::Float(-0.0));
+        assert!(f.validate().is_err());
+
+        // A body at the instruction limit does not fit in a test's memory,
+        // so the size check runs on its own.
+        within_limits("f", MAX_INSTRS, 1, 0).unwrap();
+        assert!(within_limits("f", MAX_INSTRS + 1, 1, 0).is_err());
     }
 
     #[test]

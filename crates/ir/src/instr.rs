@@ -71,6 +71,29 @@ impl Const {
             Const::Str(s) => Value::Str(s.clone()),
         }
     }
+
+    /// The constant's identity in a constant pool: equal keys materialize
+    /// to the same value bit for bit. Unlike `==`, it tells `0.0` from
+    /// `-0.0` and matches a NaN with itself.
+    pub(crate) fn pool_key(&self) -> PoolKey {
+        match self {
+            Const::Null => PoolKey::Null,
+            Const::Bool(b) => PoolKey::Bool(*b),
+            Const::Int(i) => PoolKey::Int(*i),
+            Const::Float(x) => PoolKey::Float(x.to_bits()),
+            Const::Str(s) => PoolKey::Str(s.clone()),
+        }
+    }
+}
+
+/// See [`Const::pool_key`].
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) enum PoolKey {
+    Null,
+    Bool(bool),
+    Int(i64),
+    Float(u64),
+    Str(Arc<str>),
 }
 
 impl fmt::Display for Const {
@@ -273,29 +296,29 @@ impl Rvalue {
 
     /// Calls `f` on each variable this r-value reads, in evaluation order.
     pub fn each_use(&self, mut f: impl FnMut(Var)) {
-        let mut op = |o: &Operand| {
-            if let Some(v) = o.var() {
-                f(v);
-            }
-        };
+        self.each_operand(|o| o.var().into_iter().for_each(&mut f));
+    }
+
+    /// Calls `f` on each operand this r-value reads, in evaluation order;
+    /// an object or array base is passed as an [`Operand::Var`].
+    pub(crate) fn each_operand(&self, mut f: impl FnMut(&Operand)) {
         match self {
-            Rvalue::Use(a) | Rvalue::Unary(_, a) => op(a),
+            Rvalue::Use(a) | Rvalue::Unary(_, a) | Rvalue::NewArray(_, a) => f(a),
             Rvalue::Binary(_, a, b) => {
-                op(a);
-                op(b);
+                f(a);
+                f(b);
             }
-            Rvalue::InstanceOf(v, _) | Rvalue::Cast(_, v) | Rvalue::ArrayLen(v) => {
-                op(&Operand::Var(*v))
-            }
+            Rvalue::InstanceOf(v, _)
+            | Rvalue::Cast(_, v)
+            | Rvalue::ArrayLen(v)
+            | Rvalue::FieldGet(v, _) => f(&Operand::Var(*v)),
             Rvalue::New(_) | Rvalue::GlobalGet(_) => {}
-            Rvalue::NewArray(_, n) => op(n),
-            Rvalue::FieldGet(v, _) => op(&Operand::Var(*v)),
             Rvalue::ArrayGet(v, i) => {
-                op(&Operand::Var(*v));
-                op(i);
+                f(&Operand::Var(*v));
+                f(i);
             }
             Rvalue::Invoke { args, .. } | Rvalue::InvokeNative { args, .. } => {
-                args.iter().for_each(op)
+                args.iter().for_each(f)
             }
         }
     }
@@ -337,14 +360,18 @@ impl Place {
 
     /// Calls `f` on each variable *read* when storing through this place.
     pub fn each_use(&self, mut f: impl FnMut(Var)) {
+        self.each_operand(|o| o.var().into_iter().for_each(&mut f));
+    }
+
+    /// Calls `f` on each operand read when storing through this place;
+    /// the base reference is passed as an [`Operand::Var`].
+    pub(crate) fn each_operand(&self, mut f: impl FnMut(&Operand)) {
         match self {
             Place::Var(_) | Place::Global(_) => {}
-            Place::Field(v, _) => f(*v),
+            Place::Field(v, _) => f(&Operand::Var(*v)),
             Place::ArrayElem(v, i) => {
-                f(*v);
-                if let Some(iv) = i.var() {
-                    f(iv);
-                }
+                f(&Operand::Var(*v));
+                f(i);
             }
         }
     }
@@ -412,15 +439,22 @@ impl Instr {
     /// Calls `f` on each variable this instruction reads, in the order
     /// [`uses`](Self::uses) lists them.
     pub fn each_use(&self, mut f: impl FnMut(Var)) {
+        self.each_operand(|o| o.var().into_iter().for_each(&mut f));
+    }
+
+    /// Calls `f` on each operand this instruction reads, variables in the
+    /// order [`uses`](Self::uses) lists them.
+    pub(crate) fn each_operand(&self, mut f: impl FnMut(&Operand)) {
         match self {
             Instr::Assign { place, rvalue } => {
-                rvalue.each_use(&mut f);
-                place.each_use(f);
+                rvalue.each_operand(&mut f);
+                place.each_operand(f);
             }
-            Instr::If { cond, .. } => cond.lhs.var().into_iter().chain(cond.rhs.var()).for_each(f),
-            Instr::Return { value } => {
-                value.as_ref().and_then(Operand::var).into_iter().for_each(f)
+            Instr::If { cond, .. } => {
+                f(&cond.lhs);
+                f(&cond.rhs);
             }
+            Instr::Return { value } => value.iter().for_each(f),
             Instr::Goto { .. } | Instr::Nop => {}
         }
     }

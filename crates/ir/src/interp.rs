@@ -346,18 +346,7 @@ impl<'p> Interp<'p> {
         args: Vec<Value>,
         observer: &mut dyn EdgeObserver,
     ) -> Result<Outcome, IrError> {
-        if args.len() != func.params {
-            return Err(IrError::Type(format!(
-                "function `{}` expects {} args, got {}",
-                func.name,
-                func.params,
-                args.len()
-            )));
-        }
-        let mut env = vec![Value::Null; func.locals];
-        for (i, a) in args.into_iter().enumerate() {
-            env[i] = a;
-        }
+        let env = frame_env(func, args)?;
         self.exec_frame(ctx, func, env, 0, Some(observer), 0)
     }
 
@@ -376,20 +365,7 @@ impl<'p> Interp<'p> {
         env: Vec<Value>,
         observer: &mut dyn EdgeObserver,
     ) -> Result<Outcome, IrError> {
-        if entry >= func.instrs.len() {
-            return Err(IrError::Continuation(format!(
-                "resume point {entry} out of range for `{}`",
-                func.name
-            )));
-        }
-        if env.len() != func.locals {
-            return Err(IrError::Continuation(format!(
-                "environment size {} does not match {} locals of `{}`",
-                env.len(),
-                func.locals,
-                func.name
-            )));
-        }
+        check_resume(func, entry, &env)?;
         self.exec_frame(ctx, func, env, entry, Some(observer), 0)
     }
 
@@ -400,18 +376,7 @@ impl<'p> Interp<'p> {
         args: Vec<Value>,
         depth: usize,
     ) -> Result<Option<Value>, IrError> {
-        if args.len() != func.params {
-            return Err(IrError::Type(format!(
-                "function `{}` expects {} args, got {}",
-                func.name,
-                func.params,
-                args.len()
-            )));
-        }
-        let mut env = vec![Value::Null; func.locals];
-        for (i, a) in args.into_iter().enumerate() {
-            env[i] = a;
-        }
+        let env = frame_env(func, args)?;
         match self.exec_frame(ctx, func, env, 0, None, depth)? {
             Outcome::Finished(v) => Ok(v),
             Outcome::Suspended(_) => unreachable!("suspension without observer"),
@@ -779,6 +744,52 @@ pub(crate) fn binop(op: BinOp, a: Value, b: Value) -> Result<Value, IrError> {
 /// for building initial environments in tests.
 pub fn param_vars(func: &Function) -> Vec<Var> {
     (0..func.params).map(|i| Var(i as u32)).collect()
+}
+
+/// Checks a resume point and restored environment against `func`.
+///
+/// # Errors
+///
+/// Returns [`IrError::Continuation`] if `entry` is out of range or the
+/// environment size does not match.
+pub(crate) fn check_resume(func: &Function, entry: Pc, env: &[Value]) -> Result<(), IrError> {
+    if entry >= func.instrs.len() {
+        return Err(IrError::Continuation(format!(
+            "resume point {entry} out of range for `{}`",
+            func.name
+        )));
+    }
+    if env.len() != func.locals {
+        return Err(IrError::Continuation(format!(
+            "environment size {} does not match {} locals of `{}`",
+            env.len(),
+            func.locals,
+            func.name
+        )));
+    }
+    Ok(())
+}
+
+/// A new frame's environment for `func`: `args` in the parameter slots,
+/// every other slot `Null`.
+///
+/// # Errors
+///
+/// Returns [`IrError::Type`] when `args` does not match the arity.
+pub(crate) fn frame_env(func: &Function, args: Vec<Value>) -> Result<Vec<Value>, IrError> {
+    if args.len() != func.params {
+        return Err(IrError::Type(format!(
+            "function `{}` expects {} args, got {}",
+            func.name,
+            func.params,
+            args.len()
+        )));
+    }
+    let mut env = vec![Value::Null; func.locals];
+    for (slot, a) in env.iter_mut().zip(args) {
+        *slot = a;
+    }
+    Ok(env)
 }
 
 #[cfg(test)]

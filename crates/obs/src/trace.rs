@@ -179,17 +179,15 @@ pub enum TraceEvent {
         /// Canary envelopes observed before the breach.
         observed: u64,
     },
-    /// An execution engine was installed for a handler (at session open,
-    /// or on an explicit re-selection).
+    /// An execution engine was installed for a handler (the bytecode
+    /// engine at construction, or an explicit re-selection).
     EngineSelected {
         /// True when the bytecode engine was installed; false for the
         /// reference interpreter.
         compiled: bool,
-        /// Bodies the bytecode compiler accepted (0 when the interpreter
+        /// Bodies the bytecode compiler compiled (0 when the interpreter
         /// was selected without compiling).
         bodies: u32,
-        /// Bodies the compiler declined to the interpreter fallback.
-        declined: u32,
     },
 }
 
@@ -277,10 +275,9 @@ impl TraceEvent {
                 ("quarantined".to_string(), mask_json(quarantined_mask)),
                 ("observed".to_string(), Json::U64(observed)),
             ],
-            TraceEvent::EngineSelected { compiled, bodies, declined } => vec![
+            TraceEvent::EngineSelected { compiled, bodies } => vec![
                 ("engine".to_string(), Json::str(if compiled { "compiled" } else { "interp" })),
                 ("bodies".to_string(), Json::U64(bodies as u64)),
-                ("declined".to_string(), Json::U64(declined as u64)),
             ],
         }
     }

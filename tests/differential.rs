@@ -26,6 +26,7 @@ use std::sync::Arc;
 use method_partitioning::core::partitioned::PartitionedHandler;
 use method_partitioning::core::profile::TriggerPolicy;
 use method_partitioning::core::reconfig::{plan_through, ReconfigUnit};
+use method_partitioning::core::session::{SessionConfig, SessionManager};
 use method_partitioning::core::subscriber::{Subscriber, Timing};
 use method_partitioning::cost::{CostModel, DataSizeModel};
 use method_partitioning::ir::compile::{CompileHints, CompileOptions, Observed};
@@ -36,6 +37,10 @@ use method_partitioning::ir::interp::{
 use method_partitioning::ir::marshal::deep_digest_many;
 use method_partitioning::ir::parse::parse_program;
 use method_partitioning::ir::{IrError, Program, Value};
+use method_partitioning::jecho::{
+    ProxyConfig, ProxySession, SimConfig, SimSession, TcpReceiver, TcpSender,
+};
+use method_partitioning::simnet::{Host, Link, SimTime};
 use proptest::prelude::*;
 
 /// The seed matrix: baked-in seeds plus `MPART_CHAOS_SEED` from the
@@ -136,7 +141,6 @@ fn assert_engines_agree(src: &str, input: i64) {
     let program = Arc::new(parse_program(src).expect("generated program parses"));
     let interp = InterpEngine::new(Arc::clone(&program));
     let compiled = CompiledEngine::compile(Arc::clone(&program), &CompileHints::default());
-    assert!(compiled.is_compiled("gen"), "generated handlers always compile:\n{src}");
     let a = run_engine(&interp, &program, input);
     let b = run_engine(&compiled, &program, input);
     assert_eq!(a.0, b.0, "result/trap for input {input} of:\n{src}");
@@ -268,11 +272,10 @@ fn seeded_differential_matrix_agrees_across_engines() {
     }
 }
 
-/// Auto keeps the envelope alive when the handler body declines: a body
-/// past the compiler's local-slot budget still partitions correctly on
-/// the interpreter, with the decline counted, never an error.
+/// A handler runs on the bytecode engine from construction, with no
+/// engine selection, and a full envelope round-trips on it.
 #[test]
-fn declined_handler_degrades_gracefully_under_auto() {
+fn a_constructed_handler_runs_compiled_and_round_trips() {
     let src = random_handler(&[0, 1, 3], true, true, None);
     let program = Arc::new(parse_program(&src).unwrap());
     let handler = PartitionedHandler::analyze(
@@ -281,9 +284,7 @@ fn declined_handler_degrades_gracefully_under_auto() {
         Arc::new(DataSizeModel::new()) as Arc<dyn CostModel>,
     )
     .unwrap();
-    // This small body compiles, so Auto selects the bytecode engine...
-    assert_eq!(handler.select_engine(EngineChoice::Auto), "compiled");
-    // ...and a full envelope still round-trips.
+    assert_eq!(handler.engine().name(), "compiled");
     let mut sender = ExecCtx::with_builtins(&program, gen_builtins());
     let run = handler.modulator().handle(&mut sender, vec![Value::Int(6)]).unwrap();
     let mut receiver = ExecCtx::with_builtins(&program, gen_builtins());
@@ -293,6 +294,65 @@ fn declined_handler_degrades_gracefully_under_auto() {
         InterpEngine::new(Arc::clone(&program)).run(&mut ctx, "gen", vec![Value::Int(6)]).unwrap()
     };
     assert_eq!(out.ret, direct);
+}
+
+/// Every transport's handler runs compiled from construction: the
+/// simulator, the TCP receiver, the proxy and the session manager build
+/// theirs without any engine selection.
+#[test]
+fn every_transport_builds_its_handler_compiled() {
+    let program = Arc::new(parse_program("fn h(x) {\n    y = x + 1\n    return y\n}\n").unwrap());
+    let model = || Arc::new(DataSizeModel::new()) as Arc<dyn CostModel>;
+    let host = |name: &str| Host::new(name, 1_000_000.0);
+    let link = |name: &str| Link::new(name, SimTime::from_millis(1), 1_000_000.0);
+    let registry = BuiltinRegistry::new;
+
+    let sim = SimSession::adaptive(
+        Arc::clone(&program),
+        "h",
+        model(),
+        registry(),
+        registry(),
+        SimConfig::new(host("a"), link("lan"), host("b"), TriggerPolicy::Never),
+    )
+    .unwrap();
+    let proxy = ProxySession::new(
+        Arc::clone(&program),
+        "h",
+        model(),
+        registry(),
+        registry(),
+        ProxyConfig {
+            source: host("mote"),
+            uplink: link("pan"),
+            proxy: host("broker"),
+            downlink: link("wan"),
+            receiver: host("client"),
+            trigger: TriggerPolicy::Never,
+            serialize_work_per_byte: 0.0,
+        },
+    )
+    .unwrap();
+    let mut manager = SessionManager::new(SessionConfig::default().with_workers(1));
+    let id =
+        manager.open_session(Arc::clone(&program), "h", model(), registry(), registry()).unwrap();
+    let tcp =
+        TcpReceiver::bind(Arc::clone(&program), "h", model(), registry(), TriggerPolicy::Never)
+            .unwrap();
+    for (name, handler) in [
+        ("SimSession", sim.handler()),
+        ("ProxySession", proxy.handler()),
+        ("SessionManager", manager.handler(id).unwrap()),
+        ("TcpReceiver", tcp.handler()),
+    ] {
+        assert_eq!(handler.engine().name(), "compiled", "{name}");
+    }
+    manager.shutdown();
+    let sender =
+        TcpSender::connect(Arc::clone(&program), Arc::clone(tcp.handler()), registry(), tcp.port())
+            .unwrap();
+    sender.shutdown().unwrap();
+    assert_eq!(tcp.join().unwrap(), 0);
 }
 
 // ---- typed paths: kinds, wrapping, traps, step limits, cuts -------------
@@ -508,7 +568,6 @@ fn assert_typed_agree(shape: &TypedShape, input: i64) {
     let (hints, watched) = runtime_hints(&program);
     let interp = InterpEngine::new(Arc::clone(&program));
     let compiled = CompiledEngine::compile(Arc::clone(&program), &hints);
-    assert!(compiled.is_compiled("gen") && compiled.is_compiled("helper"), "{src}");
 
     let full = run_limited(&interp, &program, input, u64::MAX);
     for limit in 0..=full.1 + 1 {

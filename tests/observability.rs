@@ -36,7 +36,6 @@ const MESSAGES: u64 = 30;
 const GOLDEN: &[&str] = &[
     "batch_member_acks_total",
     "batched_events_total",
-    "compile_fallbacks_total",
     "compiled_bodies_total",
     "continuations_resumed_total{pse}",
     "continuations_sent_total{pse}",
