@@ -21,11 +21,31 @@
 //! Records are checkpointed on epoch commits (cheap: a few dozen
 //! bytes) and the ack watermark piggybacks on successful deliveries.
 //! Replay folds records left to right, so the last write wins — exactly
-//! the semantics of an append-only log.
+//! the semantics of an append-only log. The journal folds each record
+//! into its per-session snapshots as it is appended or loaded and keeps
+//! no lines, so [`SessionJournal::replay`] is a copy of the fold.
+//!
+//! # Durability
+//!
+//! One live [`SessionJournal`] writes each file. It holds one append
+//! handle and writes each record, newline included, with one `write_all`
+//! before the append returns; no append calls `sync_data`. So:
+//!
+//! - a process crash loses at most the record in flight;
+//! - an OS crash or power loss can also lose the tail of the log that was
+//!   still in the page cache;
+//! - a torn final record (a last line with no trailing newline) is
+//!   dropped on reopen, and the file is cut back to the last complete
+//!   record; a bad line that does end in a newline is corruption, and the
+//!   reopen fails;
+//! - compaction writes and syncs `<path>.compact`, then renames it over
+//!   the log, so a crash leaves either the old log or the compacted one,
+//!   never a mix. A stale `.compact` file is deleted on reopen.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::fs::OpenOptions;
-use std::io::Write as _;
+use std::fs::{File, OpenOptions};
+use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -62,44 +82,60 @@ pub enum JournalRecord {
     Close { session: u64 },
 }
 
-/// Renders an active set as `2,5` (or `-` when empty).
-fn render_set(active: &[PseId]) -> String {
-    let mut set = String::new();
+/// Appends an active set as `2,5` (or `-` when empty).
+fn render_set(out: &mut String, active: &[PseId]) {
+    if active.is_empty() {
+        out.push('-');
+    }
     for (i, pse) in active.iter().enumerate() {
         if i > 0 {
-            set.push(',');
+            out.push(',');
         }
-        let _ = write!(set, "{pse}");
+        let _ = write!(out, "{pse}");
     }
-    if set.is_empty() {
-        set.push('-');
-    }
-    set
 }
 
 impl JournalRecord {
     /// Renders the record as one journal line (no trailing newline).
     pub fn render(&self) -> String {
+        let mut line = String::new();
+        self.render_into(&mut line);
+        line
+    }
+
+    /// Appends [`JournalRecord::render`]'s line to `out`, so a caller can
+    /// reuse one buffer across records.
+    pub fn render_into(&self, out: &mut String) {
+        // Writing into a `String` cannot fail, so the results are dropped.
         match self {
             JournalRecord::Open { session, func, model } => {
-                format!("open {session} {func} {model}")
+                let _ = write!(out, "open {session} {func} {model}");
             }
             JournalRecord::PlanCommit { session, epoch, active, reason } => {
-                format!("plan {session} {epoch} {} {reason}", render_set(active))
+                let _ = write!(out, "plan {session} {epoch} ");
+                render_set(out, active);
+                let _ = write!(out, " {reason}");
             }
-            JournalRecord::ModelCommit { session, model } => format!("model {session} {model}"),
-            JournalRecord::Ack { session, watermark } => format!("ack {session} {watermark}"),
-            JournalRecord::Flags { session, mask } => format!("flags {session} {mask}"),
+            JournalRecord::ModelCommit { session, model } => {
+                let _ = write!(out, "model {session} {model}");
+            }
+            JournalRecord::Ack { session, watermark } => {
+                let _ = write!(out, "ack {session} {watermark}");
+            }
+            JournalRecord::Flags { session, mask } => {
+                let _ = write!(out, "flags {session} {mask}");
+            }
             JournalRecord::Guard { session, prior_epoch, epoch, remaining, prior_active } => {
-                format!(
-                    "guard {session} {prior_epoch} {epoch} {remaining} {}",
-                    render_set(prior_active)
-                )
+                let _ = write!(out, "guard {session} {prior_epoch} {epoch} {remaining} ");
+                render_set(out, prior_active);
             }
             JournalRecord::Quarantine { session, ttl, active } => {
-                format!("quar {session} {ttl} {}", render_set(active))
+                let _ = write!(out, "quar {session} {ttl} ");
+                render_set(out, active);
             }
-            JournalRecord::Close { session } => format!("close {session}"),
+            JournalRecord::Close { session } => {
+                let _ = write!(out, "close {session}");
+            }
         }
     }
 
@@ -231,37 +267,164 @@ pub struct SessionSnapshot {
     pub quarantined: Vec<(Vec<PseId>, u32)>,
 }
 
-/// The append-only session journal. In-memory always; file-backed when
-/// opened with [`SessionJournal::at_path`] (each append is written
-/// through immediately so a crash loses at most the record in flight).
+/// The append-only session journal: the last-write-wins fold of every
+/// record appended or loaded, and, when opened with
+/// [`SessionJournal::at_path`], one append handle on the log file that
+/// every append writes through before it returns. The [module
+/// docs](self) state what a crash can lose; one live journal writes each
+/// file.
 #[derive(Debug)]
 pub struct SessionJournal {
     path: Option<PathBuf>,
-    lines: Mutex<Vec<String>>,
+    state: Mutex<JournalState>,
+}
+
+/// What the journal's lock guards.
+#[derive(Debug, Default)]
+struct JournalState {
+    /// The fold of every record since the log began.
+    sessions: BTreeMap<u64, SessionSnapshot>,
+    /// Records appended or loaded since the last compaction.
+    records: usize,
+    /// The append handle, when file-backed.
+    file: Option<File>,
+    /// The line buffer each file-backed append renders into.
+    line: String,
+}
+
+/// Folds one record into per-session snapshots: the last write wins,
+/// except that the ack watermark never moves backwards.
+fn fold(sessions: &mut BTreeMap<u64, SessionSnapshot>, record: JournalRecord) {
+    match record {
+        JournalRecord::Open { session, func, model } => {
+            let snap = sessions.entry(session).or_default();
+            snap.func = func;
+            snap.model = model;
+        }
+        JournalRecord::PlanCommit { session, epoch, active, reason } => {
+            let snap = sessions.entry(session).or_default();
+            snap.epoch = epoch;
+            snap.active = active;
+            snap.reason = reason;
+        }
+        JournalRecord::ModelCommit { session, model } => {
+            sessions.entry(session).or_default().model = model;
+        }
+        JournalRecord::Ack { session, watermark } => {
+            let snap = sessions.entry(session).or_default();
+            snap.watermark = snap.watermark.max(watermark);
+        }
+        JournalRecord::Flags { session, mask } => {
+            sessions.entry(session).or_default().flags = mask;
+        }
+        JournalRecord::Guard { session, prior_epoch, epoch, remaining, prior_active } => {
+            sessions.entry(session).or_default().guard = (remaining > 0).then_some(GuardSnapshot {
+                prior_epoch,
+                epoch,
+                remaining,
+                prior_active,
+            });
+        }
+        JournalRecord::Quarantine { session, ttl, active } => {
+            let snap = sessions.entry(session).or_default();
+            snap.quarantined.retain(|(set, _)| *set != active);
+            if ttl > 0 {
+                snap.quarantined.push((active, ttl));
+            }
+        }
+        JournalRecord::Close { session } => {
+            sessions.remove(&session);
+        }
+    }
+}
+
+/// The records a compacted log holds for `sessions`: per live session
+/// `open` and `plan`, then `ack` and `flags` unless default-valued, a
+/// `guard` for an open canary window and one `quar` per quarantine entry.
+fn compacted(sessions: &BTreeMap<u64, SessionSnapshot>) -> Vec<JournalRecord> {
+    let mut records = Vec::with_capacity(sessions.len() * 4);
+    for (&session, snap) in sessions {
+        records.push(JournalRecord::Open {
+            session,
+            func: snap.func.clone(),
+            model: snap.model.clone(),
+        });
+        records.push(JournalRecord::PlanCommit {
+            session,
+            epoch: snap.epoch,
+            active: snap.active.clone(),
+            reason: if snap.reason.is_empty() { "compact".into() } else { snap.reason.clone() },
+        });
+        if snap.watermark > 0 {
+            records.push(JournalRecord::Ack { session, watermark: snap.watermark });
+        }
+        if snap.flags > 0 {
+            records.push(JournalRecord::Flags { session, mask: snap.flags });
+        }
+        if let Some(guard) = &snap.guard {
+            records.push(JournalRecord::Guard {
+                session,
+                prior_epoch: guard.prior_epoch,
+                epoch: guard.epoch,
+                remaining: guard.remaining,
+                prior_active: guard.prior_active.clone(),
+            });
+        }
+        for (active, ttl) in &snap.quarantined {
+            records.push(JournalRecord::Quarantine { session, ttl: *ttl, active: active.clone() });
+        }
+    }
+    records
+}
+
+/// Where [`SessionJournal::compact`] writes the log before renaming it
+/// over `path`.
+fn compact_path(path: &Path) -> PathBuf {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".compact");
+    PathBuf::from(tmp)
+}
+
+fn io_error(path: &Path, e: std::io::Error) -> IrError {
+    IrError::Invalid(format!("journal {}: {e}", path.display()))
 }
 
 impl SessionJournal {
     /// A journal kept only in memory (tests, benches).
     pub fn in_memory() -> Self {
-        SessionJournal { path: None, lines: Mutex::new(Vec::new()) }
+        SessionJournal { path: None, state: Mutex::new(JournalState::default()) }
     }
 
     /// A journal backed by `path`, loading any records already there —
-    /// this is both "create" and "reopen after crash".
+    /// this is both "create" and "reopen after crash". A last line with
+    /// no trailing newline is an append a crash tore: it is dropped and
+    /// cut from the file. Any other bad line fails the open, as does a
+    /// file that is not UTF-8. A `.compact` file that a crash during
+    /// [`compact`](Self::compact) left beside the log is deleted.
     pub fn at_path(path: impl AsRef<Path>) -> Result<Self, IrError> {
         let path = path.as_ref().to_path_buf();
-        let mut lines = Vec::new();
-        match std::fs::read_to_string(&path) {
-            Ok(text) => {
-                for line in text.lines().filter(|l| !l.trim().is_empty()) {
-                    JournalRecord::parse(line)?;
-                    lines.push(line.to_string());
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(IrError::Invalid(format!("journal {}: {e}", path.display()))),
+        let io = |e| io_error(&path, e);
+        match std::fs::remove_file(compact_path(&path)) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(io(e)),
+            _ => {}
         }
-        Ok(SessionJournal { path: Some(path), lines: Mutex::new(lines) })
+        let mut file =
+            OpenOptions::new().read(true).append(true).create(true).open(&path).map_err(io)?;
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes).map_err(io)?;
+        let complete = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |last| last + 1);
+        let text = std::str::from_utf8(&bytes[..complete])
+            .map_err(|e| IrError::Invalid(format!("journal {}: {e}", path.display())))?;
+        let mut state = JournalState::default();
+        for line in text.lines().filter(|l| !l.trim().is_empty()) {
+            fold(&mut state.sessions, JournalRecord::parse(line)?);
+            state.records += 1;
+        }
+        if complete < bytes.len() {
+            file.set_len(complete as u64).map_err(io)?;
+        }
+        state.file = Some(file);
+        Ok(SessionJournal { path: Some(path), state: Mutex::new(state) })
     }
 
     /// The backing path, if file-backed.
@@ -269,28 +432,31 @@ impl SessionJournal {
         self.path.as_deref()
     }
 
-    /// Appends one record (write-through when file-backed). I/O errors
-    /// surface as [`IrError::Invalid`]; the in-memory copy is kept either
-    /// way so a transiently unwritable disk degrades, not corrupts.
+    /// Appends one record: folds it in, and when file-backed writes its
+    /// line, newline included, with one `write_all` on the held handle.
+    /// I/O errors surface as [`IrError::Invalid`]; the record is folded
+    /// in either way so a transiently unwritable disk degrades, not
+    /// corrupts.
     pub fn append(&self, record: JournalRecord) -> Result<(), IrError> {
-        let line = record.render();
-        let mut lines = self.lines.lock().expect("journal poisoned");
-        lines.push(line.clone());
-        if let Some(path) = &self.path {
-            let mut file = OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(path)
-                .map_err(|e| IrError::Invalid(format!("journal {}: {e}", path.display())))?;
-            writeln!(file, "{line}")
-                .map_err(|e| IrError::Invalid(format!("journal {}: {e}", path.display())))?;
-        }
-        Ok(())
+        let mut guard = self.state.lock().expect("journal poisoned");
+        let state = &mut *guard;
+        let written = match (&mut state.file, &self.path) {
+            (Some(file), Some(path)) => {
+                state.line.clear();
+                record.render_into(&mut state.line);
+                state.line.push('\n');
+                file.write_all(state.line.as_bytes()).map_err(|e| io_error(path, e))
+            }
+            _ => Ok(()),
+        };
+        fold(&mut state.sessions, record);
+        state.records += 1;
+        written
     }
 
-    /// Records appended (or loaded) so far.
+    /// Records appended (or loaded) since the last compaction.
     pub fn len(&self) -> usize {
-        self.lines.lock().expect("journal poisoned").len()
+        self.state.lock().expect("journal poisoned").records
     }
 
     /// Whether the journal holds no records.
@@ -298,65 +464,9 @@ impl SessionJournal {
         self.len() == 0
     }
 
-    /// Parses every retained line back into records, in append order.
-    pub fn records(&self) -> Result<Vec<JournalRecord>, IrError> {
-        self.lines
-            .lock()
-            .expect("journal poisoned")
-            .iter()
-            .map(|l| JournalRecord::parse(l))
-            .collect()
-    }
-
-    /// Folds the log into per-session snapshots (last write wins),
-    /// ordered by session id.
-    pub fn replay(&self) -> Result<std::collections::BTreeMap<u64, SessionSnapshot>, IrError> {
-        let mut sessions = std::collections::BTreeMap::new();
-        for record in self.records()? {
-            match record {
-                JournalRecord::Open { session, func, model } => {
-                    let snap: &mut SessionSnapshot = sessions.entry(session).or_default();
-                    snap.func = func;
-                    snap.model = model;
-                }
-                JournalRecord::PlanCommit { session, epoch, active, reason } => {
-                    let snap: &mut SessionSnapshot = sessions.entry(session).or_default();
-                    snap.epoch = epoch;
-                    snap.active = active;
-                    snap.reason = reason;
-                }
-                JournalRecord::ModelCommit { session, model } => {
-                    sessions.entry(session).or_default().model = model;
-                }
-                JournalRecord::Ack { session, watermark } => {
-                    let snap: &mut SessionSnapshot = sessions.entry(session).or_default();
-                    snap.watermark = snap.watermark.max(watermark);
-                }
-                JournalRecord::Flags { session, mask } => {
-                    sessions.entry(session).or_default().flags = mask;
-                }
-                JournalRecord::Guard { session, prior_epoch, epoch, remaining, prior_active } => {
-                    let snap: &mut SessionSnapshot = sessions.entry(session).or_default();
-                    snap.guard = (remaining > 0).then_some(GuardSnapshot {
-                        prior_epoch,
-                        epoch,
-                        remaining,
-                        prior_active,
-                    });
-                }
-                JournalRecord::Quarantine { session, ttl, active } => {
-                    let snap: &mut SessionSnapshot = sessions.entry(session).or_default();
-                    snap.quarantined.retain(|(set, _)| *set != active);
-                    if ttl > 0 {
-                        snap.quarantined.push((active, ttl));
-                    }
-                }
-                JournalRecord::Close { session } => {
-                    sessions.remove(&session);
-                }
-            }
-        }
-        Ok(sessions)
+    /// The per-session snapshots (last write wins), ordered by session id.
+    pub fn replay(&self) -> Result<BTreeMap<u64, SessionSnapshot>, IrError> {
+        Ok(self.state.lock().expect("journal poisoned").sessions.clone())
     }
 
     /// Rewrites the log to the folded live set: every closed or
@@ -364,79 +474,40 @@ impl SessionJournal {
     /// folds to a handful of lines (`open`/`plan`/`ack`/`flags`, plus a
     /// `guard` line for an open canary window and one `quar` line per
     /// quarantine entry — the exact snapshot [`SessionJournal::replay`]
-    /// would produce, with default-valued `ack 0` / `flags 0` lines and
-    /// closed guards elided). The backing
-    /// file, when present, is rewritten atomically-enough for a single
-    /// writer (truncate + write). Returns the number of lines dropped.
+    /// returns, with default-valued `ack 0` / `flags 0` lines and closed
+    /// guards elided). The backing file, when present, is replaced
+    /// rename-atomically: the compacted log is written and synced to
+    /// `<path>.compact`, renamed over `path`, and its handle becomes the
+    /// append handle. Returns the number of records dropped.
     pub fn compact(&self) -> Result<usize, IrError> {
-        let sessions = self.replay()?;
-        let mut compacted = Vec::with_capacity(sessions.len() * 4);
-        for (session, snap) in &sessions {
-            compacted.push(
-                JournalRecord::Open {
-                    session: *session,
-                    func: snap.func.clone(),
-                    model: snap.model.clone(),
-                }
-                .render(),
-            );
-            compacted.push(
-                JournalRecord::PlanCommit {
-                    session: *session,
-                    epoch: snap.epoch,
-                    active: snap.active.clone(),
-                    reason: if snap.reason.is_empty() {
-                        "compact".into()
-                    } else {
-                        snap.reason.clone()
-                    },
-                }
-                .render(),
-            );
-            if snap.watermark > 0 {
-                compacted.push(
-                    JournalRecord::Ack { session: *session, watermark: snap.watermark }.render(),
-                );
-            }
-            if snap.flags > 0 {
-                compacted
-                    .push(JournalRecord::Flags { session: *session, mask: snap.flags }.render());
-            }
-            if let Some(guard) = &snap.guard {
-                compacted.push(
-                    JournalRecord::Guard {
-                        session: *session,
-                        prior_epoch: guard.prior_epoch,
-                        epoch: guard.epoch,
-                        remaining: guard.remaining,
-                        prior_active: guard.prior_active.clone(),
-                    }
-                    .render(),
-                );
-            }
-            for (active, ttl) in &snap.quarantined {
-                compacted.push(
-                    JournalRecord::Quarantine {
-                        session: *session,
-                        ttl: *ttl,
-                        active: active.clone(),
-                    }
-                    .render(),
-                );
-            }
-        }
-        let mut lines = self.lines.lock().expect("journal poisoned");
-        let dropped = lines.len().saturating_sub(compacted.len());
-        *lines = compacted;
+        let mut guard = self.state.lock().expect("journal poisoned");
+        let state = &mut *guard;
+        let records = compacted(&state.sessions);
+        let kept = records.len();
         if let Some(path) = &self.path {
             let mut text = String::new();
-            for line in lines.iter() {
-                text.push_str(line);
+            for record in &records {
+                record.render_into(&mut text);
                 text.push('\n');
             }
-            std::fs::write(path, text)
-                .map_err(|e| IrError::Invalid(format!("journal {}: {e}", path.display())))?;
+            let tmp = compact_path(path);
+            let io = |e| io_error(&tmp, e);
+            let mut file = OpenOptions::new().append(true).create(true).open(&tmp).map_err(io)?;
+            file.set_len(0).map_err(io)?;
+            file.write_all(text.as_bytes()).map_err(io)?;
+            file.sync_all().map_err(io)?;
+            std::fs::rename(&tmp, path).map_err(io)?;
+            state.file = Some(file);
         }
+        // Refolding makes the live snapshots what a reopen of the
+        // compacted log replays (an empty plan reason becomes `compact`).
+        let mut sessions = BTreeMap::new();
+        for record in records {
+            fold(&mut sessions, record);
+        }
+        state.sessions = sessions;
+        let dropped = state.records.saturating_sub(kept);
+        state.records = kept;
         Ok(dropped)
     }
 }
@@ -614,13 +685,28 @@ mod tests {
         assert_eq!(journal.replay().unwrap(), before, "compaction preserves the fold");
     }
 
+    /// A log path private to this test process and `tag`.
+    fn temp_path(tag: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("mpart-journal-{tag}-{}.log", std::process::id()))
+    }
+
+    /// The replay of an in-memory journal fed `records`.
+    fn fold_of(records: impl IntoIterator<Item = JournalRecord>) -> BTreeMap<u64, SessionSnapshot> {
+        let journal = SessionJournal::in_memory();
+        for record in records {
+            journal.append(record).unwrap();
+        }
+        journal.replay().unwrap()
+    }
+
+    /// The parent's file format: each record's line and a newline.
+    fn rendered(records: &[JournalRecord]) -> String {
+        records.iter().map(|r| r.render() + "\n").collect()
+    }
+
     #[test]
     fn file_backed_compaction_rewrites_the_log() {
-        let path = std::env::temp_dir().join(format!(
-            "mpart-journal-compact-{}-{:?}.log",
-            std::process::id(),
-            std::thread::current().id()
-        ));
+        let path = temp_path("compact");
         let _ = std::fs::remove_file(&path);
         {
             let journal = SessionJournal::at_path(&path).unwrap();
@@ -629,22 +715,29 @@ mod tests {
             }
             journal.append(JournalRecord::Close { session: 1 }).unwrap();
             journal.compact().unwrap();
+            // This append must reach the renamed log, not the old inode.
+            journal.append(JournalRecord::Ack { session: 0, watermark: 11 }).unwrap();
         }
+        assert!(!compact_path(&path).exists(), "compaction leaves no temp file");
         let reopened = SessionJournal::at_path(&path).unwrap();
-        assert_eq!(reopened.len(), 4);
+        assert_eq!(reopened.len(), 5);
         let sessions = reopened.replay().unwrap();
         assert_eq!(sessions.len(), 1);
-        assert_eq!(sessions[&0].watermark, 9);
+        assert_eq!(sessions[&0].watermark, 11, "the post-compaction ack survives the reopen");
+        drop(reopened);
+
+        // A crash between writing the temp file and the rename leaves the
+        // old log in charge; the reopen deletes the leftover.
+        std::fs::write(compact_path(&path), "open 9 f m\n").unwrap();
+        let reopened = SessionJournal::at_path(&path).unwrap();
+        assert!(!compact_path(&path).exists(), "a stale temp file is deleted on reopen");
+        assert_eq!(reopened.replay().unwrap(), sessions);
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn file_backed_journal_survives_reopen() {
-        let path = std::env::temp_dir().join(format!(
-            "mpart-journal-test-{}-{:?}.log",
-            std::process::id(),
-            std::thread::current().id()
-        ));
+        let path = temp_path("reopen");
         let _ = std::fs::remove_file(&path);
         {
             let journal = SessionJournal::at_path(&path).unwrap();
@@ -657,5 +750,140 @@ mod tests {
         assert_eq!(reopened.len(), sample_records().len());
         assert_eq!(reopened.replay().unwrap()[&0].watermark, 9);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_torn_final_record_is_dropped_at_every_cut() {
+        let path = temp_path("torn");
+        let records = sample_records();
+        let n = records.len();
+        let full = rendered(&records);
+        let start = rendered(&records[..n - 1]).len();
+        let extra = JournalRecord::Ack { session: 1, watermark: 4 };
+        let before = fold_of(records[..n - 1].to_vec());
+        let after = fold_of(records[..n - 1].iter().cloned().chain([extra.clone()]));
+        for cut in start..full.len() {
+            std::fs::write(&path, &full.as_bytes()[..cut]).unwrap();
+            {
+                let journal = SessionJournal::at_path(&path).unwrap();
+                assert_eq!(journal.len(), n - 1, "cut at {cut}");
+                assert_eq!(journal.replay().unwrap(), before, "cut at {cut}");
+                assert_eq!(std::fs::metadata(&path).unwrap().len(), start as u64, "cut at {cut}");
+                journal.append(extra.clone()).unwrap();
+            }
+            let journal = SessionJournal::at_path(&path).unwrap();
+            assert_eq!(journal.len(), n, "cut at {cut}, then one append");
+            assert_eq!(journal.replay().unwrap(), after, "cut at {cut}, then one append");
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_bad_complete_line_fails_the_reopen() {
+        let path = temp_path("corrupt");
+        for bytes in [&b"ack 0 x\nack 0 1\n"[..], b"ack 0 1\nack 0\n", b"ack 0 1\n\xff\nack 0 2\n"]
+        {
+            std::fs::write(&path, bytes).unwrap();
+            assert!(SessionJournal::at_path(&path).is_err(), "{bytes:?} should fail");
+            assert_eq!(std::fs::read(&path).unwrap(), bytes, "a failed reopen cuts nothing");
+        }
+        let mut bytes = b"ack 0 1\n".to_vec();
+        bytes.push(0xff);
+        std::fs::write(&path, &bytes).unwrap();
+        assert_eq!(SessionJournal::at_path(&path).unwrap().replay().unwrap()[&0].watermark, 1);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    mod prop {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Decodes a drawn `(kind, session, a, b, set bits)` into one
+        /// journal operation; `None` is a compaction.
+        fn op(kind: u8, session: u64, a: u64, b: u64, bits: u8) -> Option<JournalRecord> {
+            let set = || (0..4).filter(|i| bits & (1 << i) != 0).collect::<Vec<PseId>>();
+            let name = |names: &[&str]| names[b as usize % names.len()].to_string();
+            Some(match kind {
+                0 => JournalRecord::Open {
+                    session,
+                    func: name(&["process", "push"]),
+                    model: name(&["data-size", "exec-time", "composite"]),
+                },
+                1 => JournalRecord::PlanCommit {
+                    session,
+                    epoch: a,
+                    active: set(),
+                    reason: name(&["initial", "reconfig", "rollback"]),
+                },
+                2 => JournalRecord::ModelCommit { session, model: name(&["exec-time", "power"]) },
+                3 => JournalRecord::Ack { session, watermark: a },
+                4 => JournalRecord::Flags { session, mask: a },
+                5 => JournalRecord::Guard {
+                    session,
+                    prior_epoch: a,
+                    epoch: a + 1,
+                    remaining: b,
+                    prior_active: set(),
+                },
+                6 => JournalRecord::Quarantine { session, ttl: b as u32, active: set() },
+                7 => JournalRecord::Close { session },
+                _ => return None,
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            #[test]
+            fn the_incremental_fold_equals_a_fold_of_the_file(
+                ops in proptest::collection::vec(
+                    (0u8..9, 0u64..4, 0u64..6, 0u64..3, any::<u8>()),
+                    0..40,
+                ),
+            ) {
+                let path = temp_path("fold-prop");
+                let _ = std::fs::remove_file(&path);
+                let journal = SessionJournal::at_path(&path).unwrap();
+                let mut open = [false; 4];
+                let mut appended = Vec::new();
+                let mut compacted = false;
+                for (kind, session, a, b, bits) in ops {
+                    let Some(record) = op(kind, session, a, b, bits) else {
+                        journal.compact().unwrap();
+                        compacted = true;
+                        continue;
+                    };
+                    // Only opened sessions journal, as in a live manager.
+                    let slot = &mut open[session as usize];
+                    if !*slot && kind != 0 {
+                        let opening = op(0, session, a, b, bits).unwrap();
+                        journal.append(opening.clone()).unwrap();
+                        appended.push(opening);
+                    }
+                    *slot = kind != 7;
+                    journal.append(record.clone()).unwrap();
+                    appended.push(record);
+                }
+                let live = journal.replay().unwrap();
+                let len = journal.len();
+                drop(journal);
+
+                let text = std::fs::read_to_string(&path).unwrap();
+                if !compacted {
+                    prop_assert_eq!(&text, &rendered(&appended));
+                }
+                let mut reference = BTreeMap::new();
+                for line in text.lines() {
+                    fold(&mut reference, JournalRecord::parse(line).unwrap());
+                }
+                prop_assert_eq!(&live, &reference);
+                prop_assert_eq!(len, text.lines().count());
+                let reopened = SessionJournal::at_path(&path).unwrap();
+                prop_assert_eq!(&reopened.replay().unwrap(), &live);
+                prop_assert_eq!(reopened.len(), len);
+                drop(reopened);
+                std::fs::remove_file(&path).unwrap();
+            }
+        }
     }
 }
