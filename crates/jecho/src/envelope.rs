@@ -876,15 +876,10 @@ impl Frame {
     /// Returns [`IrError::Marshal`] on truncation, an oversized length
     /// prefix, a checksum mismatch, or a malformed body.
     pub fn decode_bytes(bytes: &[u8]) -> Result<(Frame, usize), IrError> {
-        if bytes.len() < FRAME_HEADER_BYTES {
+        let Some(header) = bytes.first_chunk() else {
             return Err(IrError::Marshal("truncated frame header".into()));
-        }
-        let kind = bytes[0];
-        let len = u32::from_be_bytes([bytes[1], bytes[2], bytes[3], bytes[4]]) as usize;
-        if len > MAX_FRAME_SIZE {
-            return Err(IrError::Marshal(format!("frame too large: {len}")));
-        }
-        let crc_stated = u32::from_be_bytes([bytes[5], bytes[6], bytes[7], bytes[8]]);
+        };
+        let (kind, len, crc_stated) = parse_header(header)?;
         let total = FRAME_HEADER_BYTES + len;
         if bytes.len() < total {
             return Err(IrError::Marshal("truncated frame body".into()));
@@ -914,12 +909,7 @@ impl Frame {
         reader
             .read_exact(&mut header)
             .map_err(|e| IrError::Marshal(format!("frame header: {e}")))?;
-        let kind = header[0];
-        let len = u32::from_be_bytes([header[1], header[2], header[3], header[4]]) as usize;
-        if len > MAX_FRAME_SIZE {
-            return Err(IrError::Marshal(format!("frame too large: {len}")));
-        }
-        let crc_stated = u32::from_be_bytes([header[5], header[6], header[7], header[8]]);
+        let (kind, len, crc_stated) = parse_header(&header)?;
         let body =
             read_body(reader, len).map_err(|e| IrError::Marshal(format!("frame body: {e}")))?;
         if body.len() < len {
@@ -946,6 +936,23 @@ impl Frame {
     pub fn write_to(&self, writer: &mut impl std::io::Write) -> Result<(), IrError> {
         self.try_encode_frame()?.write_to(writer)
     }
+}
+
+/// Parses a frame header — `[kind u8][len u32][crc u32]`, big-endian —
+/// into the kind, the body length and the stated checksum. The one place
+/// that knows the header layout: the stream reader, the slice decoder and
+/// the TCP receiver's "is a whole frame buffered?" check all go through it.
+///
+/// # Errors
+///
+/// Returns [`IrError::Marshal`] when the length exceeds [`MAX_FRAME_SIZE`].
+pub(crate) fn parse_header(header: &[u8; FRAME_HEADER_BYTES]) -> Result<(u8, usize, u32), IrError> {
+    let [kind, l0, l1, l2, l3, c0, c1, c2, c3] = *header;
+    let len = u32::from_be_bytes([l0, l1, l2, l3]) as usize;
+    if len > MAX_FRAME_SIZE {
+        return Err(IrError::Marshal(format!("frame too large: {len}")));
+    }
+    Ok((kind, len, u32::from_be_bytes([c0, c1, c2, c3])))
 }
 
 /// Reads up to `len` body bytes into a fresh buffer — fewer only when the

@@ -50,7 +50,9 @@ pub struct RetryPolicy {
     /// Seed for the jitter PRNG, so runs are reproducible.
     pub jitter_seed: u64,
     /// How long the acknowledgement watermark may stall before the
-    /// connection is declared dead.
+    /// connection is declared dead. A [`TcpReceiver`](crate::TcpReceiver)
+    /// may hold a reply while more frames wait in its read buffer, for up
+    /// to 1 ms plus one frame's handling, so keep this well above both.
     pub stall_timeout: Duration,
 }
 

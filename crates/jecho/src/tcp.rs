@@ -18,14 +18,24 @@
 //! the supervisor's reconnect backoff, and a deterministic poison would
 //! loop forever if retried here. A garbled or dead connection is dropped,
 //! never fatal.
+//!
+//! Both directions read frames through a `BufReader`, so a burst of small
+//! frames costs one `read` call, not two per frame. The receiver writes
+//! replies when the traffic lets them go, not once per frame: each frame's
+//! replies queue behind those still pending, and the queue goes out in one
+//! gathered write when the read buffer holds no whole next frame, when a
+//! `Plan` is queued, when the oldest reply has waited `REPLY_HOLD` (1 ms),
+//! or when the loop is about to leave the connection. Every reply frame is
+//! still written, byte for byte and in order; only the number of write
+//! calls changes (WIRE.md §7).
 
-use std::io::Write as _;
+use std::io::{BufReader, Write as _};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use mpart::failure::{DeadLetter, DeadLetterRing};
 use mpart::modulator::{ModRun, Modulator};
@@ -38,7 +48,7 @@ use mpart_ir::interp::{BuiltinRegistry, ExecCtx};
 use mpart_ir::{IrError, Program, Value};
 use mpart_obs::{Counter, PlanReason};
 
-use crate::envelope::{Frame, ModulatedEvent};
+use crate::envelope::{parse_header, write_all_vectored, EncodedFrame, Frame, ModulatedEvent};
 use crate::link::{ack_watermark, data_frame, Control, Encoder, Received, ReceiverHalf, Verdict};
 
 /// Outcome of one delivery, reported back from the receiver thread.
@@ -198,8 +208,10 @@ impl TcpReceiver {
             'accepting: loop {
                 let (stream, _) =
                     listener.accept().map_err(|e| IrError::Marshal(format!("accept: {e}")))?;
-                let Ok(mut read_half) = stream.try_clone() else { continue 'accepting };
+                let Ok(read_half) = stream.try_clone() else { continue 'accepting };
+                let mut read_half = BufReader::new(read_half);
                 let mut write_half = stream;
+                let mut replies = Replies::default();
                 let mut on_this_conn = 0u64;
                 // The apply step: the subscriber under the wall clock. A
                 // validated proposal installs at once (recording the
@@ -250,23 +262,29 @@ impl TcpReceiver {
                 };
                 loop {
                     // Garbled or dead connection: drop it and accept the
-                    // next one; the supervisor retransmits.
-                    let Ok(frame) = Frame::read_from(&mut read_half) else { continue 'accepting };
+                    // next one; the supervisor retransmits. Whatever the
+                    // loop leaves on, the replies of the frames before go
+                    // out first, as they would have one frame at a time.
+                    let Ok(frame) = Frame::read_from(&mut read_half) else {
+                        let _ = replies.write(&mut write_half);
+                        continue 'accepting;
+                    };
                     let control = link.on_frame(frame, &mut apply, &mut received)?;
                     error_metric.add(u64::from(received.failed));
-                    match control {
-                        Control::Shutdown => break 'accepting,
-                        Control::Disconnect => continue 'accepting,
-                        Control::Continue if received.replies.is_empty() => {}
-                        Control::Continue => {
-                            let written = received
-                                .replies
-                                .iter()
-                                .all(|r| r.write_to(&mut write_half).is_ok());
-                            if !written || write_half.flush().is_err() {
-                                continue 'accepting;
-                            }
+                    if control != Control::Continue {
+                        let _ = replies.write(&mut write_half);
+                        match control {
+                            Control::Shutdown => break 'accepting,
+                            _ => continue 'accepting,
                         }
+                    }
+                    // A failed write drops the connection: the sender sees
+                    // a reset, never a spliced frame.
+                    if replies.queue(&received.replies).is_err()
+                        || (replies.due(read_half.buffer())
+                            && replies.write(&mut write_half).is_err())
+                    {
+                        continue 'accepting;
                     }
                 }
             }
@@ -332,6 +350,68 @@ impl TcpReceiver {
     }
 }
 
+/// How long the receiver may hold a reply while more frames wait in its
+/// read buffer: far below any `RetryPolicy::stall_timeout` a sender would
+/// use, so a slow handler cannot stall the sender's watermark.
+const REPLY_HOLD: Duration = Duration::from_millis(1);
+
+/// Whether `buffered` begins with one whole frame, header and body. A
+/// header whose length exceeds `MAX_FRAME_SIZE` never counts as whole.
+fn holds_frame(buffered: &[u8]) -> bool {
+    buffered.split_first_chunk().is_some_and(|(header, body)| {
+        parse_header(header).is_ok_and(|(_, len, _)| body.len() >= len)
+    })
+}
+
+/// The replies one connection owes its sender, gathered across frames and
+/// written together with one vectored write when [`due`](Self::due).
+#[derive(Default)]
+struct Replies {
+    pending: Vec<EncodedFrame>,
+    /// When the oldest pending reply was queued.
+    since: Option<Instant>,
+    /// Whether a `Plan` is pending.
+    plan: bool,
+}
+
+impl Replies {
+    /// Encodes one frame's replies behind those already pending.
+    fn queue(&mut self, replies: &[Frame]) -> Result<(), IrError> {
+        for reply in replies {
+            self.plan |= matches!(reply, Frame::Plan(_));
+            self.pending.push(reply.try_encode_frame()?);
+        }
+        if !self.pending.is_empty() {
+            self.since.get_or_insert_with(Instant::now);
+        }
+        Ok(())
+    }
+
+    /// Pending replies go when the read buffer holds no whole next frame
+    /// (the next read may block, so nothing is held across it), when a
+    /// plan is among them (adaptation lag does not grow), or when the
+    /// oldest has waited [`REPLY_HOLD`].
+    fn due(&self, buffered: &[u8]) -> bool {
+        self.since.is_some_and(|since| {
+            !holds_frame(buffered) || self.plan || since.elapsed() >= REPLY_HOLD
+        })
+    }
+
+    /// Writes every pending reply, in order, with one gathered write.
+    fn write(&mut self, out: &mut TcpStream) -> std::io::Result<()> {
+        if self.pending.is_empty() {
+            return Ok(());
+        }
+        let bufs: Vec<&[u8]> =
+            self.pending.iter().flat_map(EncodedFrame::segments).map(|s| s.as_ref()).collect();
+        let written = write_all_vectored(out, &bufs);
+        self.pending.clear();
+        self.since = None;
+        self.plan = false;
+        written
+    }
+}
+
 /// One live connection to a [`TcpReceiver`]: the write half and the
 /// thread reading control traffic off the read half.
 pub(crate) struct Connection {
@@ -355,8 +435,9 @@ impl Connection {
     ) -> Result<Self, IrError> {
         let stream = TcpStream::connect(("127.0.0.1", port))
             .map_err(|e| IrError::Marshal(format!("connect: {e}")))?;
-        let mut read_half =
-            stream.try_clone().map_err(|e| IrError::Marshal(format!("clone: {e}")))?;
+        let mut read_half = BufReader::new(
+            stream.try_clone().map_err(|e| IrError::Marshal(format!("clone: {e}")))?,
+        );
         let plans_applied = handler.obs().registry().counter("plan_updates_applied_total", &[]);
         let plan_metric = plans_applied.clone();
         let reader = std::thread::spawn(move || {
@@ -579,6 +660,7 @@ impl TcpSender {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::envelope::{FRAME_HEADER_BYTES, MAX_FRAME_SIZE};
     use mpart_cost::DataSizeModel;
     use mpart_ir::parse::parse_program;
     use mpart_ir::types::ElemType;
@@ -853,6 +935,119 @@ mod tests {
         assert_eq!(snap.counter_sum("quarantined_total"), 1);
         sender.shutdown().unwrap();
         assert_eq!(receiver.join().unwrap(), 4);
+    }
+
+    fn bind_index(program: &Arc<Program>, builtins: BuiltinRegistry) -> TcpReceiver {
+        TcpReceiver::bind(
+            Arc::clone(program),
+            "index",
+            Arc::new(DataSizeModel::new()),
+            builtins,
+            TriggerPolicy::Never,
+        )
+        .unwrap()
+    }
+
+    /// Encoded `Event` frames for seqs `1..=n`, each carrying a small `Doc`.
+    fn event_frames(program: &Arc<Program>, receiver: &TcpReceiver, n: u64) -> Vec<u8> {
+        let source = Source::new(
+            Arc::clone(program),
+            Arc::clone(receiver.handler()),
+            BuiltinRegistry::new(),
+        );
+        let mut wire = Vec::new();
+        for seq in 1..=n {
+            let (run, _) = source.modulate(doc(program, 4)).unwrap();
+            let event = ModulatedEvent { seq, continuation: run.message, samples: run.samples };
+            wire.extend(Frame::Event { event, t_mod_nanos: 0 }.encode());
+        }
+        wire
+    }
+
+    /// The watermark of an `Ack` frame; panics on any other kind.
+    fn ack_of(frame: &Frame) -> u64 {
+        match frame {
+            Frame::Ack { ack } => *ack,
+            other => panic!("expected an Ack, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn holds_frame_needs_a_whole_frame_of_legal_length() {
+        let ack = Frame::Ack { ack: 7 }.encode();
+        assert!(!holds_frame(&[]));
+        assert!(!holds_frame(&ack[..FRAME_HEADER_BYTES - 1]), "partial header");
+        assert!(!holds_frame(&ack[..ack.len() - 1]), "partial body");
+        assert!(holds_frame(&ack), "exact frame boundary");
+        let two = [ack.as_slice(), ack.as_slice()].concat();
+        assert!(holds_frame(&two), "two frames");
+        assert!(holds_frame(&two[..ack.len() + 3]), "a whole frame, then part of the next");
+        let mut huge = vec![0u8; FRAME_HEADER_BYTES + MAX_FRAME_SIZE + 1];
+        huge[1..5].copy_from_slice(&(MAX_FRAME_SIZE as u32 + 1).to_be_bytes());
+        assert!(!holds_frame(&huge), "an oversized length never counts as whole");
+    }
+
+    #[test]
+    fn pipelined_events_get_every_ack_in_order() {
+        const N: u64 = 200;
+        let program = Arc::new(parse_program(SRC).unwrap());
+        let receiver = bind_index(&program, receiver_builtins());
+        let wire = event_frames(&program, &receiver, N);
+        assert!(wire.len() > 2 * 8192, "the frames span several read buffers");
+        let mut client = TcpStream::connect(("127.0.0.1", receiver.port())).unwrap();
+        client.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
+        client.write_all(&wire).unwrap();
+        let mut reader = BufReader::new(client.try_clone().unwrap());
+        let acks: Vec<u64> =
+            (0..N).map(|_| ack_of(&Frame::read_from(&mut reader).unwrap())).collect();
+        assert_eq!(acks, (1..=N).collect::<Vec<_>>(), "one Ack per Event, watermarks 1..=N");
+        client.write_all(&Frame::Shutdown.encode()).unwrap();
+        assert!(Frame::read_from(&mut reader).is_err(), "nothing follows the N acks");
+        assert_eq!(receiver.join().unwrap(), N);
+    }
+
+    #[test]
+    fn a_lone_frame_is_acked_without_a_second() {
+        let program = Arc::new(parse_program(SRC).unwrap());
+        let receiver = bind_index(&program, receiver_builtins());
+        let mut client = TcpStream::connect(("127.0.0.1", receiver.port())).unwrap();
+        client.set_read_timeout(Some(std::time::Duration::from_secs(5))).unwrap();
+        client.write_all(&event_frames(&program, &receiver, 1)).unwrap();
+        assert_eq!(ack_of(&Frame::read_from(&mut client).unwrap()), 1);
+        client.write_all(&Frame::Shutdown.encode()).unwrap();
+        assert_eq!(receiver.join().unwrap(), 1);
+    }
+
+    #[test]
+    fn a_slow_receiver_never_stalls_the_watermark() {
+        // A handler far slower than the wire fills the receiver's read
+        // buffer with small frames. Holding their acks until the buffer
+        // ran dry would stall the watermark past the default 250 ms and
+        // make the supervisor reconnect.
+        const N: u64 = 120;
+        let program = Arc::new(parse_program(SRC).unwrap());
+        let mut builtins = BuiltinRegistry::new();
+        builtins.register_native("store", 1, |_, _| {
+            std::thread::sleep(std::time::Duration::from_millis(5));
+            Ok(Value::Null)
+        });
+        let receiver = bind_index(&program, builtins);
+        let mut supervisor = crate::supervisor::Supervisor::new(
+            Arc::clone(&program),
+            Arc::clone(receiver.handler()),
+            BuiltinRegistry::new(),
+            receiver.port(),
+            crate::supervisor::RetryPolicy::default(),
+        );
+        for _ in 0..N {
+            supervisor.publish(doc(&program, 4)).unwrap();
+        }
+        supervisor.await_drain(std::time::Duration::from_secs(30)).unwrap();
+        assert_eq!(supervisor.reconnects(), 0, "the watermark never stalled");
+        assert_eq!(supervisor.acked(), N);
+        supervisor.shutdown(std::time::Duration::from_secs(30)).unwrap();
+        assert_eq!(receiver.demod_errors(), 0);
+        assert_eq!(receiver.join().unwrap(), N, "each envelope applied exactly once");
     }
 
     #[test]
