@@ -101,12 +101,6 @@ impl FailureConfig {
         self.retry_budget = budget.max(1);
         self
     }
-
-    /// Sets the dead-letter ring capacity (min 1).
-    pub fn with_deadletter_capacity(mut self, capacity: usize) -> Self {
-        self.deadletter_capacity = capacity.max(1);
-        self
-    }
 }
 
 /// Per-envelope failure accounting: decides *when* an envelope has failed

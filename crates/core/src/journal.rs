@@ -82,8 +82,9 @@ pub enum JournalRecord {
     Close { session: u64 },
 }
 
-/// Appends an active set as `2,5` (or `-` when empty).
-fn render_set(out: &mut String, active: &[PseId]) {
+/// Appends an active set as `2,5` (or `-` when empty): the one text form
+/// of a set, in journal lines and in the node protocol's request lines.
+pub fn render_set(out: &mut String, active: &[PseId]) {
     if active.is_empty() {
         out.push('-');
     }
@@ -223,8 +224,12 @@ impl JournalRecord {
     }
 }
 
-/// Parses a `2,5` / `-` active-set field.
-fn parse_set(set: &str) -> Result<Vec<PseId>, &'static str> {
+/// Parses a `2,5` / `-` active-set field, as [`render_set`] writes it.
+///
+/// # Errors
+///
+/// Returns a description when a member is not a PSE id.
+pub fn parse_set(set: &str) -> Result<Vec<PseId>, &'static str> {
     if set == "-" {
         return Ok(vec![]);
     }

@@ -49,11 +49,6 @@ impl Ewma {
     pub fn value(&self) -> Option<f64> {
         self.value
     }
-
-    /// Current value or `default`.
-    pub fn value_or(&self, default: f64) -> f64 {
-        self.value.unwrap_or(default)
-    }
 }
 
 /// One per-PSE observation made by the modulator's profiling code while a

@@ -147,12 +147,6 @@ impl SessionConfig {
         self
     }
 
-    /// Sets the analysis cache capacity.
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache_capacity = capacity.max(1);
-        self
-    }
-
     /// Sets the per-session reconfiguration trigger.
     pub fn with_trigger(mut self, trigger: TriggerPolicy) -> Self {
         self.trigger = trigger;

@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use crate::func::{Function, Program};
 use crate::heap::Heap;
-use crate::instr::{BinOp, CondExpr, Instr, Operand, Pc, Place, Rvalue, UnOp, Var};
+use crate::instr::{BinOp, CondExpr, Instr, Operand, Pc, Place, Rvalue, UnOp};
 use crate::value::Value;
 use crate::IrError;
 
@@ -110,11 +110,6 @@ impl BuiltinRegistry {
             name.into(),
             BuiltinEntry { func: Arc::new(func), cost: Arc::new(cost), native: false },
         );
-    }
-
-    /// Whether `name` is registered as a native builtin.
-    pub fn is_native(&self, name: &str) -> bool {
-        self.map.get(name).map(|e| e.native).unwrap_or(false)
     }
 
     /// Whether `name` is registered at all.
@@ -230,13 +225,6 @@ impl ExecCtx {
         let mut ctx = Self::with_builtins(program, builtins);
         ctx.trace_digests = false;
         ctx
-    }
-
-    /// Resets metering and trace but keeps heap, globals, and builtins.
-    pub fn reset_metering(&mut self) {
-        self.work = 0;
-        self.steps = 0;
-        self.trace.clear();
     }
 }
 
@@ -738,12 +726,6 @@ pub(crate) fn binop(op: BinOp, a: Value, b: Value) -> Result<Value, IrError> {
             }
         },
     }
-}
-
-/// Returns the variables occupying parameter slots of `func` — convenience
-/// for building initial environments in tests.
-pub fn param_vars(func: &Function) -> Vec<Var> {
-    (0..func.params).map(|i| Var(i as u32)).collect()
 }
 
 /// Checks a resume point and restored environment against `func`.

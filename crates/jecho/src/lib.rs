@@ -19,7 +19,8 @@
 //!   decoded [`Frame`]s and the caller's time; outputs are frames to
 //!   write and what was settled.
 //!
-//! Drivers of the link machine (they own the I/O and the clock):
+//! Drivers of the link machine (they own the I/O and the clock), one per
+//! clock:
 //!
 //! * [`sim::SimSession`] — virtual time through the `mpart-simnet`
 //!   pipeline, feedback-delayed plan updates, and, when the link carries
@@ -27,14 +28,13 @@
 //!   halves; this is what the benchmark harness uses. Figure 1's fan-out
 //!   to several subscribers is one session per subscriber: their
 //!   modulators, plans and receiver contexts share nothing;
-//! * [`supervisor::Supervisor`] / [`tcp::TcpReceiver`] — real TCP
-//!   sockets over loopback, a reader thread, the wall clock, reconnection
-//!   with capped exponential backoff and jitter ([`tcp::TcpSender`] is
-//!   the bare, unsupervised connection).
+//! * [`supervisor::Supervisor`] / [`tcp::TcpReceiver`] — the wall clock:
+//!   real TCP sockets over loopback, a reader thread, reconnection with
+//!   capped exponential backoff and jitter.
 //!
-//! One transport needs no link machine because nothing can be lost:
-//! [`proxy::ProxySession`], §7's third-party modulator placement, where
-//! the modulator runs inside a broker between source and receiver.
+//! [`proxy::ProxySession`], §7's third-party modulator placement, is not
+//! a third driver: it is one raw source → broker hop in front of a
+//! `SimSession` whose sender host is the broker.
 //!
 //! Beside them, [`node::NodeServer`] / [`node::TcpNode`] are the
 //! loopback-TCP cluster nodes of the multi-host router (`mpart route`): a
@@ -107,4 +107,4 @@ pub use link::LinkMachine;
 pub use proxy::{ProxyConfig, ProxyReport, ProxySession};
 pub use sim::{SimConfig, SimReport, SimSession};
 pub use supervisor::{RetryPolicy, Supervisor};
-pub use tcp::{TcpReceiver, TcpSender};
+pub use tcp::TcpReceiver;

@@ -45,7 +45,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use mpart::journal::{GuardSnapshot, SessionSnapshot};
+use mpart::journal::{parse_set, render_set, GuardSnapshot, SessionSnapshot};
 use mpart::router::{GlobalSessionId, NodeEndpoint, NodeError, SessionSpec};
 use mpart::session::{PrepareOutcome, SessionConfig, SessionManager, SessionOutcome};
 use mpart::PseId;
@@ -340,7 +340,7 @@ fn handle_request(shared: &ServerShared, line: &str) -> Result<String, IrError> 
                 func: func.to_string(),
                 model: model.to_string(),
                 epoch: epoch.parse().map_err(|_| malformed("restore"))?,
-                active: parse_active_set(active).map_err(|()| malformed("restore"))?,
+                active: parse_set(active).map_err(|_| malformed("restore"))?,
                 reason: "migrate".into(),
                 watermark: watermark.parse().map_err(|_| malformed("restore"))?,
                 flags: flags.parse().map_err(|_| malformed("restore"))?,
@@ -376,7 +376,7 @@ fn handle_request(shared: &ServerShared, line: &str) -> Result<String, IrError> 
             let [local, budget_ms, active] = rest[..] else { return Err(malformed("prepare")) };
             let local: usize = local.parse().map_err(|_| malformed("prepare"))?;
             let budget_ms: u64 = budget_ms.parse().map_err(|_| malformed("prepare"))?;
-            let active = parse_active_set(active).map_err(|()| malformed("prepare"))?;
+            let active = parse_set(active).map_err(|_| malformed("prepare"))?;
             let guard = shared.manager.lock().expect("node poisoned");
             let manager = guard.as_ref().ok_or_else(node_down)?;
             match manager.prepare_plan(local, &active, Duration::from_millis(budget_ms))? {
@@ -388,7 +388,7 @@ fn handle_request(shared: &ServerShared, line: &str) -> Result<String, IrError> 
         "commit" => {
             let [local, active] = rest[..] else { return Err(malformed("commit")) };
             let local: usize = local.parse().map_err(|_| malformed("commit"))?;
-            let active = parse_active_set(active).map_err(|()| malformed("commit"))?;
+            let active = parse_set(active).map_err(|_| malformed("commit"))?;
             let guard = shared.manager.lock().expect("node poisoned");
             let manager = guard.as_ref().ok_or_else(node_down)?;
             let epoch = manager.commit_plan(local, &active)?;
@@ -442,20 +442,11 @@ fn node_down() -> IrError {
     IrError::Continuation("node is down".into())
 }
 
-/// Renders an active-PSE set for the wire: comma-joined, `-` when empty.
-fn render_active_set(active: &[PseId]) -> String {
-    if active.is_empty() {
-        "-".into()
-    } else {
-        active.iter().map(ToString::to_string).collect::<Vec<_>>().join(",")
-    }
-}
-
-fn parse_active_set(set: &str) -> Result<Vec<PseId>, ()> {
-    if set == "-" {
-        return Ok(Vec::new());
-    }
-    set.split(',').map(|p| p.parse().map_err(|_| ())).collect()
+/// An active-PSE set as a request token, in the journal's text form.
+fn set_token(active: &[PseId]) -> String {
+    let mut token = String::new();
+    render_set(&mut token, active);
+    token
 }
 
 /// Renders an open canary window for the migration wire:
@@ -463,13 +454,9 @@ fn parse_active_set(set: &str) -> Result<Vec<PseId>, ()> {
 fn render_guard_wire(guard: Option<&GuardSnapshot>) -> String {
     match guard {
         None => "-".into(),
-        Some(g) => format!(
-            "{}:{}:{}:{}",
-            g.prior_epoch,
-            g.epoch,
-            g.remaining,
-            render_active_set(&g.prior_active)
-        ),
+        Some(g) => {
+            format!("{}:{}:{}:{}", g.prior_epoch, g.epoch, g.remaining, set_token(&g.prior_active))
+        }
     }
 }
 
@@ -482,7 +469,7 @@ fn parse_guard_wire(token: &str) -> Result<Option<GuardSnapshot>, ()> {
     let prior_epoch = num()?;
     let epoch = num()?;
     let remaining = num()?;
-    let prior_active = parse_active_set(fields.next().ok_or(())?)?;
+    let prior_active = parse_set(fields.next().ok_or(())?).map_err(|_| ())?;
     if fields.next().is_some() {
         return Err(());
     }
@@ -497,7 +484,7 @@ fn render_quarantine_wire(entries: &[(Vec<PseId>, u32)]) -> String {
     }
     entries
         .iter()
-        .map(|(set, ttl)| format!("{ttl}:{}", render_active_set(set)))
+        .map(|(set, ttl)| format!("{ttl}:{}", set_token(set)))
         .collect::<Vec<_>>()
         .join(";")
 }
@@ -510,7 +497,7 @@ fn parse_quarantine_wire(token: &str) -> Result<Vec<(Vec<PseId>, u32)>, ()> {
         .split(';')
         .map(|entry| {
             let (ttl, set) = entry.split_once(':').ok_or(())?;
-            Ok((parse_active_set(set)?, ttl.parse().map_err(|_| ())?))
+            Ok((parse_set(set).map_err(|_| ())?, ttl.parse().map_err(|_| ())?))
         })
         .collect()
 }
@@ -594,16 +581,6 @@ impl TcpNode {
             conn: None,
             call_budget: DEFAULT_CALL_BUDGET,
         }
-    }
-
-    /// Overrides the per-call response deadline. Every exchange arms the
-    /// socket read timeout with this budget, so a remote that hangs
-    /// mid-request surfaces as [`NodeError::Transport`] instead of
-    /// wedging the router thread.
-    #[must_use]
-    pub fn with_call_budget(mut self, budget: Duration) -> Self {
-        self.call_budget = budget.max(Duration::from_millis(1));
-        self
     }
 
     fn dial(port: u16) -> Result<NodeConn, NodeError> {
@@ -718,7 +695,7 @@ impl NodeEndpoint for TcpNode {
             snapshot.epoch,
             snapshot.watermark,
             snapshot.flags,
-            render_active_set(&snapshot.active),
+            set_token(&snapshot.active),
             render_guard_wire(snapshot.guard.as_ref()),
             render_quarantine_wire(&snapshot.quarantined),
         );
@@ -760,8 +737,7 @@ impl NodeEndpoint for TcpNode {
         active: &[PseId],
         budget: Duration,
     ) -> Result<PrepareOutcome, NodeError> {
-        let request =
-            format!("prepare {local} {} {}", budget.as_millis(), render_active_set(active));
+        let request = format!("prepare {local} {} {}", budget.as_millis(), set_token(active));
         // Prepare never touches the serving plan, so a resend after a
         // reconnect is safe. The client-side deadline covers the server's
         // validation budget plus wire slack; a remote that hangs past it
@@ -784,7 +760,7 @@ impl NodeEndpoint for TcpNode {
         // Like `deliver`: no resend on transport failure — the node may
         // have installed the plan (and opened its canary window) before
         // the response was lost, and a resend would restart the canary.
-        let body = self.exchange(&format!("commit {local} {}", render_active_set(active)))?;
+        let body = self.exchange(&format!("commit {local} {}", set_token(active)))?;
         body.trim().parse().map_err(|_| NodeError::Transport(format!("bad epoch `{body}`")))
     }
 
@@ -812,7 +788,7 @@ impl NodeEndpoint for TcpNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpart::journal::SessionJournal;
+    use mpart::journal::{JournalRecord, SessionJournal};
     use mpart::router::{Router, RouterConfig};
     use mpart_ir::parse::parse_program;
 
@@ -852,6 +828,25 @@ mod tests {
         }
         assert!(parse_wire_value("x:1").is_err());
         assert!(parse_wire_value("s:bad\\q").is_err());
+    }
+
+    #[test]
+    fn restore_tokens_round_trip_empty_and_wide_sets() {
+        let wide: Vec<PseId> = (0..64).collect();
+        for set in [vec![], vec![2, 5], wide.clone()] {
+            let token = set_token(&set);
+            let joined = set.iter().map(ToString::to_string).collect::<Vec<_>>().join(",");
+            assert_eq!(token, if set.is_empty() { "-".into() } else { joined }, "request bytes");
+            let line = JournalRecord::Quarantine { session: 1, ttl: 7, active: set.clone() };
+            assert_eq!(line.render(), format!("quar 1 7 {token}"), "journal bytes");
+            assert_eq!(parse_set(&token).unwrap(), set);
+            let guard = GuardSnapshot { prior_epoch: 3, epoch: 4, remaining: 2, prior_active: set };
+            let restored = parse_guard_wire(&render_guard_wire(Some(&guard))).unwrap();
+            assert_eq!(restored.as_ref(), Some(&guard));
+            let quarantined = vec![(guard.prior_active, 7), (wide.clone(), 1)];
+            let token = render_quarantine_wire(&quarantined);
+            assert_eq!(parse_quarantine_wire(&token).unwrap(), quarantined);
+        }
     }
 
     #[test]

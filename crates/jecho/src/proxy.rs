@@ -9,22 +9,23 @@
 //! and forwards continuations. This pays the uplink in raw bytes but
 //! still customizes the (typically slower or thinner) downlink, and
 //! off-loads modulator CPU from the source entirely.
+//!
+//! Past the raw hop this is a two-host session whose sender is the
+//! broker, so a [`ProxySession`] is that hop in front of a
+//! [`SimSession`]: the broker reads the plan when it runs, blocks on its
+//! downlink like any sender, and pays for profiling.
 
 use std::sync::Arc;
 
-use mpart::modulator::Modulator;
 use mpart::profile::TriggerPolicy;
-use mpart::reconfig::ReconfigUnit;
-use mpart::subscriber::{Subscriber, Timing};
 use mpart::{PartitionedHandler, PseId};
 use mpart_cost::CostModel;
 use mpart_ir::interp::{BuiltinRegistry, ExecCtx};
 use mpart_ir::marshal::{marshal_values, unmarshal_values};
 use mpart_ir::{IrError, Program, Value};
-use mpart_obs::PlanReason;
 use mpart_simnet::{Host, Link, SimTime};
 
-use crate::envelope::ModulatedEvent;
+use crate::sim::{SimConfig, SimSession};
 
 /// Hosts and links of a proxied deployment.
 #[derive(Debug)]
@@ -66,28 +67,19 @@ pub struct ProxyReport {
 /// the proxy.
 pub struct ProxySession {
     program: Arc<Program>,
-    handler: Arc<PartitionedHandler>,
-    modulator: Modulator,
-    subscriber: Subscriber,
-    proxy_builtins: BuiltinRegistry,
-    receiver_ctx: ExecCtx,
     source: Host,
     uplink: Link,
-    proxy: Host,
-    downlink: Link,
-    receiver: Host,
-    serialize_work_per_byte: f64,
+    /// Broker → downlink → receiver.
+    session: SimSession,
     reports: Vec<ProxyReport>,
-    seq: u64,
-    plan_installs: u64,
     first_gen: Option<SimTime>,
 }
 
 impl std::fmt::Debug for ProxySession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ProxySession")
-            .field("handler", &self.handler.func_name())
-            .field("messages", &self.seq)
+            .field("handler", &self.handler().func_name())
+            .field("messages", &self.reports.len())
             .finish()
     }
 }
@@ -106,38 +98,35 @@ impl ProxySession {
         receiver_builtins: BuiltinRegistry,
         config: ProxyConfig,
     ) -> Result<Self, IrError> {
-        let kind = model.kind();
-        let handler = PartitionedHandler::analyze(Arc::clone(&program), handler_fn, model)?;
-        let reconfig = ReconfigUnit::new(Arc::clone(handler.analysis()), kind, config.trigger)
-            .with_serialize_cost(config.serialize_work_per_byte);
-        Ok(ProxySession {
-            modulator: handler.modulator(),
-            subscriber: Subscriber::new(Arc::clone(&handler), reconfig),
-            receiver_ctx: ExecCtx::without_digests(&program, receiver_builtins),
+        let downstream =
+            SimConfig::new(config.proxy, config.downlink, config.receiver, config.trigger)
+                .with_serialize_cost(config.serialize_work_per_byte);
+        let session = SimSession::adaptive(
+            Arc::clone(&program),
+            handler_fn,
+            model,
             proxy_builtins,
-            handler,
+            receiver_builtins,
+            downstream,
+        )?;
+        Ok(ProxySession {
             program,
             source: config.source,
             uplink: config.uplink,
-            proxy: config.proxy,
-            downlink: config.downlink,
-            receiver: config.receiver,
-            serialize_work_per_byte: config.serialize_work_per_byte,
+            session,
             reports: Vec::new(),
-            seq: 0,
-            plan_installs: 0,
             first_gen: None,
         })
     }
 
     /// The analyzed handler.
     pub fn handler(&self) -> &Arc<PartitionedHandler> {
-        &self.handler
+        self.session.handler()
     }
 
     /// Plan installations applied at the proxy so far.
     pub fn plan_installs(&self) -> u64 {
-        self.plan_installs
+        self.session.plan_installs()
     }
 
     /// Delivers one event built by `make_event` in the source's context.
@@ -149,69 +138,29 @@ impl ProxySession {
         &mut self,
         make_event: impl FnOnce(&mut ExecCtx) -> Result<Vec<Value>, IrError>,
     ) -> Result<ProxyReport, IrError> {
-        self.seq += 1;
-        let ser =
-            |bytes: usize| -> u64 { (self.serialize_work_per_byte * bytes as f64).round() as u64 };
-
         // Source: build and marshal the raw event (the source knows no
         // handler code — it just ships its capture upstream).
         let gen_time = self.source.busy_until().max(self.uplink.busy_until());
-        if self.first_gen.is_none() {
-            self.first_gen = Some(gen_time);
-        }
+        self.first_gen.get_or_insert(gen_time);
         let mut source_ctx = ExecCtx::without_digests(&self.program, BuiltinRegistry::new());
         let args = make_event(&mut source_ctx)?;
         let raw = marshal_values(&source_ctx.heap, &args)?;
         let uplink_bytes = raw.wire_size();
-        let (_, source_done) = self.source.run(gen_time, ser(uplink_bytes));
+        let (_, source_done) = self.source.run(gen_time, self.session.serialize_work(uplink_bytes));
         let (_, at_proxy) = self.uplink.transfer(source_done, uplink_bytes as u64);
 
-        // Proxy: plan updates that have arrived take effect, then the
-        // modulator runs here.
-        self.plan_installs +=
-            self.subscriber.install_due(at_proxy.as_nanos(), PlanReason::Reconfig);
-        let mut proxy_ctx = ExecCtx::without_digests(&self.program, self.proxy_builtins.clone());
-        let restored = unmarshal_values(&mut proxy_ctx.heap, &self.program.classes, &raw)?;
-        let run = self.modulator.handle(&mut proxy_ctx, restored)?;
-        let event =
-            ModulatedEvent { seq: self.seq, continuation: run.message, samples: run.samples };
-        let downlink_bytes = event.wire_size();
-        let proxy_work = ser(uplink_bytes) + run.mod_work + ser(downlink_bytes);
-        let (proxy_start, proxy_done) = self.proxy.run(at_proxy, proxy_work);
-        let (_, at_receiver) = self.downlink.transfer(proxy_done, downlink_bytes as u64);
-
-        // Receiver: demodulate. The third-party reconfiguration unit sees
-        // both halves of the profile; its plan updates flow back to the
-        // proxy over the downlink.
-        let receiver = &mut self.receiver;
-        let mut recv_done = at_receiver;
-        let applied = self.subscriber.apply(
-            &mut self.receiver_ctx,
-            &event.continuation,
-            event.samples,
-            |demod| {
-                let (recv_start, done) =
-                    receiver.run(at_receiver, demod.demod_work + ser(downlink_bytes));
-                recv_done = done;
-                Timing {
-                    mod_work: proxy_work,
-                    t_mod: Some((proxy_done - proxy_start).as_secs_f64()),
-                    demod_work: demod.demod_work,
-                    t_demod: Some((done - recv_start).as_secs_f64()),
-                }
-            },
-        )?;
-        if let Some(proposal) = applied.proposal? {
-            self.subscriber.defer(proposal, (recv_done + self.downlink.alpha).as_nanos());
-        }
-
+        // Broker: unmarshal the raw event, which holds its CPU until the
+        // event has arrived, then the session's sender runs the modulator.
+        self.session.unmarshal_at_sender(at_proxy, uplink_bytes);
+        let classes = &self.program.classes;
+        let sent = self.session.deliver(|ctx| unmarshal_values(&mut ctx.heap, classes, &raw))?;
         let report = ProxyReport {
-            seq: self.seq,
+            seq: sent.seq,
             uplink_bytes,
-            downlink_bytes,
-            split_pse: event.continuation.pse,
-            done: recv_done,
-            ret: applied.demod.ret,
+            downlink_bytes: sent.wire_bytes,
+            split_pse: sent.split_pse,
+            done: sent.timing.demod_end,
+            ret: sent.ret,
         };
         self.reports.push(report.clone());
         Ok(report)
@@ -222,10 +171,11 @@ impl ProxySession {
         &self.reports
     }
 
-    /// Average per-message makespan in milliseconds.
+    /// Average per-message makespan in milliseconds, from the source's
+    /// first generation to the last completion.
     pub fn avg_processing_ms(&self) -> f64 {
         match (self.first_gen, self.reports.last()) {
-            (Some(first), Some(last)) if !self.reports.is_empty() => {
+            (Some(first), Some(last)) => {
                 (last.done - first).as_millis_f64() / self.reports.len() as f64
             }
             _ => 0.0,
@@ -239,6 +189,7 @@ mod tests {
     use mpart_cost::DataSizeModel;
     use mpart_ir::parse::parse_program;
     use mpart_ir::types::ElemType;
+    use mpart_simnet::FaultPlan;
 
     const SRC: &str = r#"
         class Reading { n: int, data: ref }
@@ -300,26 +251,54 @@ mod tests {
     #[test]
     fn proxy_modulator_customizes_the_downlink() {
         let program = Arc::new(parse_program(SRC).unwrap());
-        let mut session = ProxySession::new(
-            Arc::clone(&program),
-            "ingest",
-            Arc::new(DataSizeModel::new()),
-            BuiltinRegistry::new(),
-            receiver_builtins(),
-            config(),
-        )
-        .unwrap();
-        for _ in 0..8 {
-            let r = session.deliver(reading(&program, 30_000)).unwrap();
-            assert_eq!(r.ret, Some(Value::Int(1)));
+        // A fault plan, even one that injects nothing, puts the downlink
+        // on the supervised wire; the raw hop must hold on both wires.
+        for plan in [None, Some(FaultPlan::new(7))] {
+            let mut cfg = config();
+            if let Some(plan) = plan.clone() {
+                cfg.downlink = cfg.downlink.with_fault_plan(plan);
+            }
+            let mut session = ProxySession::new(
+                Arc::clone(&program),
+                "ingest",
+                Arc::new(DataSizeModel::new()),
+                BuiltinRegistry::new(),
+                receiver_builtins(),
+                cfg,
+            )
+            .unwrap();
+            let first = session.deliver(reading(&program, 30_000)).unwrap();
+            assert_eq!(first.ret, Some(Value::Int(1)));
+            // Replayed on idle copies of the hosts and links: the source's
+            // marshal, the raw uplink hop, the broker's unmarshal and
+            // marshal, the downlink and the client's unmarshal. Message 0
+            // can complete no sooner; only the modulator and demodulator
+            // runs come on top.
+            let mut hops = config();
+            let work = |bytes: usize| (0.2 * bytes as f64).round() as u64;
+            let (_, sourced) = hops.source.run(SimTime::ZERO, work(first.uplink_bytes));
+            let (_, at_broker) = hops.uplink.transfer(sourced, first.uplink_bytes as u64);
+            let (_, unmarshalled) = hops.proxy.run(at_broker, work(first.uplink_bytes));
+            let (_, marshalled) = hops.proxy.run(unmarshalled, work(first.downlink_bytes));
+            let (_, at_client) = hops.downlink.transfer(marshalled, first.downlink_bytes as u64);
+            let (_, floor) = hops.receiver.run(at_client, work(first.downlink_bytes));
+            assert!(
+                first.done >= floor,
+                "{plan:?}: message 0 done at {:?} < {floor:?}",
+                first.done
+            );
+            for _ in 1..8 {
+                let r = session.deliver(reading(&program, 30_000)).unwrap();
+                assert_eq!(r.ret, Some(Value::Int(1)));
+            }
+            let last = session.reports().last().unwrap();
+            // Uplink always carries the raw 30 KB; after adaptation, the
+            // slow downlink carries only the digest.
+            assert!(last.uplink_bytes > 30_000);
+            assert!(last.downlink_bytes < 1000, "downlink adapted: {}", last.downlink_bytes);
+            assert!(session.plan_installs() >= 1);
+            assert!(session.avg_processing_ms() > 0.0);
         }
-        let last = session.reports().last().unwrap();
-        // Uplink always carries the raw 30 KB; after adaptation, the slow
-        // downlink carries only the digest.
-        assert!(last.uplink_bytes > 30_000);
-        assert!(last.downlink_bytes < 1000, "downlink adapted: {}", last.downlink_bytes);
-        assert!(session.plan_installs() >= 1);
-        assert!(session.avg_processing_ms() > 0.0);
     }
 
     #[test]
@@ -340,5 +319,53 @@ mod tests {
         }
         let last = session.reports().last().unwrap();
         assert!(last.downlink_bytes < 100, "{}", last.downlink_bytes);
+    }
+
+    #[test]
+    fn a_proxy_with_a_free_uplink_is_a_sim_session() {
+        // A source and uplink that cost nothing hand every raw event to
+        // the broker at time zero, as a sim sender would generate it; past
+        // that hop, both must compute the same session.
+        let program = Arc::new(parse_program(SRC).unwrap());
+        let broker = || Host::new("broker", 5_000_000.0);
+        let wan = || Link::new("wan", SimTime::from_millis(20), 100_000.0);
+        // Fast enough that the in-flight window never binds.
+        let client = || Host::new("client", 2_000_000.0);
+        let mut proxy = ProxySession::new(
+            Arc::clone(&program),
+            "ingest",
+            Arc::new(DataSizeModel::new()),
+            BuiltinRegistry::new(),
+            receiver_builtins(),
+            ProxyConfig {
+                source: Host::new("free-source", 1.0),
+                uplink: Link::new("free-uplink", SimTime::ZERO, f64::INFINITY),
+                proxy: broker(),
+                downlink: wan(),
+                receiver: client(),
+                trigger: TriggerPolicy::Rate(1),
+                serialize_work_per_byte: 0.0,
+            },
+        )
+        .unwrap();
+        let mut sim = SimSession::adaptive(
+            Arc::clone(&program),
+            "ingest",
+            Arc::new(DataSizeModel::new()),
+            BuiltinRegistry::new(),
+            receiver_builtins(),
+            SimConfig::new(broker(), wan(), client(), TriggerPolicy::Rate(1)),
+        )
+        .unwrap();
+        for _ in 0..8 {
+            let proxied = proxy.deliver(reading(&program, 30_000)).unwrap();
+            let direct = sim.deliver(reading(&program, 30_000)).unwrap();
+            let seq = proxied.seq;
+            assert_eq!(proxied.split_pse, direct.split_pse, "split of message {seq}");
+            assert_eq!(proxied.downlink_bytes, direct.wire_bytes, "bytes of message {seq}");
+            assert_eq!(proxied.ret, direct.ret, "return of message {seq}");
+            assert_eq!(proxied.done, direct.timing.demod_end, "completion of message {seq}");
+        }
+        assert!(sim.plan_installs() >= 1, "the session adapted, so the comparison covers a switch");
     }
 }

@@ -168,17 +168,6 @@ impl SimConfig {
         self
     }
 
-    /// Sets the in-flight message bound (sender-side backpressure).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bound` is zero.
-    pub fn with_max_in_flight(mut self, bound: usize) -> Self {
-        assert!(bound > 0, "in-flight bound must be positive");
-        self.max_in_flight = bound;
-        self
-    }
-
     /// Drops each plan-update control message with probability `loss`
     /// (deterministic under `seed`) — failure injection for the control
     /// channel.
@@ -234,9 +223,7 @@ impl Endpoint {
         pinned: bool,
     ) -> Result<Result<SimReport, IrError>, IrError> {
         let wire_bytes = event.wire_size();
-        // Marshalling costs CPU on both sides, proportional to the wire
-        // size (Table 1's serialization costs).
-        let ser_work = (self.serialize_work_per_byte * wire_bytes as f64).round() as u64;
+        let ser_work = self.serialize_work(wire_bytes);
         let pipeline = &mut self.pipeline;
         let mut timeline = None;
         let applied =
@@ -289,6 +276,13 @@ impl Endpoint {
         };
         self.reports.push(report.clone());
         Ok(Ok(report))
+    }
+
+    /// Marshalling work for `bytes` on one side of a hop: it costs CPU on
+    /// both sides, proportional to the wire size (Table 1's serialization
+    /// costs).
+    fn serialize_work(&self, bytes: usize) -> u64 {
+        (self.serialize_work_per_byte * bytes as f64).round() as u64
     }
 
     /// Installs every proposal whose feedback latency has elapsed by
@@ -626,6 +620,19 @@ impl SimSession {
     /// registry and trace ring — transport counters register there too).
     pub fn obs(&self) -> &Arc<ObsHub> {
         self.handler.obs()
+    }
+
+    /// Marshalling work for `bytes` on one side of a hop.
+    pub(crate) fn serialize_work(&self, bytes: usize) -> u64 {
+        self.end.serialize_work(bytes)
+    }
+
+    /// Unmarshals `bytes` that reached the sender at `arrival` on its CPU,
+    /// FIFO: the CPU stays busy until then, so the next
+    /// [`deliver`](Self::deliver) cannot start its modulator sooner.
+    pub(crate) fn unmarshal_at_sender(&mut self, arrival: SimTime, bytes: usize) {
+        let work = self.end.serialize_work(bytes);
+        self.end.pipeline.sender.run(arrival, work);
     }
 
     /// Starts one delivery: the source emits as soon as its CPU is free

@@ -1,9 +1,9 @@
 //! Supervised sending: reconnection with capped exponential backoff and
 //! seeded jitter, plus retransmission of the unacknowledged event window.
 //!
-//! A bare [`TcpSender`](crate::tcp::TcpSender) is one connection: if it
-//! dies, in-flight events die with it. The [`Supervisor`] is the socket
-//! driver of the link machine's [`SenderHalf`]: the machine assigns
+//! The [`Supervisor`] is the wall-clock sender — one driver per clock,
+//! with [`SimSession`](crate::sim::SimSession) in virtual time — and the
+//! socket driver of the link machine's [`SenderHalf`]: the machine assigns
 //! sequence numbers, keeps every modulated event in its window until the
 //! receiver acknowledges it (acks ride on plan frames, standalone `Ack`
 //! frames, `BatchAck` frames, and heartbeat echoes), coalesces up to K
@@ -381,17 +381,17 @@ impl Supervisor {
         }
     }
 
-    /// Drains the window, sends the shutdown handshake, and closes.
+    /// Drains the window, sends the shutdown handshake, and closes. A
+    /// supervisor that never published dials first, so the receiver
+    /// still gets the handshake and its `join` returns.
     ///
     /// # Errors
     ///
-    /// Propagates drain and socket errors.
+    /// Propagates drain, dial and socket errors.
     pub fn shutdown(mut self, drain_deadline: Duration) -> Result<(), IrError> {
         self.await_drain(drain_deadline)?;
-        match self.conn.take() {
-            Some(conn) => conn.shutdown(),
-            None => Ok(()),
-        }
+        self.connected()?;
+        self.conn.take().map_or(Ok(()), Connection::shutdown)
     }
 }
 

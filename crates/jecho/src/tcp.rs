@@ -8,9 +8,11 @@
 //! share the analyzed handler via `Arc` the way JECho ships the modulator
 //! class to the source at subscription time.)
 //!
-//! [`TcpReceiver`] is the socket driver of the link machine's
-//! [`ReceiverHalf`]: it accepts successive sender connections (a
-//! reconnecting [`Supervisor`](crate::supervisor) shows up as a fresh
+//! The sending side is the [`Supervisor`](crate::supervisor::Supervisor),
+//! the one wall-clock sender (one driver per clock); this module holds
+//! the pieces it dials with. [`TcpReceiver`] is the socket driver of the
+//! link machine's [`ReceiverHalf`]: it accepts successive sender
+//! connections (a reconnecting supervisor shows up as a fresh
 //! connection), reads frames, feeds them to the machine — which
 //! deduplicates across connections, applies, quarantines and decides what
 //! to acknowledge — and writes the machine's replies back. Its clock is
@@ -49,7 +51,7 @@ use mpart_ir::{IrError, Program, Value};
 use mpart_obs::{Counter, PlanReason};
 
 use crate::envelope::{parse_header, write_all_vectored, EncodedFrame, Frame, ModulatedEvent};
-use crate::link::{ack_watermark, data_frame, Control, Encoder, Received, ReceiverHalf, Verdict};
+use crate::link::{ack_watermark, Control, Encoder, Received, ReceiverHalf, Verdict};
 
 /// Outcome of one delivery, reported back from the receiver thread.
 #[derive(Debug, Clone)]
@@ -417,8 +419,6 @@ impl Replies {
 pub(crate) struct Connection {
     write_half: TcpStream,
     reader: Option<JoinHandle<()>>,
-    /// `plan_updates_applied_total` on the handler's metrics registry.
-    plans_applied: Counter,
     encoder: Encoder,
 }
 
@@ -439,7 +439,6 @@ impl Connection {
             stream.try_clone().map_err(|e| IrError::Marshal(format!("clone: {e}")))?,
         );
         let plans_applied = handler.obs().registry().counter("plan_updates_applied_total", &[]);
-        let plan_metric = plans_applied.clone();
         let reader = std::thread::spawn(move || {
             while let Ok(frame) = Frame::read_from(&mut read_half) {
                 // Anything without a watermark is `Shutdown`, or a frame
@@ -447,14 +446,13 @@ impl Connection {
                 let Some(watermark) = ack_watermark(&frame) else { break };
                 acked.fetch_max(watermark, Ordering::AcqRel);
                 if matches!(frame, Frame::Plan(_)) {
-                    plan_metric.inc();
+                    plans_applied.inc();
                 }
             }
         });
         Ok(Connection {
             write_half: stream,
             reader: Some(reader),
-            plans_applied,
             encoder: Encoder::new(handler.obs().registry()),
         })
     }
@@ -501,166 +499,12 @@ impl Drop for Connection {
     }
 }
 
-/// The sender endpoint: runs the modulator locally and streams modulated
-/// events to a [`TcpReceiver`].
-///
-/// One `TcpSender` is one connection and keeps no window: if the
-/// connection dies, in-flight events die with it. For retry,
-/// reconnection, and retransmission use a
-/// [`Supervisor`](crate::supervisor::Supervisor), which drives the link
-/// machine's sender half over successive connections.
-pub struct TcpSender {
-    source: Source,
-    conn: Connection,
-    seq: u64,
-    acked: Arc<AtomicU64>,
-}
-
-impl std::fmt::Debug for TcpSender {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TcpSender")
-            .field("handler", &self.source.handler.func_name())
-            .field("sent", &self.seq)
-            .finish()
-    }
-}
-
-impl TcpSender {
-    /// Connects to a receiver and installs its modulator (shared handler).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IrError::Marshal`] if the connection fails.
-    pub fn connect(
-        program: Arc<Program>,
-        handler: Arc<PartitionedHandler>,
-        sender_builtins: BuiltinRegistry,
-        port: u16,
-    ) -> Result<Self, IrError> {
-        Self::connect_with(program, handler, sender_builtins, port, Arc::new(AtomicU64::new(0)), 0)
-    }
-
-    /// Like [`connect`](Self::connect), with caller-owned shared state: the
-    /// `acked` watermark survives across connections (pass the same counter
-    /// to each successive one) and `start_seq` resumes the sequence
-    /// numbering where the previous connection left off.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IrError::Marshal`] if the connection fails.
-    pub fn connect_with(
-        program: Arc<Program>,
-        handler: Arc<PartitionedHandler>,
-        sender_builtins: BuiltinRegistry,
-        port: u16,
-        acked: Arc<AtomicU64>,
-        start_seq: u64,
-    ) -> Result<Self, IrError> {
-        let conn = Connection::dial(&handler, port, Arc::clone(&acked))?;
-        Ok(TcpSender {
-            source: Source::new(program, handler, sender_builtins),
-            conn,
-            seq: start_seq,
-            acked,
-        })
-    }
-
-    /// Number of plan updates applied so far.
-    pub fn plans_applied(&self) -> u64 {
-        self.conn.plans_applied.get()
-    }
-
-    /// Highest contiguous event seq the receiver has acknowledged.
-    pub fn acked(&self) -> u64 {
-        self.acked.load(Ordering::Acquire)
-    }
-
-    /// Highest event seq assigned so far.
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-
-    /// Runs the modulator on one event, assigning it the next sequence
-    /// number, without touching the socket. The result can be sent (and
-    /// later re-sent) with [`send_event`](Self::send_event).
-    ///
-    /// # Errors
-    ///
-    /// Propagates modulator errors.
-    pub fn modulate(
-        &mut self,
-        make_event: impl FnOnce(&mut ExecCtx) -> Result<Vec<Value>, IrError>,
-    ) -> Result<(ModulatedEvent, u64), IrError> {
-        self.seq += 1;
-        let (run, t_mod_nanos) = self.source.modulate(make_event)?;
-        let event =
-            ModulatedEvent { seq: self.seq, continuation: run.message, samples: run.samples };
-        Ok((event, t_mod_nanos))
-    }
-
-    /// Writes one already-modulated event to the socket.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors.
-    pub fn send_event(&mut self, event: &ModulatedEvent, t_mod_nanos: u64) -> Result<(), IrError> {
-        self.conn.send(&Frame::Event { event: event.clone(), t_mod_nanos })
-    }
-
-    /// Coalesces already-modulated events into a single data frame (one
-    /// header, one checksum, one gathered writev over all member segments)
-    /// and writes it to the socket. Events keep their order; an empty
-    /// slice is a no-op and a single event is sent as a plain
-    /// [`Frame::Event`], so framing stays byte-identical to the unbatched
-    /// path when there is nothing to coalesce.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors.
-    pub fn send_batch(&mut self, events: &[(ModulatedEvent, u64)]) -> Result<(), IrError> {
-        if events.is_empty() {
-            return Ok(());
-        }
-        self.conn.send(&data_frame(events.iter()))
-    }
-
-    /// Sends a liveness probe carrying the highest seq sent; the receiver
-    /// answers with an `Ack` frame.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors.
-    pub fn heartbeat(&mut self) -> Result<(), IrError> {
-        self.conn.send(&Frame::Heartbeat { seq: self.seq })
-    }
-
-    /// Publishes one event over the socket (modulate + send).
-    ///
-    /// # Errors
-    ///
-    /// Propagates modulator and socket errors.
-    pub fn publish(
-        &mut self,
-        make_event: impl FnOnce(&mut ExecCtx) -> Result<Vec<Value>, IrError>,
-    ) -> Result<(), IrError> {
-        let (event, t_mod_nanos) = self.modulate(make_event)?;
-        self.send_event(&event, t_mod_nanos)
-    }
-
-    /// Sends the shutdown frame and joins the control-reading thread.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors.
-    pub fn shutdown(self) -> Result<(), IrError> {
-        self.conn.shutdown()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::envelope::{FRAME_HEADER_BYTES, MAX_FRAME_SIZE};
+    use crate::link::data_frame;
+    use crate::supervisor::{RetryPolicy, Supervisor};
     use mpart_cost::DataSizeModel;
     use mpart_ir::parse::parse_program;
     use mpart_ir::types::ElemType;
@@ -710,24 +554,106 @@ mod tests {
         }
     }
 
-    #[test]
-    fn tcp_round_trip_with_adaptation() {
-        let program = Arc::new(parse_program(SRC).unwrap());
-        let receiver = TcpReceiver::bind(
-            Arc::clone(&program),
+    fn bind_index(
+        program: &Arc<Program>,
+        builtins: BuiltinRegistry,
+        trigger: TriggerPolicy,
+    ) -> TcpReceiver {
+        TcpReceiver::bind(
+            Arc::clone(program),
             "index",
             Arc::new(DataSizeModel::new()),
-            receiver_builtins(),
-            TriggerPolicy::Rate(1),
+            builtins,
+            trigger,
         )
-        .unwrap();
-        let mut sender = TcpSender::connect(
-            Arc::clone(&program),
+        .unwrap()
+    }
+
+    /// A supervised sender for `receiver`'s handler.
+    fn supervise(program: &Arc<Program>, receiver: &TcpReceiver) -> Supervisor {
+        Supervisor::new(
+            Arc::clone(program),
             Arc::clone(receiver.handler()),
             BuiltinRegistry::new(),
             receiver.port(),
+            RetryPolicy::default(),
         )
-        .unwrap();
+    }
+
+    /// `n` events modulated from `make`, numbered `first..first + n`.
+    fn modulated(
+        program: &Arc<Program>,
+        receiver: &TcpReceiver,
+        first: u64,
+        n: u64,
+        make: impl Fn(&mut ExecCtx) -> Result<Vec<Value>, IrError>,
+    ) -> Vec<(ModulatedEvent, u64)> {
+        let source = Source::new(
+            Arc::clone(program),
+            Arc::clone(receiver.handler()),
+            BuiltinRegistry::new(),
+        );
+        (first..first + n)
+            .map(|seq| {
+                let (run, _) = source.modulate(&make).unwrap();
+                (ModulatedEvent { seq, continuation: run.message, samples: run.samples }, 0)
+            })
+            .collect()
+    }
+
+    /// `n` events each carrying a `Doc` of `size` bytes, numbered from
+    /// `first`.
+    fn docs(
+        program: &Arc<Program>,
+        receiver: &TcpReceiver,
+        first: u64,
+        n: u64,
+        size: usize,
+    ) -> Vec<(ModulatedEvent, u64)> {
+        modulated(program, receiver, first, n, |ctx| doc(program, size)(ctx))
+    }
+
+    /// One encoded `Event` frame per event, in order.
+    fn event_frames(events: &[(ModulatedEvent, u64)]) -> Vec<u8> {
+        events
+            .iter()
+            .flat_map(|(event, t_mod_nanos)| {
+                Frame::Event { event: event.clone(), t_mod_nanos: *t_mod_nanos }.encode()
+            })
+            .collect()
+    }
+
+    /// A scripted sender: a plain socket to `receiver` and a reader over
+    /// its replies. A reply that never comes fails the read, not the run.
+    fn dial(receiver: &TcpReceiver) -> (TcpStream, BufReader<TcpStream>) {
+        let client = TcpStream::connect(("127.0.0.1", receiver.port())).unwrap();
+        client.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let replies = BufReader::new(client.try_clone().unwrap());
+        (client, replies)
+    }
+
+    /// Reads replies until their watermark reaches `seq`; returns it.
+    fn await_ack(replies: &mut BufReader<TcpStream>, seq: u64) -> u64 {
+        let mut acked = 0;
+        while acked < seq {
+            acked = acked.max(ack_watermark(&Frame::read_from(replies).unwrap()).unwrap());
+        }
+        acked
+    }
+
+    /// The watermark of an `Ack` frame; panics on any other kind.
+    fn ack_of(frame: &Frame) -> u64 {
+        match frame {
+            Frame::Ack { ack } => *ack,
+            other => panic!("expected an Ack, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn tcp_round_trip_with_adaptation() {
+        let program = Arc::new(parse_program(SRC).unwrap());
+        let receiver = bind_index(&program, receiver_builtins(), TriggerPolicy::Rate(1));
+        let mut sender = supervise(&program, &receiver);
 
         let mut last_bytes = usize::MAX;
         for _ in 0..10 {
@@ -740,7 +666,7 @@ mod tests {
         // Plan frames are counted by the sender's ack reader, which the
         // shutdown handshake joins after it has read every frame the
         // receiver wrote.
-        sender.shutdown().unwrap();
+        sender.shutdown(Duration::from_secs(10)).unwrap();
         let snap = receiver.handler().obs().registry().snapshot();
         assert!(snap.counter_sum("plan_updates_applied_total") >= 1);
         assert_eq!(receiver.join().unwrap(), 10);
@@ -751,21 +677,8 @@ mod tests {
         let program = Arc::new(parse_program(SRC).unwrap());
         // Zero events: an idle session still shuts down cleanly.
         for events in [0, 4] {
-            let receiver = TcpReceiver::bind(
-                Arc::clone(&program),
-                "index",
-                Arc::new(DataSizeModel::new()),
-                receiver_builtins(),
-                TriggerPolicy::Rate(1),
-            )
-            .unwrap();
-            let mut sender = TcpSender::connect(
-                Arc::clone(&program),
-                Arc::clone(receiver.handler()),
-                BuiltinRegistry::new(),
-                receiver.port(),
-            )
-            .unwrap();
+            let receiver = bind_index(&program, receiver_builtins(), TriggerPolicy::Rate(1));
+            let mut sender = supervise(&program, &receiver);
             let mut last_bytes = 0;
             for _ in 0..events {
                 sender.publish(|_| Ok(vec![Value::Int(9)])).unwrap();
@@ -775,7 +688,7 @@ mod tests {
             }
             // Filtered events ship almost nothing.
             assert!(last_bytes < 64, "filtered event wire bytes: {last_bytes}");
-            sender.shutdown().unwrap();
+            sender.shutdown(Duration::from_secs(10)).unwrap();
             assert_eq!(receiver.join().unwrap(), events);
         }
     }
@@ -783,39 +696,20 @@ mod tests {
     #[test]
     fn batched_events_demodulate_in_order_with_one_frame() {
         let program = Arc::new(parse_program(SRC).unwrap());
-        let receiver = TcpReceiver::bind(
-            Arc::clone(&program),
-            "index",
-            Arc::new(DataSizeModel::new()),
-            receiver_builtins(),
-            TriggerPolicy::Never,
-        )
-        .unwrap();
-        let mut sender = TcpSender::connect(
-            Arc::clone(&program),
-            Arc::clone(receiver.handler()),
-            BuiltinRegistry::new(),
-            receiver.port(),
-        )
-        .unwrap();
-        let batch: Vec<(ModulatedEvent, u64)> =
-            (0..5).map(|_| sender.modulate(doc(&program, 256)).unwrap()).collect();
-        sender.send_batch(&batch).unwrap();
+        let receiver = bind_index(&program, receiver_builtins(), TriggerPolicy::Never);
+        let batch = docs(&program, &receiver, 1, 5, 256);
+        let (mut client, mut replies) = dial(&receiver);
+        client.write_all(&data_frame(batch.iter()).encode()).unwrap();
         for expected in 1..=5 {
             let outcome = receiver.next_outcome().unwrap();
             assert_eq!(outcome.seq, expected, "batch preserves per-session order");
             assert_eq!(outcome.ret, Some(Value::Int(1)));
         }
-        sender.heartbeat().unwrap();
-        let deadline = Instant::now() + std::time::Duration::from_secs(5);
-        while sender.acked() < 5 && Instant::now() < deadline {
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
-        assert_eq!(sender.acked(), 5, "the whole batch is acknowledged");
+        assert_eq!(await_ack(&mut replies, 5), 5, "the whole batch is acknowledged");
         let snap = receiver.handler().obs().registry().snapshot();
         assert_eq!(snap.counter_sum("envelope_batches_total"), 1);
         assert_eq!(snap.counter_sum("batched_events_total"), 5);
-        sender.shutdown().unwrap();
+        client.write_all(&Frame::Shutdown.encode()).unwrap();
         assert_eq!(receiver.join().unwrap(), 5);
     }
 
@@ -834,51 +728,29 @@ mod tests {
             2,
         )
         .unwrap();
-        let acked = Arc::new(AtomicU64::new(0));
-        let mut first = TcpSender::connect_with(
-            Arc::clone(&program),
-            Arc::clone(receiver.handler()),
-            BuiltinRegistry::new(),
-            receiver.port(),
-            Arc::clone(&acked),
-            0,
-        )
-        .unwrap();
-        let batch: Vec<(ModulatedEvent, u64)> =
-            (0..5).map(|_| first.modulate(doc(&program, 256)).unwrap()).collect();
-        first.send_batch(&batch).unwrap();
+        let batch = docs(&program, &receiver, 1, 5, 256);
+        let (mut first, mut first_replies) = dial(&receiver);
+        first.write_all(&data_frame(batch.iter()).encode()).unwrap();
         // The first two members apply before the connection dies; their
         // piggy-backed acks die with it.
         for expected in 1..=2 {
             assert_eq!(receiver.next_outcome().unwrap().seq, expected);
         }
-        first.conn.abandon();
-        assert_eq!(acked.load(Ordering::Acquire), 0, "mid-batch acks were lost with the link");
+        assert!(Frame::read_from(&mut first_replies).is_err(), "mid-batch acks were lost");
 
         // A supervisor-style reconnect replays the whole unacked batch.
         // The applied prefix must dedup (acked, not re-applied) and the
         // tail must apply; the fresh BatchAck covers every member.
-        let mut second = TcpSender::connect_with(
-            Arc::clone(&program),
-            Arc::clone(receiver.handler()),
-            BuiltinRegistry::new(),
-            receiver.port(),
-            Arc::clone(&acked),
-            5,
-        )
-        .unwrap();
-        second.send_batch(&batch).unwrap();
-        second.publish(doc(&program, 256)).unwrap();
+        let fresh = docs(&program, &receiver, 6, 1, 256);
+        let (mut second, mut replies) = dial(&receiver);
+        second.write_all(&data_frame(batch.iter()).encode()).unwrap();
+        second.write_all(&data_frame(fresh.iter()).encode()).unwrap();
         for expected in 3..=6 {
             assert_eq!(receiver.next_outcome().unwrap().seq, expected);
         }
-        let deadline = Instant::now() + std::time::Duration::from_secs(5);
-        while second.acked() < 6 && Instant::now() < deadline {
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
-        assert_eq!(second.acked(), 6, "replayed batch and fresh event fully acknowledged");
+        assert_eq!(await_ack(&mut replies, 6), 6, "replayed batch and fresh event acknowledged");
         assert_eq!(receiver.demod_errors(), 0);
-        second.shutdown().unwrap();
+        second.write_all(&Frame::Shutdown.encode()).unwrap();
         assert_eq!(receiver.join().unwrap(), 6, "each batch member applied exactly once");
     }
 
@@ -897,21 +769,8 @@ mod tests {
             }
             Ok(Value::Null)
         });
-        let receiver = TcpReceiver::bind(
-            Arc::clone(&program),
-            "index",
-            Arc::new(DataSizeModel::new()),
-            builtins,
-            TriggerPolicy::Never,
-        )
-        .unwrap();
-        let mut sender = TcpSender::connect(
-            Arc::clone(&program),
-            Arc::clone(receiver.handler()),
-            BuiltinRegistry::new(),
-            receiver.port(),
-        )
-        .unwrap();
+        let receiver = bind_index(&program, builtins, TriggerPolicy::Never);
+        let mut sender = supervise(&program, &receiver);
         for _ in 0..5 {
             sender.publish(doc(&program, 256)).unwrap();
         }
@@ -919,11 +778,7 @@ mod tests {
         // applied in order.
         let applied: Vec<u64> = (0..4).map(|_| receiver.next_outcome().unwrap().seq).collect();
         assert_eq!(applied, vec![1, 2, 4, 5]);
-        sender.heartbeat().unwrap();
-        let deadline = Instant::now() + std::time::Duration::from_secs(5);
-        while sender.acked() < 5 && Instant::now() < deadline {
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
+        sender.await_drain(Duration::from_secs(10)).unwrap();
         assert_eq!(sender.acked(), 5, "the watermark advanced past the quarantined envelope");
         assert_eq!(receiver.demod_errors(), 1);
         let letters = receiver.dead_letters();
@@ -933,43 +788,8 @@ mod tests {
         let snap = receiver.handler().obs().registry().snapshot();
         assert_eq!(snap.counter_sum("handler_panics_total"), 1);
         assert_eq!(snap.counter_sum("quarantined_total"), 1);
-        sender.shutdown().unwrap();
+        sender.shutdown(Duration::from_secs(10)).unwrap();
         assert_eq!(receiver.join().unwrap(), 4);
-    }
-
-    fn bind_index(program: &Arc<Program>, builtins: BuiltinRegistry) -> TcpReceiver {
-        TcpReceiver::bind(
-            Arc::clone(program),
-            "index",
-            Arc::new(DataSizeModel::new()),
-            builtins,
-            TriggerPolicy::Never,
-        )
-        .unwrap()
-    }
-
-    /// Encoded `Event` frames for seqs `1..=n`, each carrying a small `Doc`.
-    fn event_frames(program: &Arc<Program>, receiver: &TcpReceiver, n: u64) -> Vec<u8> {
-        let source = Source::new(
-            Arc::clone(program),
-            Arc::clone(receiver.handler()),
-            BuiltinRegistry::new(),
-        );
-        let mut wire = Vec::new();
-        for seq in 1..=n {
-            let (run, _) = source.modulate(doc(program, 4)).unwrap();
-            let event = ModulatedEvent { seq, continuation: run.message, samples: run.samples };
-            wire.extend(Frame::Event { event, t_mod_nanos: 0 }.encode());
-        }
-        wire
-    }
-
-    /// The watermark of an `Ack` frame; panics on any other kind.
-    fn ack_of(frame: &Frame) -> u64 {
-        match frame {
-            Frame::Ack { ack } => *ack,
-            other => panic!("expected an Ack, got {other:?}"),
-        }
     }
 
     #[test]
@@ -991,8 +811,8 @@ mod tests {
     fn pipelined_events_get_every_ack_in_order() {
         const N: u64 = 200;
         let program = Arc::new(parse_program(SRC).unwrap());
-        let receiver = bind_index(&program, receiver_builtins());
-        let wire = event_frames(&program, &receiver, N);
+        let receiver = bind_index(&program, receiver_builtins(), TriggerPolicy::Never);
+        let wire = event_frames(&docs(&program, &receiver, 1, N, 4));
         assert!(wire.len() > 2 * 8192, "the frames span several read buffers");
         let mut client = TcpStream::connect(("127.0.0.1", receiver.port())).unwrap();
         client.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
@@ -1009,10 +829,10 @@ mod tests {
     #[test]
     fn a_lone_frame_is_acked_without_a_second() {
         let program = Arc::new(parse_program(SRC).unwrap());
-        let receiver = bind_index(&program, receiver_builtins());
+        let receiver = bind_index(&program, receiver_builtins(), TriggerPolicy::Never);
         let mut client = TcpStream::connect(("127.0.0.1", receiver.port())).unwrap();
         client.set_read_timeout(Some(std::time::Duration::from_secs(5))).unwrap();
-        client.write_all(&event_frames(&program, &receiver, 1)).unwrap();
+        client.write_all(&event_frames(&docs(&program, &receiver, 1, 1, 4))).unwrap();
         assert_eq!(ack_of(&Frame::read_from(&mut client).unwrap()), 1);
         client.write_all(&Frame::Shutdown.encode()).unwrap();
         assert_eq!(receiver.join().unwrap(), 1);
@@ -1031,14 +851,8 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(5));
             Ok(Value::Null)
         });
-        let receiver = bind_index(&program, builtins);
-        let mut supervisor = crate::supervisor::Supervisor::new(
-            Arc::clone(&program),
-            Arc::clone(receiver.handler()),
-            BuiltinRegistry::new(),
-            receiver.port(),
-            crate::supervisor::RetryPolicy::default(),
-        );
+        let receiver = bind_index(&program, builtins, TriggerPolicy::Never);
+        let mut supervisor = supervise(&program, &receiver);
         for _ in 0..N {
             supervisor.publish(doc(&program, 4)).unwrap();
         }
@@ -1053,65 +867,28 @@ mod tests {
     #[test]
     fn successive_connections_are_accepted_and_deduplicated() {
         let program = Arc::new(parse_program(SRC).unwrap());
-        let receiver = TcpReceiver::bind(
-            Arc::clone(&program),
-            "index",
-            Arc::new(DataSizeModel::new()),
-            receiver_builtins(),
-            TriggerPolicy::Never,
-        )
-        .unwrap();
-        let acked = Arc::new(AtomicU64::new(0));
+        let receiver = bind_index(&program, receiver_builtins(), TriggerPolicy::Never);
+        let events = modulated(&program, &receiver, 1, 4, |_| Ok(vec![Value::Int(9)]));
 
         // First connection sends seqs 1..=3, then vanishes without the
         // shutdown handshake.
-        let mut first = TcpSender::connect_with(
-            Arc::clone(&program),
-            Arc::clone(receiver.handler()),
-            BuiltinRegistry::new(),
-            receiver.port(),
-            Arc::clone(&acked),
-            0,
-        )
-        .unwrap();
-        let mut events = Vec::new();
-        for _ in 0..3 {
-            let (event, t) = first.modulate(|_| Ok(vec![Value::Int(9)])).unwrap();
-            first.send_event(&event, t).unwrap();
-            events.push((event, t));
-        }
+        let (mut first, _) = dial(&receiver);
+        first.write_all(&event_frames(&events[..3])).unwrap();
         for _ in 0..3 {
             receiver.next_outcome().unwrap();
         }
-        first.conn.abandon();
+        drop(first);
 
         // Second connection re-sends 2..=3 (as a supervisor replaying an
         // unacked window would) plus a fresh seq 4.
-        let mut second = TcpSender::connect_with(
-            Arc::clone(&program),
-            Arc::clone(receiver.handler()),
-            BuiltinRegistry::new(),
-            receiver.port(),
-            Arc::clone(&acked),
-            3,
-        )
-        .unwrap();
-        for (event, t) in &events[1..] {
-            second.send_event(event, *t).unwrap();
-        }
-        second.publish(|_| Ok(vec![Value::Int(9)])).unwrap();
+        let (mut second, mut replies) = dial(&receiver);
+        second.write_all(&event_frames(&events[1..])).unwrap();
         // Only the fresh event produces an outcome; duplicates are acked
         // but not re-applied.
         let outcome = receiver.next_outcome().unwrap();
         assert_eq!(outcome.seq, 4);
-
-        second.heartbeat().unwrap();
-        let deadline = Instant::now() + std::time::Duration::from_secs(5);
-        while second.acked() < 4 && Instant::now() < deadline {
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
-        assert_eq!(second.acked(), 4);
-        second.shutdown().unwrap();
+        assert_eq!(await_ack(&mut replies, 4), 4);
+        second.write_all(&Frame::Shutdown.encode()).unwrap();
         assert_eq!(receiver.join().unwrap(), 4, "each event applied exactly once");
     }
 }

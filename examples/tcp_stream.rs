@@ -1,13 +1,16 @@
 //! Method Partitioning over real TCP sockets: the sender's modulator and
 //! the receiver's demodulator live in separate threads connected only by
 //! a localhost socket; continuations travel as marshalled frames and plan
-//! updates flow back on the same connection.
+//! updates flow back on the same connection. The sender is a
+//! `Supervisor`, which would redial and replay its unacknowledged window
+//! if the connection died.
 //!
 //! ```sh
 //! cargo run --release --example tcp_stream
 //! ```
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use method_partitioning::core::profile::TriggerPolicy;
 use method_partitioning::cost::DataSizeModel;
@@ -15,7 +18,7 @@ use method_partitioning::ir::interp::{BuiltinRegistry, ExecCtx};
 use method_partitioning::ir::parse::parse_program;
 use method_partitioning::ir::types::ElemType;
 use method_partitioning::ir::Value;
-use method_partitioning::jecho::{TcpReceiver, TcpSender};
+use method_partitioning::jecho::{RetryPolicy, Supervisor, TcpReceiver};
 
 const SRC: &str = r#"
 class Scan { n: int, body: ref }
@@ -54,12 +57,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     println!("receiver listening on 127.0.0.1:{}", receiver.port());
 
-    let mut sender = TcpSender::connect(
+    let mut sender = Supervisor::new(
         Arc::clone(&program),
         Arc::clone(receiver.handler()),
         BuiltinRegistry::new(),
         receiver.port(),
-    )?;
+        RetryPolicy::default(),
+    );
+    // The receiver installs each plan update into the shared handler
+    // before it reports the outcome, so its epoch is current here.
+    let plan = receiver.handler().plan();
 
     for i in 0..8 {
         let p = Arc::clone(&program);
@@ -75,13 +82,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         })?;
         let outcome = receiver.next_outcome()?;
         println!(
-            "scan {i}: {} bytes on the wire, split at PSE {}, plan updates so far: {}",
+            "scan {i}: {} bytes on the wire, split at PSE {}, plan epoch {}",
             outcome.wire_bytes,
             outcome.split_pse,
-            sender.plans_applied()
+            plan.epoch()
         );
     }
-    sender.shutdown()?;
+    sender.shutdown(Duration::from_secs(10))?;
     let processed = receiver.join()?;
     println!("\nreceiver processed {processed} scans; the 50 kB raw scans became 64 B thumbnails after one adaptation");
     Ok(())

@@ -38,7 +38,7 @@ use method_partitioning::ir::marshal::deep_digest_many;
 use method_partitioning::ir::parse::parse_program;
 use method_partitioning::ir::{IrError, Program, Value};
 use method_partitioning::jecho::{
-    ProxyConfig, ProxySession, SimConfig, SimSession, TcpReceiver, TcpSender,
+    Frame, ProxyConfig, ProxySession, SimConfig, SimSession, TcpReceiver,
 };
 use method_partitioning::simnet::{Host, Link, SimTime};
 use proptest::prelude::*;
@@ -348,10 +348,8 @@ fn every_transport_builds_its_handler_compiled() {
         assert_eq!(handler.engine().name(), "compiled", "{name}");
     }
     manager.shutdown();
-    let sender =
-        TcpSender::connect(Arc::clone(&program), Arc::clone(tcp.handler()), registry(), tcp.port())
-            .unwrap();
-    sender.shutdown().unwrap();
+    let mut idle = std::net::TcpStream::connect(("127.0.0.1", tcp.port())).unwrap();
+    std::io::Write::write_all(&mut idle, &Frame::Shutdown.encode()).unwrap();
     assert_eq!(tcp.join().unwrap(), 0);
 }
 

@@ -271,8 +271,9 @@ fn adaptation_survives_a_lossy_control_channel() {
 
 #[test]
 fn duplicated_event_delivery_is_idempotent_at_the_subscriber() {
-    use method_partitioning::ir::interp::BuiltinRegistry as Builtins;
-    use method_partitioning::jecho::{TcpReceiver, TcpSender};
+    use method_partitioning::jecho::{Frame, ModulatedEvent, TcpReceiver};
+    use std::io::Write as _;
+    use std::net::TcpStream;
 
     let (program, _, builtins) = setup();
     let receiver = TcpReceiver::bind(
@@ -283,29 +284,29 @@ fn duplicated_event_delivery_is_idempotent_at_the_subscriber() {
         TriggerPolicy::Never,
     )
     .unwrap();
-    let mut sender = TcpSender::connect(
-        Arc::clone(&program),
-        Arc::clone(receiver.handler()),
-        Builtins::new(),
-        receiver.port(),
-    )
-    .unwrap();
+    let modulator = receiver.handler().modulator();
+    let event = |seq: u64| {
+        let mut ctx = ExecCtx::without_digests(&program, BuiltinRegistry::new());
+        let args = make_item(&program, &mut ctx, 512);
+        let run = modulator.handle(&mut ctx, args).unwrap();
+        let event = ModulatedEvent { seq, continuation: run.message, samples: run.samples };
+        Frame::Event { event, t_mod_nanos: 0 }.encode()
+    };
 
     // One modulated event, delivered three times (an at-least-once wire
     // under retransmission); then a fresh one.
-    let p = Arc::clone(&program);
-    let (event, t_mod) = sender.modulate(move |ctx| Ok(make_item(&p, ctx, 512))).unwrap();
+    let first = event(1);
+    let mut wire = TcpStream::connect(("127.0.0.1", receiver.port())).unwrap();
     for _ in 0..3 {
-        sender.send_event(&event, t_mod).unwrap();
+        wire.write_all(&first).unwrap();
     }
-    let p = Arc::clone(&program);
-    sender.publish(move |ctx| Ok(make_item(&p, ctx, 512))).unwrap();
+    wire.write_all(&event(2)).unwrap();
 
     // The duplicates are acknowledged but not re-applied: exactly two
     // outcomes surface, in seq order.
     assert_eq!(receiver.next_outcome().unwrap().seq, 1);
     assert_eq!(receiver.next_outcome().unwrap().seq, 2);
-    sender.shutdown().unwrap();
+    wire.write_all(&Frame::Shutdown.encode()).unwrap();
     assert_eq!(receiver.join().unwrap(), 2, "each event applied exactly once");
 }
 
